@@ -63,8 +63,9 @@ overload-chaos:
 
 # Shard-kill chaos gate for the fleet tier: the whole internal/fleet
 # suite under the race detector first — placement, allocator
-# conservation/certificates, router failover, the in-process kill-and-
-# restart drill (TestShardKillChaos) — then the race-built live loop:
+# conservation/certificates, the router's in-process dispatch, the
+# in-process kill-and-restart drill (TestShardKillChaos) — then the
+# race-built live loop:
 # loadgen driven past the knee through the router while a shard is
 # hard-killed and restarted mid-ramp and a survivor's state disk fails
 # (see scripts/shard_chaos.sh).
@@ -105,10 +106,12 @@ metrics-contract:
 
 # Shared-state hot spots under the race detector: the solver's worker
 # pool, the clustering buffers, the mirror's lock-free serving path
-# (the snapshot-swap stress test lives in internal/httpmirror), and
-# the admission limiter / mode machine atomics.
+# (the snapshot-swap stress test lives in internal/httpmirror), the
+# admission limiter / mode machine atomics, and the fleet router, a
+# lock-free reader of the shard and health state that Kill, Start and
+# the supervisor mutate.
 race:
-	$(GO) test -race ./internal/solver/... ./internal/cluster/... ./internal/httpmirror/... ./internal/resilience/...
+	$(GO) test -race ./internal/solver/... ./internal/cluster/... ./internal/httpmirror/... ./internal/resilience/... ./internal/fleet/...
 
 ci: build fmt vet test race
 

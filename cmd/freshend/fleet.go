@@ -6,7 +6,9 @@
 // water-fills the global -bandwidth across healthy shards and
 // re-levels it within one period of a shard dying or recovering, and
 // a router on -addr fronts the fleet: placement-based object routing
-// with failover, aggregated /status and /metrics, and 503 + jittered
+// by an in-process call into the owning shard's object path (the
+// shard listeners carry health probes, per-shard /metrics and
+// /status), aggregated /status and /metrics, and 503 + jittered
 // Retry-After for a dead shard's keyspace (see DESIGN.md §14).
 package main
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"freshen/internal/httpmirror"
@@ -59,9 +60,6 @@ type Config struct {
 	// HealthFailures is how many consecutive probe failures mark a
 	// shard unhealthy; 0 means 2.
 	HealthFailures int
-	// ProxyTimeout is the router's per-request deadline against a
-	// shard; 0 means 5s.
-	ProxyTimeout time.Duration
 	// CertifyTol is the KKT certification tolerance; 0 means 1e-6.
 	CertifyTol float64
 	// ChaosAdmin mounts POST /fleet/kill and /fleet/restart on the
@@ -91,9 +89,6 @@ func (c Config) withDefaults() Config {
 	if c.HealthFailures <= 0 {
 		c.HealthFailures = 2
 	}
-	if c.ProxyTimeout <= 0 {
-		c.ProxyTimeout = 5 * time.Second
-	}
 	if c.CertifyTol <= 0 {
 		c.CertifyTol = 1e-6
 	}
@@ -121,19 +116,22 @@ type Fleet struct {
 	cfg    Config
 	place  *Placement
 	shards []*Shard
-	proxy  *http.Client
+	probes *http.Client // /readyz health probes
 	log    *slog.Logger
 	m      *fleetMetrics
 
+	// healthy is the supervisor's per-shard verdict. The router reads
+	// it lock-free on every object read; writers flip it under mu, so
+	// a flip and its fails bookkeeping stay one step.
+	healthy []atomic.Bool
+
 	mu        sync.Mutex
-	healthy   []bool
 	fails     []int
 	alloc     Allocation
 	allocErr  error
 	reallocs  int
 	certFails int
 	history   []AllocationRecord
-	kick      chan struct{} // buffered; signals an immediate re-level
 
 	// Windowed traffic accounting for the allocator: the mirror each
 	// shard's last access reading came from (counters reset when a
@@ -184,15 +182,13 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 		cfg:        cfg,
 		place:      place,
 		log:        obs.Component(cfg.Logger, "fleet"),
-		healthy:    make([]bool, cfg.Shards),
+		healthy:    make([]atomic.Bool, cfg.Shards),
 		fails:      make([]int, cfg.Shards),
-		kick:       make(chan struct{}, 1),
 		lastMirror: make([]*httpmirror.Mirror, cfg.Shards),
 		lastAcc:    make([]int, cfg.Shards),
-		proxy: &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-		}},
+		// Its own transport, so Close drops only the probes' idle
+		// connections.
+		probes: &http.Client{Transport: &http.Transport{}},
 	}
 	f.m = instrumentFleet(f, cfg.Metrics)
 
@@ -245,7 +241,7 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 			f.closeShards()
 			return nil, err
 		}
-		f.healthy[i] = true
+		f.healthy[i].Store(true)
 	}
 
 	f.reallocate("boot")
@@ -281,10 +277,6 @@ func (f *Fleet) Run(ctx context.Context) error {
 			}
 		case <-alloc.C:
 			f.reallocate("cadence")
-		case <-f.kick:
-			if f.checkHealth(ctx) {
-				f.reallocate("router fault")
-			}
 		}
 	}
 }
@@ -301,8 +293,8 @@ func (f *Fleet) checkHealth(ctx context.Context) (changed bool) {
 		f.mu.Lock()
 		if ok {
 			f.fails[i] = 0
-			if !f.healthy[i] {
-				f.healthy[i] = true
+			if !f.healthy[i].Load() {
+				f.healthy[i].Store(true)
 				changed = true
 				f.log.Info("shard recovered", "shard", i)
 			}
@@ -311,8 +303,8 @@ func (f *Fleet) checkHealth(ctx context.Context) (changed bool) {
 			// A dead process cannot come back without Restart; skip
 			// the grace window and fail it now so its keyspace 503s
 			// honestly instead of timing out HealthFailures more times.
-			if f.healthy[i] && (f.fails[i] >= f.cfg.HealthFailures || !sh.Running()) {
-				f.healthy[i] = false
+			if f.healthy[i].Load() && (f.fails[i] >= f.cfg.HealthFailures || !sh.Running()) {
+				f.healthy[i].Store(false)
 				changed = true
 				f.log.Warn("shard unhealthy", "shard", i, "consecutive_failures", f.fails[i])
 			}
@@ -334,7 +326,7 @@ func (f *Fleet) probe(ctx context.Context, url string) bool {
 		return false
 	}
 	req.Header.Set("Accept", "text/plain")
-	resp, err := f.proxy.Do(req)
+	resp, err := f.probes.Do(req)
 	if err != nil {
 		return false
 	}
@@ -346,9 +338,7 @@ func (f *Fleet) probe(ctx context.Context, url string) bool {
 // shards and applies the slices. Every attempt — including failed
 // ones — is recorded in the bounded history.
 func (f *Fleet) reallocate(reason string) {
-	f.mu.Lock()
-	healthy := append([]bool(nil), f.healthy...)
-	f.mu.Unlock()
+	healthy, _ := f.healthySnapshot()
 	mirrors := make([]*httpmirror.Mirror, len(f.shards))
 	for i, sh := range f.shards {
 		mirrors[i] = sh.Mirror()
@@ -417,15 +407,6 @@ func (f *Fleet) trafficWindow(mirrors []*httpmirror.Mirror) []float64 {
 	return traffic
 }
 
-// kickRealloc requests an immediate health check + re-level from Run
-// without blocking the caller (the router's failover path).
-func (f *Fleet) kickRealloc() {
-	select {
-	case f.kick <- struct{}{}:
-	default:
-	}
-}
-
 // Kill hard-kills shard i (crash semantics; see Shard.Kill) and marks
 // it unhealthy immediately so the next supervisor pass redistributes
 // its slice without waiting out the probe grace window.
@@ -435,8 +416,7 @@ func (f *Fleet) Kill(i int) error {
 	}
 	f.shards[i].Kill()
 	f.mu.Lock()
-	changed := f.healthy[i]
-	f.healthy[i] = false
+	changed := f.healthy[i].Swap(false)
 	f.fails[i] = f.cfg.HealthFailures
 	f.mu.Unlock()
 	if changed {
@@ -472,7 +452,7 @@ func (f *Fleet) Close(ctx context.Context) error {
 			firstErr = err
 		}
 	}
-	f.proxy.CloseIdleConnections()
+	f.probes.CloseIdleConnections()
 	return firstErr
 }
 
@@ -481,9 +461,8 @@ func (f *Fleet) Placement() *Placement { return f.place }
 
 // Healthy returns a copy of the current health flags.
 func (f *Fleet) Healthy() []bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]bool(nil), f.healthy...)
+	healthy, _ := f.healthySnapshot()
+	return healthy
 }
 
 // Allocation returns the most recent budget leveling and its error.
@@ -503,17 +482,16 @@ func (f *Fleet) AllocationHistory() []AllocationRecord {
 // Shard returns shard i (for tests and the chaos admin surface).
 func (f *Fleet) Shard(i int) *Shard { return f.shards[i] }
 
-// healthySnapshot returns (healthy flags, healthy count) in one lock.
+// healthySnapshot returns (healthy flags, healthy count).
 func (f *Fleet) healthySnapshot() ([]bool, int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	healthy := make([]bool, len(f.healthy))
 	n := 0
-	for _, h := range f.healthy {
-		if h {
+	for i := range f.healthy {
+		if healthy[i] = f.healthy[i].Load(); healthy[i] {
 			n++
 		}
 	}
-	return append([]bool(nil), f.healthy...), n
+	return healthy, n
 }
 
 // fleetMode ORs the degradation modes of the healthy shards: the

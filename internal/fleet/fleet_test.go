@@ -151,7 +151,7 @@ func TestFleetRoutesEveryObject(t *testing.T) {
 			t.Fatalf("object %d: body %q, want %q (mis-route?)", gid, body, want)
 		}
 	}
-	// Outside the catalog: a clean 404, not a proxy error.
+	// Outside the catalog: a clean 404, not a routing error.
 	resp, err := http.Get(srv.URL + "/object/9999")
 	if err != nil {
 		t.Fatal(err)

@@ -3,8 +3,9 @@
 // httpmirror.Mirror with its own solver, estimator state, and persist
 // directory; a top-level allocator water-fills the global refresh
 // budget across shards on their marginal-PF curves; and a router
-// fronts the fleet, health-checking shards and failing over without
-// ever mis-routing or hanging (see DESIGN.md §14).
+// fronts the fleet, serving each read in-process from its owning
+// shard and answering a dead shard's keyspace with an immediate 503 —
+// never a mis-route or a hang (see DESIGN.md §14).
 package fleet
 
 import (

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -17,14 +16,16 @@ import (
 // fleetMetrics is the router-level instrumentation. Per-shard series
 // (solver, estimator, serve path) stay on each shard's own listener;
 // the fleet registry carries only what exists one level up: health,
-// slices, router traffic, failovers.
+// slices, router traffic, dead-shard rejects.
 type fleetMetrics struct {
 	requests    *obs.CounterVec
-	failovers   *obs.Counter
 	deadRejects *obs.Counter
 	reallocs    *obs.Counter
 	certFails   *obs.Counter
 	sliceGauges []func(Allocation)
+	// objects counts routed reads; its 200/304/503 children are
+	// resolved once, so the routed read stays allocation-free.
+	objects *obs.CodeCounter
 }
 
 func instrumentFleet(f *Fleet, reg *obs.Registry) *fleetMetrics {
@@ -56,8 +57,6 @@ func instrumentFleet(f *Fleet, reg *obs.Registry) *fleetMetrics {
 	m := &fleetMetrics{
 		requests: reg.CounterVec("fleet_router_requests_total",
 			"Requests the router handled, by route and status code.", "route", "code"),
-		failovers: reg.Counter("fleet_router_failovers_total",
-			"Object reads retried after a shard transport fault."),
 		deadRejects: reg.Counter("fleet_router_dead_shard_rejects_total",
 			"Object reads answered 503 because the owning shard is down."),
 		reallocs: reg.Counter("fleet_reallocations_total",
@@ -65,6 +64,7 @@ func instrumentFleet(f *Fleet, reg *obs.Registry) *fleetMetrics {
 		certFails: reg.Counter("fleet_allocation_failures_total",
 			"Budget levelings that failed solving, certification, or conservation."),
 	}
+	m.objects = m.requests.Codes("/object", http.StatusOK, http.StatusNotModified, http.StatusServiceUnavailable)
 	m.slicesHook(f, slices)
 	return m
 }
@@ -112,9 +112,10 @@ func (m *fleetMetrics) countRequest(route string, code int) {
 	m.requests.With(route, strconv.Itoa(code)).Inc()
 }
 
-func (m *fleetMetrics) countFailover() {
+// countObject counts one routed object read by the code it answered.
+func (m *fleetMetrics) countObject(code int) {
 	if m != nil {
-		m.failovers.Inc()
+		m.objects.Inc(code)
 	}
 }
 
@@ -199,11 +200,13 @@ func (f *Fleet) Status() FleetStatus {
 
 // Handler is the fleet router: the one address clients talk to.
 //
-//	GET  /object/{gid}   — proxy to the owning shard (placement map);
-//	                       per-request deadline, one retry on transport
-//	                       fault, then 503 + jittered Retry-After. A
-//	                       dead shard's keyspace 503s immediately —
-//	                       never a hang, never a mis-route.
+//	GET  /object/{gid}   — served in-process by the owning shard
+//	                       (placement map) through its ServeObject,
+//	                       exactly as the shard's own listener would
+//	                       (HEAD and X-If-Version included). A dead
+//	                       shard's keyspace 503s immediately with a
+//	                       jittered Retry-After — never a hang, never
+//	                       a mis-route.
 //	GET  /status         — fleet-wide aggregate (loadgen-compatible
 //	                       top-level mode/mode_transitions).
 //	GET  /healthz        — liveness (always 200 while the router runs).
@@ -214,11 +217,18 @@ func (f *Fleet) Status() FleetStatus {
 func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/object/", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
+		if r.Method != http.MethodGet && r.Method != http.MethodHead {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			f.m.countObject(http.StatusMethodNotAllowed)
 			return
 		}
-		f.routeObject(w, r)
+		gid, err := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/object/"))
+		if err != nil {
+			http.Error(w, "bad object id", http.StatusBadRequest)
+			f.m.countObject(http.StatusBadRequest)
+			return
+		}
+		f.routeObject(w, r, gid)
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
@@ -269,7 +279,20 @@ func (f *Fleet) Handler() http.Handler {
 	if f.cfg.Metrics != nil {
 		mux.Handle("/metrics", f.cfg.Metrics.Handler())
 	}
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Hot-path dispatch, as on the mirror: a GET or HEAD of a
+		// well-formed /object/{gid} skips the mux's path cleaning and
+		// goes straight to the owner; everything else takes the mux.
+		if r.Method == http.MethodGet || r.Method == http.MethodHead {
+			if rest, ok := strings.CutPrefix(r.URL.Path, "/object/"); ok {
+				if gid, err := strconv.Atoi(rest); err == nil {
+					f.routeObject(w, r, gid)
+					return
+				}
+			}
+		}
+		mux.ServeHTTP(w, r)
+	})
 }
 
 // chaosAdmin wraps a kill/restart action as a POST ?shard=i handler.
@@ -292,99 +315,30 @@ func (f *Fleet) chaosAdmin(action func(context.Context, int) error) http.Handler
 	}
 }
 
-// proxiedHeaders are the shard response headers the router forwards
-// verbatim: the object contract (version), the degradation contract
-// (mode, staleness), and the backpressure contract (Retry-After, with
-// the shard's own jitter).
-var proxiedHeaders = []string{
-	"X-Version", "X-Mirror-Mode", "X-Staleness-Periods", "Retry-After", "Content-Type",
-}
-
-// routeObject proxies one object read to its owning shard.
-func (f *Fleet) routeObject(w http.ResponseWriter, r *http.Request) {
-	gid, err := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/object/"))
-	if err != nil {
-		http.Error(w, "bad object id", http.StatusBadRequest)
-		f.m.countRequest("/object", http.StatusBadRequest)
-		return
-	}
+// routeObject serves one object read from its owning shard's mirror,
+// in-process: placement lookup, two atomic loads, and the shard's own
+// ServeObject — no lock, no allocation, no second HTTP round trip.
+// Every header the shard sets (version, degradation mode and
+// staleness, its own shed Retry-After) reaches the client as the
+// shard wrote it.
+func (f *Fleet) routeObject(w http.ResponseWriter, r *http.Request, gid int) {
 	shard := f.place.ShardOf(gid)
 	if shard < 0 {
 		http.Error(w, "no such object", http.StatusNotFound)
-		f.m.countRequest("/object", http.StatusNotFound)
+		f.m.countObject(http.StatusNotFound)
 		return
 	}
-	sh := f.shards[shard]
-	f.mu.Lock()
-	healthy := f.healthy[shard]
-	f.mu.Unlock()
 	// A dead or unhealthy owner answers now — a 503 with a jittered
-	// retry hint — not after a connect timeout. The object exists and
-	// exactly one shard may serve it, so there is nowhere to fail over
-	// to; the honest answer is "retry shortly", and the supervisor is
-	// already re-leveling the survivors' budgets.
-	if !healthy || !sh.Running() {
+	// retry hint. The object exists and exactly one shard may serve
+	// it, so there is nowhere to fail over to; the honest answer is
+	// "retry shortly", and the supervisor is already re-leveling the
+	// survivors' budgets.
+	m := f.shards[shard].Mirror()
+	if m == nil || !f.healthy[shard].Load() {
 		f.rejectDeadShard(w)
 		return
 	}
-
-	target := fmt.Sprintf("%s/object/%d", sh.URL(), f.place.Local(gid))
-	resp, err := f.proxyGet(r, target)
-	if err != nil {
-		// One retry: a fresh connection, same deadline. Transport
-		// faults here are either the shard dying mid-request (the
-		// retry fails fast and we 503) or a dropped idle connection
-		// (the retry succeeds).
-		f.m.countFailover()
-		resp, err = f.proxyGet(r, target)
-		if err != nil {
-			f.kickRealloc()
-			f.rejectDeadShard(w)
-			return
-		}
-	}
-	defer resp.Body.Close()
-	h := w.Header()
-	for _, k := range proxiedHeaders {
-		if vs := resp.Header[k]; len(vs) > 0 {
-			h[k] = vs
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
-	f.m.countRequest("/object", resp.StatusCode)
-}
-
-// proxyGet performs one shard round-trip under the router deadline.
-func (f *Fleet) proxyGet(r *http.Request, target string) (*http.Response, error) {
-	ctx, cancel := context.WithTimeout(r.Context(), f.cfg.ProxyTimeout)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	resp, err := f.proxy.Do(req)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	// The body carries the deadline until fully read; tie the cancel
-	// to body close so the caller's io.Copy stays bounded.
-	resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
-	return resp, nil
-}
-
-// cancelBody releases the request's deadline context when the
-// response body is closed.
-type cancelBody struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (b *cancelBody) Close() error {
-	err := b.ReadCloser.Close()
-	b.cancel()
-	return err
+	f.m.countObject(m.ServeObject(w, r, f.place.Local(gid)))
 }
 
 // rejectDeadShard answers for an unreachable owner.
@@ -392,5 +346,5 @@ func (f *Fleet) rejectDeadShard(w http.ResponseWriter) {
 	w.Header()["Retry-After"] = resilience.RetryAfterHeader()
 	http.Error(w, "shard unavailable", http.StatusServiceUnavailable)
 	f.m.countDeadReject()
-	f.m.countRequest("/object", http.StatusServiceUnavailable)
+	f.m.countObject(http.StatusServiceUnavailable)
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"freshen/internal/httpmirror"
@@ -48,18 +49,26 @@ type ShardConfig struct {
 // and its own HTTP listener. Kill tears all of it down abruptly —
 // simulating a crash — and Start afterwards recovers from the
 // shard's persist directory exactly like a restarted daemon.
+//
+// The lifecycle (Start, Kill, Stop) serializes on mu, which Start
+// holds across the whole seeding and Kill across the in-flight step.
+// Nothing a reader needs sits behind it: the live mirror and URL are
+// published atomically — stored once Start succeeds, cleared first
+// thing in Kill and Stop — so the router and the supervisor never
+// wait out a shard's boot or teardown.
 type Shard struct {
 	cfg ShardConfig
 
-	mu      sync.Mutex
-	running bool
-	mirror  *httpmirror.Mirror
-	store   *persist.Store
-	srv     *http.Server
-	url     string
-	cancel  context.CancelFunc
-	done    chan struct{}
-	kills   int
+	live  atomic.Pointer[httpmirror.Mirror]
+	url   atomic.Pointer[string]
+	kills atomic.Int64
+
+	mu     sync.Mutex
+	mirror *httpmirror.Mirror // owned by the lifecycle; nil while dead
+	store  *persist.Store
+	srv    *http.Server
+	cancel context.CancelFunc
+	done   chan struct{}
 }
 
 // NewShard validates the config; the shard starts dead.
@@ -91,7 +100,7 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 func (s *Shard) Start(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.running {
+	if s.mirror != nil {
 		return fmt.Errorf("fleet: shard %d already running", s.cfg.Index)
 	}
 	lg := obs.Component(s.cfg.Logger, fmt.Sprintf("shard-%d", s.cfg.Index))
@@ -164,14 +173,15 @@ func (s *Shard) Start(ctx context.Context) error {
 		}
 	}()
 
-	s.running = true
 	s.mirror = m
 	s.store = store
 	s.srv = srv
-	s.url = "http://" + ln.Addr().String()
 	s.cancel = cancel
 	s.done = done
-	lg.Info("shard up", "addr", s.url, "objects", len(s.cfg.Placement.Globals(s.cfg.Index)), "budget", m.Budget())
+	url := "http://" + ln.Addr().String()
+	s.url.Store(&url)
+	s.live.Store(m)
+	lg.Info("shard up", "addr", url, "objects", len(s.cfg.Placement.Globals(s.cfg.Index)), "budget", m.Budget())
 	return nil
 }
 
@@ -183,9 +193,10 @@ func (s *Shard) Start(ctx context.Context) error {
 func (s *Shard) Kill() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.running {
+	if s.mirror == nil {
 		return
 	}
+	s.unpublish()
 	s.cancel()
 	s.srv.Close()
 	// The refresh loop finishes its in-flight step before the store
@@ -196,7 +207,7 @@ func (s *Shard) Kill() {
 		s.store.Close()
 	}
 	s.teardownLocked()
-	s.kills++
+	s.kills.Add(1)
 }
 
 // Stop shuts the shard down gracefully: refresh loop first, then a
@@ -204,9 +215,10 @@ func (s *Shard) Kill() {
 func (s *Shard) Stop(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.running {
+	if s.mirror == nil {
 		return nil
 	}
+	s.unpublish()
 	s.cancel()
 	<-s.done
 	var firstErr error
@@ -225,42 +237,37 @@ func (s *Shard) Stop(ctx context.Context) error {
 	return firstErr
 }
 
-// teardownLocked clears the running state. Callers hold s.mu.
+// unpublish takes the shard out of service for readers: from here on
+// the router answers its keyspace 503 and the supervisor sees it dead.
+// A read that loaded the mirror just before finishes against it.
+func (s *Shard) unpublish() {
+	s.live.Store(nil)
+	s.url.Store(nil)
+}
+
+// teardownLocked clears the lifecycle state. Callers hold s.mu.
 func (s *Shard) teardownLocked() {
-	s.running = false
 	s.mirror = nil
 	s.store = nil
 	s.srv = nil
-	s.url = ""
 	s.cancel = nil
 	s.done = nil
 }
 
 // Running reports whether the shard is up.
-func (s *Shard) Running() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.running
-}
+func (s *Shard) Running() bool { return s.live.Load() != nil }
 
 // Mirror returns the shard's live mirror, or nil while dead.
-func (s *Shard) Mirror() *httpmirror.Mirror {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mirror
-}
+func (s *Shard) Mirror() *httpmirror.Mirror { return s.live.Load() }
 
 // URL returns the shard's base URL ("http://host:port"), or "" while
 // dead.
 func (s *Shard) URL() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.url
+	if u := s.url.Load(); u != nil {
+		return *u
+	}
+	return ""
 }
 
 // Kills counts hard kills over the shard's lifetime.
-func (s *Shard) Kills() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.kills
-}
+func (s *Shard) Kills() int { return int(s.kills.Load()) }

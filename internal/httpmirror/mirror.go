@@ -1227,21 +1227,75 @@ func (m *Mirror) SetBudget(b float64) error {
 	return nil
 }
 
-// serveObject is the admitted object read: resolve the id, serve the
-// body and version from the lock-free snapshot, and — only when the
-// mirror is degraded — attach the mode and staleness headers. A HEAD
-// answers headers only (the downstream change poll), and a GET whose
-// X-If-Version matches the served version answers 304 with no body
-// (the downstream conditional fetch) — both still carry the mode and
-// staleness headers so a chained mirror sees its upstream's health on
-// every poll. The full path, 304s and HEADs included, stays
-// allocation-free (see TestObjectHandlerAllocs).
-func (m *Mirror) serveObject(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/object/"))
-	if err != nil {
-		http.Error(w, "bad object id", http.StatusBadRequest)
+// ServeObject serves one read of object id: the whole /object path
+// behind the URL parse, shared by every front — the mirror's own
+// Handler and a fleet router calling into the owning shard in-process.
+// It checks the method, admits or sheds (past the adaptive limit: an
+// immediate 503 with a jittered Retry-After instead of queueing into
+// latency collapse), honors the chaos latency window and client
+// cancellation, serves via serveObject, and counts the request on the
+// /object serve series. It returns the status code written (200 when
+// none was explicit). Like Access it takes no lock, and reads, HEADs
+// and 304s allocate nothing (see TestObjectHandlerAllocs).
+func (m *Mirror) ServeObject(w http.ResponseWriter, r *http.Request, id int) int {
+	sw := wrapStatus(w)
+	m.serveAdmitted(sw, r, id)
+	code := sw.done()
+	m.metrics.countObject(code)
+	return code
+}
+
+// serveAdmitted is ServeObject's uncounted body. Only object reads
+// shed; health, readiness, status, and metrics stay un-gated.
+func (m *Mirror) serveAdmitted(w http.ResponseWriter, r *http.Request, id int) {
+	if r.Method != http.MethodGet && r.Method != http.MethodHead {
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
+	if !m.limiter.Acquire() {
+		w.Header()["Retry-After"] = resilience.RetryAfterHeader()
+		http.Error(w, "overloaded", http.StatusServiceUnavailable)
+		return
+	}
+	start := time.Now()
+	if d := m.cfg.ServeFaultLatency; d > 0 {
+		// The chaos latency window honors client cancellation: a caller
+		// that disconnects mid-wait releases its limiter slot now, not
+		// after the full artificial stall — holding slots for the dead
+		// would starve live clients exactly when the server is slow.
+		t := time.NewTimer(d)
+		select {
+		case <-r.Context().Done():
+			t.Stop()
+			m.limiter.Release(time.Since(start))
+			m.metrics.countCanceled()
+			m.canceled.Add(1)
+			return
+		case <-t.C:
+		}
+	}
+	if r.Context().Err() != nil {
+		// The client is gone: the slot goes back immediately and
+		// nothing is written (the connection is already dead).
+		m.limiter.Release(time.Since(start))
+		m.metrics.countCanceled()
+		m.canceled.Add(1)
+		return
+	}
+	m.serveObject(w, r, id)
+	m.limiter.Release(time.Since(start))
+}
+
+// serveObject is the admitted object read: serve the body and version
+// from the lock-free snapshot, and — only when the mirror is degraded
+// — attach the mode and staleness headers. A HEAD answers headers only
+// (the downstream change poll), and a GET whose X-If-Version matches
+// the served version answers 304 with no body (the downstream
+// conditional fetch) — both still carry the mode and staleness headers
+// so a chained mirror sees its upstream's health on every poll. The
+// full path, 304s and HEADs included, stays allocation-free (see
+// TestObjectHandlerAllocs).
+func (m *Mirror) serveObject(w http.ResponseWriter, r *http.Request, id int) {
 	body, ver, err := m.Access(id)
 	switch {
 	case errors.Is(err, ErrNotFound):
@@ -1297,50 +1351,20 @@ func (m *Mirror) Handler() http.Handler {
 	handle := func(route string, h http.HandlerFunc) {
 		mux.Handle(route, m.metrics.countRequests(strings.TrimSuffix(route, "/"), h))
 	}
-	object := m.metrics.countRequests("/object", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/object/", func(w http.ResponseWriter, r *http.Request) {
+		if id, err := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/object/")); err == nil {
+			m.ServeObject(w, r, id)
+			return
+		}
+		code := http.StatusBadRequest
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
+			code = http.StatusMethodNotAllowed
+			http.Error(w, "method not allowed", code)
+		} else {
+			http.Error(w, "bad object id", code)
 		}
-		// Admission control: past the adaptive limit the request is
-		// shed immediately — a 503 with a jittered Retry-After —
-		// instead of queueing into latency collapse. Only object reads
-		// shed; health, readiness, status, and metrics stay un-gated.
-		if !m.limiter.Acquire() {
-			w.Header()["Retry-After"] = resilience.RetryAfterHeader()
-			http.Error(w, "overloaded", http.StatusServiceUnavailable)
-			return
-		}
-		start := time.Now()
-		if d := m.cfg.ServeFaultLatency; d > 0 {
-			// The chaos latency window honors client cancellation: a
-			// caller that disconnects mid-wait releases its limiter
-			// slot now, not after the full artificial stall — holding
-			// slots for the dead would starve live clients exactly when
-			// the server is slow.
-			t := time.NewTimer(d)
-			select {
-			case <-r.Context().Done():
-				t.Stop()
-				m.limiter.Release(time.Since(start))
-				m.metrics.countCanceled()
-				m.canceled.Add(1)
-				return
-			case <-t.C:
-			}
-		}
-		if r.Context().Err() != nil {
-			// The client is gone: the slot goes back immediately and
-			// nothing is written (the connection is already dead).
-			m.limiter.Release(time.Since(start))
-			m.metrics.countCanceled()
-			m.canceled.Add(1)
-			return
-		}
-		m.serveObject(w, r)
-		m.limiter.Release(time.Since(start))
-	}))
-	mux.Handle("/object/", object)
+		m.metrics.countObject(code)
+	})
 	handle("/catalog", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -1423,16 +1447,16 @@ func (m *Mirror) Handler() http.Handler {
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Hot-path dispatch: a GET or HEAD of a well-formed
-		// /object/{id} goes straight to the object handler, skipping
-		// the mux's path-cleaning machinery (≈3 allocs per request).
-		// Anything else — other routes, other methods, ids that need
-		// cleaning or rejecting — takes the mux and behaves exactly as
-		// before. HEAD rides the fast path too: it is the downstream
-		// mirror's change poll, as hot as the reads.
+		// /object/{id} goes straight to ServeObject, skipping the mux's
+		// path-cleaning machinery (≈3 allocs per request). Anything
+		// else — other routes, other methods, ids that need cleaning or
+		// rejecting — takes the mux, whose /object/ route ends in the
+		// same ServeObject. HEAD rides the fast path too: it is the
+		// downstream mirror's change poll, as hot as the reads.
 		if r.Method == http.MethodGet || r.Method == http.MethodHead {
 			if rest, ok := strings.CutPrefix(r.URL.Path, "/object/"); ok {
-				if _, err := strconv.Atoi(rest); err == nil {
-					object.ServeHTTP(w, r)
+				if id, err := strconv.Atoi(rest); err == nil {
+					m.ServeObject(w, r, id)
 					return
 				}
 			}

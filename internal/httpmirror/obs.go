@@ -2,7 +2,6 @@ package httpmirror
 
 import (
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -27,7 +26,8 @@ type mirrorMetrics struct {
 	refreshes      *obs.CounterVec   // outcome: success|failure|skipped
 	transfers      *obs.Counter
 	notModified    *obs.Counter
-	serveRequests  *obs.CounterVec // route, code
+	serveRequests  *obs.CounterVec  // route, code
+	objectRequests *obs.CodeCounter // serveRequests' /object children
 	breakerTrips   *obs.Counter
 	quarEvents     *obs.Counter
 	recoveries     *obs.Counter
@@ -93,6 +93,7 @@ func instrumentMirror(m *Mirror, reg *obs.Registry) *mirrorMetrics {
 			"Per-element estimator confidence (1 - uncertainty) observed at each learn pass.",
 			[]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99}),
 	}
+	mm.objectRequests = mm.serveRequests.Codes("/object", serveCodes...)
 	// No ground truth until the mirror reports one.
 	mm.lambdaError.Set(-1)
 	// The access total lives in the read path's striped counters; the
@@ -357,34 +358,49 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // hot path no allocation.
 var swPool = sync.Pool{New: func() any { return new(statusWriter) }}
 
-// countRequests wraps the mirror API with the per-route request
+// wrapStatus takes a pooled statusWriter around w.
+func wrapStatus(w http.ResponseWriter) *statusWriter {
+	sw := swPool.Get().(*statusWriter)
+	sw.ResponseWriter, sw.code = w, 0
+	return sw
+}
+
+// done recycles the wrapper and returns the code written: 200 when
+// the handler wrote no explicit code (a body, a HEAD, a canceled
+// client), as net/http would send.
+func (w *statusWriter) done() int {
+	code := w.code
+	w.ResponseWriter = nil
+	swPool.Put(w)
+	if code == 0 {
+		return http.StatusOK
+	}
+	return code
+}
+
+// serveCodes are the serve counters' hot codes: 200, and 304, which a
+// downstream mirror's conditional polls answer at steady state.
+var serveCodes = []int{http.StatusOK, http.StatusNotModified}
+
+// countObject counts one /object request; ServeObject calls it for
+// every front, the mirror's own Handler and a fleet router alike.
+func (mm *mirrorMetrics) countObject(code int) {
+	if mm != nil {
+		mm.objectRequests.Inc(code)
+	}
+}
+
+// countRequests wraps a non-object mirror route with its request
 // counter. route is the normalized pattern, not the raw path, so the
-// label set stays bounded. The 200 child is resolved once here —
-// label lookup allocates, and the happy path must not — while error
-// codes, which are off the hot path, look their child up per request.
+// label set stays bounded.
 func (mm *mirrorMetrics) countRequests(route string, h http.Handler) http.Handler {
 	if mm == nil {
 		return h
 	}
-	ok200 := mm.serveRequests.With(route, "200")
-	// 304 is the other hot success code: a downstream mirror's
-	// conditional polls answer it at steady state, so its child is
-	// resolved once here too — label lookup allocates.
-	ok304 := mm.serveRequests.With(route, "304")
+	c := mm.serveRequests.Codes(route, serveCodes...)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := swPool.Get().(*statusWriter)
-		sw.ResponseWriter, sw.code = w, 0
+		sw := wrapStatus(w)
 		h.ServeHTTP(sw, r)
-		code := sw.code
-		sw.ResponseWriter = nil
-		swPool.Put(sw)
-		switch code {
-		case 0, http.StatusOK:
-			ok200.Inc()
-		case http.StatusNotModified:
-			ok304.Inc()
-		default:
-			mm.serveRequests.With(route, strconv.Itoa(code)).Inc()
-		}
+		c.Inc(sw.done())
 	})
 }

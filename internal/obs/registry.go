@@ -173,6 +173,38 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // label, in schema order).
 func (v *CounterVec) With(values ...string) *Counter { return v.f.child(values).(*Counter) }
 
+// CodeCounter counts one route's requests on a (route, code) counter
+// family. The children of the hot codes — what a server answers at
+// steady state — are resolved once, because label lookup allocates
+// and a serving path must not; other codes look theirs up per request.
+type CodeCounter struct {
+	v     *CounterVec
+	route string
+	codes []int
+	hot   []*Counter
+}
+
+// Codes returns route's CodeCounter with the children of the hot
+// codes resolved. v's labels must be (route, code).
+func (v *CounterVec) Codes(route string, hot ...int) *CodeCounter {
+	c := &CodeCounter{v: v, route: route, codes: hot}
+	for _, code := range hot {
+		c.hot = append(c.hot, v.With(route, strconv.Itoa(code)))
+	}
+	return c
+}
+
+// Inc counts one request answered with code.
+func (c *CodeCounter) Inc(code int) {
+	for i, h := range c.codes {
+		if h == code {
+			c.hot[i].Inc()
+			return
+		}
+	}
+	c.v.With(c.route, strconv.Itoa(code)).Inc()
+}
+
 // GaugeVec is a gauge family partitioned by labels.
 type GaugeVec struct{ f *family }
 

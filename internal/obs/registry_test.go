@@ -108,6 +108,24 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 }
 
+// TestCodeCounter checks a CodeCounter lands every code on its own
+// child and counts the hot codes without allocating.
+func TestCodeCounter(t *testing.T) {
+	v := NewRegistry().CounterVec("codes_total", "", "route", "code")
+	c := v.Codes("/r", 200, 304)
+	for _, code := range []int{200, 200, 304, 404} {
+		c.Inc(code)
+	}
+	for code, want := range map[string]float64{"200": 2, "304": 1, "404": 1, "503": 0} {
+		if got := v.With("/r", code).Value(); got != want {
+			t.Errorf("code %s counted %v, want %v", code, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Inc(304) }); n != 0 {
+		t.Errorf("hot-code Inc allocates %v per op, want 0", n)
+	}
+}
+
 func TestRegistrySchemaMismatchPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("clash_total", "")

@@ -2,9 +2,9 @@
 # shard_chaos.sh — shard-kill + survivor-disk-fault chaos gate for the
 # sharded fleet tier.
 #
-# Stands up the full fleet (freshend -shards=K behind its failover
-# router) with race-built binaries, drives a past-knee closed loop
-# through the router, and attacks it mid-ramp:
+# Stands up the full fleet (freshend -shards=K behind its router) with
+# race-built binaries, drives a past-knee closed loop through the
+# router, and attacks it mid-ramp:
 #
 #  1. Shard kill: one shard is hard-killed through the chaos admin
 #     surface (POST /fleet/kill) while the load keeps coming, then
