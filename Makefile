@@ -85,17 +85,18 @@ edge-chain:
 	./scripts/edge_chain.sh
 
 # The estimator-convergence gate under the race detector: the
-# ground-truth cross-validator (censoring-aware estimators strictly
-# beat the naive tracker at every catalog scale), the cold-start
-# closed-loop race (MLE+explore reaches 99% of the converged plan;
-# naive never does), the explore-budget property tests, and the
-# restart-continuity tests for online estimator state.
+# ground-truth cross-validator (the online MLE and the batch-MLE
+# baseline strictly beat the naive ratio at every catalog scale), the
+# cold-start closed-loop race (MLE+explore reaches 99% of the converged
+# plan; naive never does), the explore-budget property tests, and the
+# live mirror's estimator: restart continuity, the poll counters, and
+# the 10⁵-period soak that pins estimator memory and snapshot size.
 estimator-convergence:
 	$(GO) test -race -count=1 ./internal/estimate/
 	$(GO) test -race -count=1 -run 'TestEstimator' ./internal/testkit/
 	$(GO) test -race -count=1 -run 'TestColdStart' ./internal/experiment/
 	$(GO) test -race -count=1 -run 'TestExplore|TestAllocateExplore' ./internal/schedule/
-	$(GO) test -race -count=1 -run 'TestMirrorExplore|TestOnlineEstimatorRestart' ./internal/httpmirror/
+	$(GO) test -race -count=1 -run 'TestMirrorExplore|TestOnlineEstimatorRestart|TestEstimatorMetrics|TestSoakStateBounded' ./internal/httpmirror/
 
 # The exposition schema golden test and the live-scrape integration
 # tests, under the race detector (GaugeFunc closures scrape under the

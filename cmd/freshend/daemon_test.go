@@ -63,7 +63,6 @@ func TestParseFlagsOverrides(t *testing.T) {
 		"-partitions", "7",
 		"-iterations", "2",
 		"-replan-every", "3",
-		"-estimator", "mle",
 		"-explore-frac", "0.15",
 		"-floor-lambda", "0.01",
 		"-seed", "99",
@@ -95,7 +94,7 @@ func TestParseFlagsOverrides(t *testing.T) {
 		bandwidth: 42.5, period: 250 * time.Millisecond,
 		strategy: "clustered", partitions: 7, iterations: 2,
 		replanEvery: 3, seed: 99,
-		estimator: "mle", exploreFrac: 0.15, floorLambda: 0.01,
+		exploreFrac: 0.15, floorLambda: 0.01,
 		upTimeout: time.Second, upRetries: 1,
 		breakerAfter: -1, breakerCooldown: 4,
 		quarantineAfter: -1, probeEvery: 2,
@@ -116,6 +115,7 @@ func TestParseFlagsOverrides(t *testing.T) {
 func TestParseFlagsErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bandwidth", "not-a-number"},
+		{"-estimator", "mle"}, // removed: the online MLE is the only estimator
 		{"-period", "sideways"},
 		{"-no-such-flag"},
 	} {

@@ -164,7 +164,6 @@ func runFleet(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 		Mirror: httpmirror.Config{
 			Plan:        planCfg,
 			ReplanEvery: cfg.replanEvery,
-			Estimator:   cfg.estimator,
 			ExploreFrac: cfg.exploreFrac,
 			FloorLambda: cfg.floorLambda,
 			Fault: httpmirror.FaultPolicy{

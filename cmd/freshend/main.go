@@ -11,8 +11,11 @@
 // serving its local copies), and objects whose refreshes keep failing
 // are quarantined out of the plan until a recovery probe succeeds.
 //
+// Change rates are learned by the online MLE, O(1) state per object,
+// so memory and snapshot size stay flat however long the daemon runs.
+//
 // With -state-dir set the daemon is also crash safe: it snapshots its
-// learned state (estimator histories, access profile, schedule,
+// learned state (estimator state, access profile, schedule,
 // breaker/quarantine state) atomically every -snapshot-every periods,
 // journals each refresh outcome in between, flushes a final snapshot
 // on graceful shutdown, and on boot recovers from the state directory
@@ -92,7 +95,6 @@ func parseFlags(args []string) (config, error) {
 	partitions := fs.Int("partitions", 100, "partition count for heuristic strategies")
 	iterations := fs.Int("iterations", 10, "k-means iterations for the clustered strategy")
 	replanEvery := fs.Float64("replan-every", 5, "replanning cadence in periods")
-	estimator := fs.String("estimator", "history", "change-rate estimator: history | naive | sa | mle")
 	exploreFrac := fs.Float64("explore-frac", 0, "fraction of bandwidth spent probing high-uncertainty objects (0 disables exploration)")
 	floorLambda := fs.Float64("floor-lambda", 0, "minimum change-rate estimate; 0 means prior/10, negative means no floor")
 	seed := fs.Int64("seed", 1, "phase seed")
@@ -134,7 +136,6 @@ func parseFlags(args []string) (config, error) {
 		partitions:      *partitions,
 		iterations:      *iterations,
 		replanEvery:     *replanEvery,
-		estimator:       *estimator,
 		exploreFrac:     *exploreFrac,
 		floorLambda:     *floorLambda,
 		seed:            *seed,
@@ -176,7 +177,6 @@ type config struct {
 	strategy               string
 	partitions, iterations int
 	replanEvery            float64
-	estimator              string
 	exploreFrac            float64
 	floorLambda            float64
 	seed                   int64
@@ -258,9 +258,9 @@ func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 		return err
 	}
 
-	// One registry carries every layer's series: the mirror's, the
-	// solver's, the estimator's, and — with persistence on — the
-	// store's.
+	// One registry carries every layer's series: the mirror's (its
+	// estimator's included), the solver's, and — with persistence on —
+	// the store's.
 	reg := obs.NewRegistry()
 	solver.Instrument(reg)
 
@@ -334,7 +334,6 @@ func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 		Upstream:    upstream,
 		Plan:        planCfg,
 		ReplanEvery: cfg.replanEvery,
-		Estimator:   cfg.estimator,
 		ExploreFrac: cfg.exploreFrac,
 		FloorLambda: cfg.floorLambda,
 		Fault: httpmirror.FaultPolicy{

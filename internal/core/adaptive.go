@@ -92,7 +92,7 @@ func (a *AdaptivePlanner) Observe(element int) (replanned bool, err error) {
 }
 
 // UpdateChangeRates installs fresh change-rate estimates (for example
-// from an estimate.Tracker) and re-plans immediately.
+// an estimate.Estimator's Estimates) and re-plans immediately.
 func (a *AdaptivePlanner) UpdateChangeRates(lambdas []float64) error {
 	if len(lambdas) != len(a.elems) {
 		return fmt.Errorf("core: %d change rates for %d elements", len(lambdas), len(a.elems))

@@ -10,6 +10,10 @@
 // the bias-corrected estimator of Cho & Garcia-Molina,
 // λ̂ = −log((n−X+0.5)/(n+0.5))/I, consistent for regular polling. MLE
 // handles irregular poll intervals by maximizing the exact Bernoulli
-// likelihood. Tracker accumulates poll outcomes per element and feeds
-// any of the estimators.
+// likelihood.
+//
+// A live mirror runs the online MLE (New with KindMLE): O(1) state per
+// element, updated once per censored poll, exported and restored
+// through State. Tracker, which keeps every poll and re-solves MLE,
+// and the online naive ratio are the baselines it is measured against.
 package estimate

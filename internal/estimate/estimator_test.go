@@ -161,14 +161,14 @@ func TestTracker(t *testing.T) {
 	if err := tr.Record(0, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Polls(0); got != 2 {
-		t.Errorf("Polls(0) = %d, want 2", got)
+	if got := tr.Estimate(0).Polls; got != 2 {
+		t.Errorf("Estimate(0).Polls = %d, want 2", got)
 	}
-	if got := tr.Polls(1); got != 0 {
-		t.Errorf("Polls(1) = %d, want 0", got)
+	if got := tr.Estimate(1).Polls; got != 0 {
+		t.Errorf("Estimate(1).Polls = %d, want 0", got)
 	}
-	if got := tr.Polls(-1); got != 0 {
-		t.Errorf("Polls(-1) = %d, want 0", got)
+	if got := tr.Estimate(-1).Polls; got != 0 {
+		t.Errorf("Estimate(-1).Polls = %d, want 0", got)
 	}
 	ests, err := tr.Estimates(7.5)
 	if err != nil {

@@ -102,7 +102,7 @@ func FuzzOnlineEstimators(f *testing.F) {
 		}
 		p := Params{Prior: prior, Floor: floor}
 		history := fuzzHistory(data)
-		for _, kind := range []string{KindNaive, KindSA, KindMLE} {
+		for _, kind := range []string{KindNaive, KindMLE} {
 			est, err := New(kind, 1, p)
 			if err != nil {
 				t.Fatal(err)

@@ -5,20 +5,21 @@ import (
 	"math"
 )
 
-// Estimator kinds, selectable via New (and the daemon's -estimator
-// flag). "history" is the original batch tracker: it stores every poll
-// and re-solves the exact MLE at each learn pass. The other three are
-// the online family of Avrachenkov, Patil & Thoppe (PAPERS.md): O(1)
-// state per element, one update per censored observation.
+// Estimator kinds, selectable via New. "mle" is the online maximum
+// likelihood estimator of Avrachenkov, Patil & Thoppe (PAPERS.md): O(1)
+// state per element, one update per censored observation — the one
+// estimator a live mirror runs. "history" (the batch tracker: it stores
+// every poll and re-solves the exact MLE at each learn pass) and
+// "naive" (detections over observed time) are the baselines the
+// ground-truth and cold-start comparisons measure it against.
 const (
 	KindHistory = "history"
 	KindNaive   = "naive"
-	KindSA      = "sa"
 	KindMLE     = "mle"
 )
 
 // Kinds lists every estimator kind New accepts.
-func Kinds() []string { return []string{KindHistory, KindNaive, KindSA, KindMLE} }
+func Kinds() []string { return []string{KindHistory, KindNaive, KindMLE} }
 
 // Params tunes an estimator family. The zero value applies no prior,
 // no floor and no cap — the historical tracker behavior.
@@ -144,8 +145,8 @@ type Estimator interface {
 	// without observations and applying the configured floor and cap.
 	Estimates(fallback float64) ([]float64, error)
 	// ExportState returns the estimator's durable state. The history
-	// kind exports no per-element state here — its poll histories,
-	// persisted separately, are the state (see Tracker.Export).
+	// kind exports no per-element state: its state is every poll, which
+	// is what no live mirror may keep.
 	ExportState() State
 }
 
@@ -180,7 +181,7 @@ func New(kind string, n int, p Params) (Estimator, error) {
 		}
 		t.SetParams(p)
 		return t, nil
-	case KindNaive, KindSA, KindMLE:
+	case KindNaive, KindMLE:
 		if n <= 0 {
 			return nil, fmt.Errorf("estimate: estimator needs at least one element, got %d", n)
 		}
@@ -192,13 +193,14 @@ func New(kind string, n int, p Params) (Estimator, error) {
 
 // NewFromState rebuilds an online estimator from exported state,
 // validating every field; it is the recovery counterpart of
-// ExportState. The history kind cannot be rebuilt here — it is rebuilt
-// from its persisted poll histories via NewTrackerFromHistories.
+// ExportState. An element with no polls carries no state and starts
+// at the prior, so a persisted form may leave unpolled elements zero.
+// The history kind has no State to rebuild from.
 func NewFromState(st State, p Params) (Estimator, error) {
 	switch st.Kind {
-	case KindNaive, KindSA, KindMLE:
+	case KindNaive, KindMLE:
 	case KindHistory:
-		return nil, fmt.Errorf("estimate: the history estimator is rebuilt from poll histories, not State")
+		return nil, fmt.Errorf("estimate: the history estimator has no State to rebuild from")
 	default:
 		return nil, fmt.Errorf("estimate: unknown estimator kind %q", st.Kind)
 	}
@@ -219,16 +221,18 @@ func NewFromState(st State, p Params) (Estimator, error) {
 		if math.IsNaN(s.SumElapsed) || math.IsInf(s.SumElapsed, 0) || s.SumElapsed < 0 {
 			return nil, fmt.Errorf("estimate: element %d has invalid observed time %v", i, s.SumElapsed)
 		}
-		st := s
-		if st.Polls > 0 && st.Lambda == 0 {
-			st.Lambda = e.stateFloor()
+		if s.Polls == 0 {
+			continue
+		}
+		if s.Lambda == 0 {
+			s.Lambda = e.stateFloor()
 		}
 		e.elems[i] = onlineElem{
-			x:          st.Lambda,
-			info:       st.Info,
-			polls:      st.Polls,
-			changes:    st.Changes,
-			sumElapsed: st.SumElapsed,
+			x:          s.Lambda,
+			info:       s.Info,
+			polls:      s.Polls,
+			changes:    s.Changes,
+			sumElapsed: s.SumElapsed,
 		}
 	}
 	return e, nil
@@ -238,14 +242,14 @@ func finitePos(v float64) bool { return v > 0 && !math.IsInf(v, 0) }
 
 // onlineElem is one element's O(1) online state.
 type onlineElem struct {
-	x          float64 // running estimate (sa/mle); derived for naive
+	x          float64 // running estimate (mle); derived for naive
 	info       float64 // accumulated Fisher information at the running estimate
 	polls      int
 	changes    int
 	sumElapsed float64
 }
 
-// online implements the three O(1)-state estimators over censored
+// online implements the two O(1)-state estimators over censored
 // polls. For a Poisson change process with rate λ polled after elapsed
 // time τ, the detection probability is q(λ,τ) = 1 − e^(−λτ); each
 // observation is a Bernoulli draw I ~ q(λ,τ) — that censoring is all
@@ -255,10 +259,6 @@ type onlineElem struct {
 //     poll detects at most one change, so it is biased low by the
 //     factor q(λ,τ)/(λτ) — ~37% at λτ = 1 — and the bias never decays
 //     with more polls.
-//   - sa: Robbins–Monro stochastic approximation on the moment
-//     equation E[I − q(x,τ)] = 0, whose unique root is x = λ for any
-//     interval sequence. Update x += a_k·(I − q(x,τ))/q'(x,τ) with
-//     a_k = k^(−0.7) (Σa_k = ∞, Σa_k² < ∞).
 //   - mle: recursive maximum likelihood by stochastic Fisher scoring:
 //     x += score_k(x)/J_k, where score_k is the observation's
 //     log-likelihood gradient and J_k the accumulated Fisher
@@ -319,7 +319,7 @@ func (e *online) Observe(element int, elapsed float64, changed bool) error {
 
 	// Fisher information of this observation at the pre-update
 	// estimate: (dq/dx)² / (q(1−q)) = τ²(1−q)/q. Accumulated for the
-	// mle gain and for every kind's confidence report.
+	// mle gain and for both kinds' confidence reports.
 	q := -math.Expm1(-s.x * elapsed)
 	qq := math.Max(q, qEps)
 	s.info += elapsed * elapsed * (1 - q) / qq
@@ -327,16 +327,6 @@ func (e *online) Observe(element int, elapsed float64, changed bool) error {
 	switch e.kind {
 	case KindNaive:
 		s.x = e.clamp(float64(s.changes) / s.sumElapsed)
-	case KindSA:
-		g := -q
-		if changed {
-			g = 1 - q
-		}
-		a := math.Pow(float64(s.polls), -0.7)
-		// q'(x,τ) = τ·e^(−xτ) = τ(1−q); the small regularizer keeps the
-		// quasi-Newton normalization finite when q → 1.
-		slope := elapsed*(1-q) + 1e-3*elapsed
-		s.x = e.step(s.x, a*g/slope)
 	case KindMLE:
 		// d log L/dx = I·τ(1−q)/q − (1−I)·τ.
 		score := -elapsed
@@ -346,7 +336,7 @@ func (e *online) Observe(element int, elapsed float64, changed bool) error {
 		s.x = e.step(s.x, score/s.info)
 	}
 
-	// Identifiability cap for the iterative kinds, applied only while
+	// Identifiability cap for the iterative kind, applied only while
 	// EVERY poll so far came back changed: on such a history the
 	// likelihood is monotone in λ — the MLE is +∞ — and the recursion
 	// diverges upward; once diverged, a freshness scheduler drops the
@@ -357,7 +347,7 @@ func (e *online) Observe(element int, elapsed float64, changed bool) error {
 	// batch tracker's ChoGM cap for that history). The first no-change
 	// observation makes the likelihood proper again, so the cap lifts
 	// and the recursion is free to follow the data.
-	if e.kind != KindNaive && s.changes == s.polls {
+	if e.kind == KindMLE && s.changes == s.polls {
 		idCap := math.Log(2*float64(s.polls)+1) * float64(s.polls) / s.sumElapsed
 		if s.x > idCap {
 			s.x = e.clamp(idCap)

@@ -7,7 +7,7 @@ import (
 	"freshen/internal/stats"
 )
 
-func onlineKinds() []string { return []string{KindNaive, KindSA, KindMLE} }
+func onlineKinds() []string { return []string{KindNaive, KindMLE} }
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New("bogus", 4, Params{}); err == nil {
@@ -56,8 +56,8 @@ func TestOnlineObserveValidation(t *testing.T) {
 }
 
 // TestOnlineConvergence polls a known Poisson process at a regular
-// interval and checks each online estimator's bias profile: sa and mle
-// land near the true rate while naive stays biased low by its missed
+// interval and checks each online estimator's bias profile: mle lands
+// near the true rate while naive stays biased low by its missed
 // multiple changes (λτ = 1 here, so the bias is large and persistent).
 func TestOnlineConvergence(t *testing.T) {
 	const trueLambda, interval, polls = 2.0, 0.5, 8000
@@ -93,13 +93,13 @@ func TestOnlineConvergence(t *testing.T) {
 	}
 }
 
-// TestOnlineIrregularIntervals checks sa and mle handle the interval
+// TestOnlineIrregularIntervals checks mle handles the interval
 // mix a real mirror produces (every element's polling cadence changes
 // at each replan).
 func TestOnlineIrregularIntervals(t *testing.T) {
 	const trueLambda = 1.5
 	intervals := []float64{0.1, 0.5, 1.3, 0.25, 2.0}
-	for _, kind := range []string{KindSA, KindMLE} {
+	for _, kind := range []string{KindMLE} {
 		r := stats.NewRNG(21)
 		est, err := New(kind, 1, Params{Prior: 0.5})
 		if err != nil {
@@ -148,7 +148,9 @@ func TestOnlineFloorAndFallback(t *testing.T) {
 // TestOnlineExportRestoreContinuity is the persistence contract: an
 // estimator exported mid-stream, rebuilt via NewFromState, and fed the
 // remaining observations must agree exactly with one that never
-// stopped — restarts lose no convergence progress.
+// stopped — restarts lose no convergence progress. Element 1 is first
+// polled after the restart, so with its state left zero it must come
+// back at the prior, exactly as if it had never been exported.
 func TestOnlineExportRestoreContinuity(t *testing.T) {
 	const polls = 400
 	for _, kind := range onlineKinds() {
@@ -156,11 +158,11 @@ func TestOnlineExportRestoreContinuity(t *testing.T) {
 		stream := SimulatePolling(r, 1.2, 0.7, polls)
 		p := Params{Prior: 0.5, Floor: 0.01}
 
-		full, err := New(kind, 1, p)
+		full, err := New(kind, 2, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resumed, err := New(kind, 1, p)
+		resumed, err := New(kind, 2, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,20 +174,28 @@ func TestOnlineExportRestoreContinuity(t *testing.T) {
 				if err := resumed.Observe(0, obs.Elapsed, obs.Changed); err != nil {
 					t.Fatal(err)
 				}
+			} else if err := full.Observe(1, obs.Elapsed, obs.Changed); err != nil {
+				t.Fatal(err)
 			}
 		}
-		restored, err := NewFromState(resumed.ExportState(), p)
+		st := resumed.ExportState()
+		// A persisted form may drop an unpolled element's state entirely.
+		st.Elements[1] = ElementState{}
+		restored, err := NewFromState(st, p)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		for _, obs := range stream[polls/2:] {
-			if err := restored.Observe(0, obs.Elapsed, obs.Changed); err != nil {
-				t.Fatal(err)
+			for elem := 0; elem < 2; elem++ {
+				if err := restored.Observe(elem, obs.Elapsed, obs.Changed); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		a, b := full.Estimate(0), restored.Estimate(0)
-		if a != b {
-			t.Errorf("%s: uninterrupted %+v != restored %+v", kind, a, b)
+		for elem := 0; elem < 2; elem++ {
+			if a, b := full.Estimate(elem), restored.Estimate(elem); a != b {
+				t.Errorf("%s element %d: uninterrupted %+v != restored %+v", kind, elem, a, b)
+			}
 		}
 	}
 }

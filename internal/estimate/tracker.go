@@ -4,40 +4,23 @@ import (
 	"fmt"
 	"math"
 
-	"freshen/internal/obs"
 	"freshen/internal/stats"
 )
 
-// Tracker accumulates poll histories for every element of a mirror and
-// produces per-element change-rate estimates. It is the bookkeeping a
-// mirror runs alongside its refresh loop: every refresh doubles as a
-// poll (the fetched copy either differs from the stored one or not).
+// Tracker accumulates full poll histories for every element and
+// produces per-element change-rate estimates by re-solving the exact
+// batch MLE. Its state grows with every poll, so no live mirror runs
+// it: it is the accuracy baseline the ground-truth and cold-start
+// comparisons hold the O(1)-state online MLE against.
 type Tracker struct {
 	histories [][]Poll
 	params    Params
-
-	// Optional instrumentation (nil until Instrument): the paper's
-	// schedule is only as good as these inputs, so the poll stream the
-	// estimator actually sees is exported, not inferred.
-	polls   *obs.Counter
-	changes *obs.Counter
 }
 
 // SetParams configures the tracker's prior, floor and cap (see
 // Params). The zero value keeps the historical behavior: no floor, so
 // a zero-change history reports λ̂ = 0.
 func (t *Tracker) SetParams(p Params) { t.params = p.withDefaults() }
-
-// Instrument registers the tracker's metrics on reg and starts
-// counting recorded polls and observed changes — including polls
-// replayed from a snapshot or journal at boot, so the counters always
-// reflect the knowledge the estimates are built on.
-func (t *Tracker) Instrument(reg *obs.Registry) {
-	t.polls = reg.Counter("freshen_estimator_polls_total",
-		"Change polls recorded by the estimator (replayed history included).")
-	t.changes = reg.Counter("freshen_estimator_changes_total",
-		"Polls that observed a changed object.")
-}
 
 // NewTracker creates a tracker for n elements.
 func NewTracker(n int) (*Tracker, error) {
@@ -56,51 +39,7 @@ func (t *Tracker) Record(element int, elapsed float64, changed bool) error {
 		return fmt.Errorf("estimate: elapsed time must be positive, got %v", elapsed)
 	}
 	t.histories[element] = append(t.histories[element], Poll{Elapsed: elapsed, Changed: changed})
-	if t.polls != nil {
-		t.polls.Inc()
-		if changed {
-			t.changes.Inc()
-		}
-	}
 	return nil
-}
-
-// Export returns a deep copy of every element's poll history — the
-// durable form of the tracker's accumulated knowledge, suitable for
-// snapshotting and for rebuilding via NewTrackerFromHistories.
-func (t *Tracker) Export() [][]Poll {
-	out := make([][]Poll, len(t.histories))
-	for i, h := range t.histories {
-		if len(h) > 0 {
-			out[i] = append([]Poll(nil), h...)
-		}
-	}
-	return out
-}
-
-// NewTrackerFromHistories rebuilds a tracker from exported histories,
-// validating every poll; it is the recovery counterpart of Export.
-func NewTrackerFromHistories(histories [][]Poll) (*Tracker, error) {
-	t, err := NewTracker(len(histories))
-	if err != nil {
-		return nil, err
-	}
-	for i, h := range histories {
-		for _, p := range h {
-			if err := t.Record(i, p.Elapsed, p.Changed); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return t, nil
-}
-
-// Polls returns how many polls an element has accumulated.
-func (t *Tracker) Polls(element int) int {
-	if element < 0 || element >= len(t.histories) {
-		return 0
-	}
-	return len(t.histories[element])
 }
 
 // Kind names the tracker's estimator family: the full-history batch
@@ -146,9 +85,8 @@ func (t *Tracker) Estimate(element int) Estimate {
 	return Estimate{Lambda: est, StdErr: stderr, Polls: len(h)}
 }
 
-// ExportState identifies the tracker's family; the durable state is
-// the poll histories themselves (Export), persisted per element, so no
-// per-element summary is duplicated here.
+// ExportState identifies the tracker's family; its state is the poll
+// histories themselves, which have no O(1) summary.
 func (t *Tracker) ExportState() State { return State{Kind: KindHistory} }
 
 // Estimates runs MLE per element. Elements with no history get

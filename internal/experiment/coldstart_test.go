@@ -78,8 +78,8 @@ func TestColdStartJSONShape(t *testing.T) {
 	if err := json.Unmarshal(m["policies"], &pols); err != nil {
 		t.Fatal(err)
 	}
-	if len(pols) != 5 {
-		t.Fatalf("want 5 policies, got %d", len(pols))
+	if len(pols) != 4 {
+		t.Fatalf("want 4 policies, got %d", len(pols))
 	}
 	for _, p := range pols {
 		for _, key := range []string{"name", "pf_trajectory", "periods_to_99", "final_rel_err"} {

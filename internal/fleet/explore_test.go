@@ -30,7 +30,6 @@ func TestExploreFundedFromLocalSlice(t *testing.T) {
 			Upstream:    newShardSource(src, place, s),
 			Plan:        core.Config{Strategy: core.StrategyExact, Bandwidth: 1},
 			ReplanEvery: 1,
-			Estimator:   "mle",
 			ExploreFrac: exploreFrac,
 			PriorLambda: 1,
 		})

@@ -8,8 +8,8 @@ import (
 	"freshen/internal/core"
 )
 
-// newExploreMirror builds a mirror with an online estimator and an
-// explore slice over a simulated source with the given true rates.
+// newExploreMirror builds a mirror with an explore slice over a
+// simulated source with the given true rates.
 func newExploreMirror(t *testing.T, lambdas []float64, bandwidth, exploreFrac float64) (*SimulatedSource, *Mirror) {
 	t.Helper()
 	src, err := NewSimulatedSource(lambdas, nil, 1)
@@ -22,7 +22,6 @@ func newExploreMirror(t *testing.T, lambdas []float64, bandwidth, exploreFrac fl
 		Upstream:    NewSourceClient(srv.URL, srv.Client()),
 		Plan:        core.Config{Bandwidth: bandwidth},
 		ReplanEvery: 2,
-		Estimator:   "mle",
 		ExploreFrac: exploreFrac,
 		TruthLambda: lambdas,
 		Seed:        1,
@@ -110,17 +109,14 @@ func TestMirrorExploreDisabled(t *testing.T) {
 	}
 }
 
-// TestOnlineEstimatorRestartContinuity round-trips an online (MLE)
-// estimator through snapshot and restart: the recovered mirror must
+// TestOnlineEstimatorRestartContinuity round-trips the online MLE
+// through snapshot and restart: the recovered mirror must
 // resume with the exact pre-crash estimates — convergence carries
 // across the restart instead of resetting to the prior.
 func TestOnlineEstimatorRestartContinuity(t *testing.T) {
 	f := newFaultySource(t, []float64{3, 1, 0.5, 2})
 	dir := t.TempDir()
-	mod := func(c *Config) {
-		c.Estimator = "mle"
-		c.ExploreFrac = 0.2
-	}
+	mod := func(c *Config) { c.ExploreFrac = 0.2 }
 	m1, _ := newPersistMirror(t, f.srv.URL, f.srv.Client(), dir, 1, 1000, mod)
 	for step := 1; step <= 40; step++ {
 		tm := 0.25 * float64(step)

@@ -36,14 +36,10 @@ type Config struct {
 	// budget per period.
 	Plan core.Config
 	// PriorLambda seeds change-rate knowledge before the mirror's own
-	// polls accumulate; 0 means 1 change/period.
+	// polls accumulate; 0 means 1 change/period. Change rates are
+	// learned by the online MLE (estimate.KindMLE), whose O(1) state
+	// per element persists through snapshots.
 	PriorLambda float64
-	// Estimator selects the change-rate estimator family (see
-	// estimate.Kinds): "history" (default) re-solves the batch MLE over
-	// full poll histories; "naive", "sa" and "mle" are O(1)-state
-	// online estimators whose convergence state persists through
-	// snapshots.
-	Estimator string
 	// ExploreFrac diverts this fraction of Plan.Bandwidth to probing
 	// high-uncertainty elements: the explore slice is water-filled over
 	// estimator uncertainty (see schedule.AllocateExplore) and its
@@ -111,9 +107,6 @@ func (c Config) withDefaults() Config {
 	if c.PriorLambda == 0 {
 		c.PriorLambda = 1
 	}
-	if c.Estimator == "" {
-		c.Estimator = estimate.KindHistory
-	}
 	if c.FloorLambda == 0 {
 		c.FloorLambda = c.PriorLambda / 10
 	} else if c.FloorLambda < 0 {
@@ -172,8 +165,7 @@ type Mirror struct {
 	copies     []copyState
 	health     []elemHealth
 	brk        breaker
-	tracker    *estimate.Tracker
-	est        estimate.Estimator // == tracker for the history kind
+	est        estimate.Estimator // the online MLE
 	estParams  estimate.Params
 	plan       core.Plan
 	iter       *schedule.Iterator
@@ -240,7 +232,7 @@ type Mirror struct {
 // round-trips.
 //
 // With Config.Persist set, New first recovers: the snapshot restores
-// the estimator histories, learned rates and profile, quarantine and
+// the estimator state, learned rates and profile, quarantine and
 // breaker state, and the period clock; journal records written after
 // that snapshot replay through the live commit path; and the schedule
 // warm-starts from the restored frequency vector instead of a cold
@@ -288,21 +280,12 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 	// mode machine and the compounded staleness headers.
 	m.condSrc, _ = cfg.Upstream.(ConditionalSource)
 	m.upHealth, _ = cfg.Upstream.(UpstreamHealth)
-	m.tracker, err = estimate.NewTracker(n)
-	if err != nil {
-		return nil, err
-	}
 	// withDefaults already resolved FloorLambda (0 → PriorLambda/10,
 	// negative → disabled), so Params take it verbatim.
 	m.estParams = estimate.Params{Prior: cfg.PriorLambda, Floor: cfg.FloorLambda}
-	m.tracker.SetParams(m.estParams)
-	if cfg.Estimator == estimate.KindHistory {
-		m.est = m.tracker
-	} else {
-		m.est, err = estimate.New(cfg.Estimator, n, m.estParams)
-		if err != nil {
-			return nil, err
-		}
+	m.est, err = estimate.New(estimate.KindMLE, n, m.estParams)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.TruthLambda != nil && len(cfg.TruthLambda) != n {
 		return nil, fmt.Errorf("httpmirror: TruthLambda has %d rates for %d elements", len(cfg.TruthLambda), n)
@@ -316,7 +299,6 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 		// Registered before recovery so replayed journal polls land in
 		// the estimator counters like live ones.
 		m.metrics = instrumentMirror(m, cfg.Metrics)
-		m.tracker.Instrument(cfg.Metrics)
 	}
 	for i, entry := range catalog {
 		if entry.ID != i {
@@ -865,26 +847,18 @@ func (m *Mirror) probeQuarantined(now float64) bool {
 	return changed
 }
 
-// recordPollLocked feeds one censored observation to the history
-// tracker (always: it owns the persisted histories and the poll
-// counters) and to the online estimator when a distinct one is
-// configured. Callers hold m.mu.
+// recordPollLocked feeds one censored observation to the estimator and
+// counts it. Callers hold m.mu.
 func (m *Mirror) recordPollLocked(id int, elapsed float64, changed bool) error {
-	if err := m.tracker.Record(id, elapsed, changed); err != nil {
+	if err := m.est.Observe(id, elapsed, changed); err != nil {
 		return err
 	}
-	if m.est != estimate.Estimator(m.tracker) {
-		// The tracker already validated the observation, so the online
-		// update cannot fail.
-		if err := m.est.Observe(id, elapsed, changed); err != nil {
-			return err
-		}
-	}
+	m.metrics.countPoll(changed)
 	return nil
 }
 
-// learnLocked folds the access log and poll history into the element
-// knowledge the next plan uses.
+// learnLocked folds the access log and the estimator's change rates
+// into the element knowledge the next plan uses.
 func (m *Mirror) learnLocked() {
 	// Drain the striped per-object access counters into the copies at
 	// this period boundary; the learner then sees exactly the counts
@@ -898,7 +872,7 @@ func (m *Mirror) learnLocked() {
 	for i := range m.elems {
 		m.elems[i].AccessProb = (float64(m.copies[i].accesses) + m.cfg.ProfileSmoothing) / total
 	}
-	// Change rates from the configured estimator: prior where unpolled,
+	// Change rates from the estimator: prior where unpolled,
 	// floored so no element is starved (see Config.FloorLambda).
 	// Skipped and failed polls never reached the estimator, so an
 	// outage leaves the estimates untouched instead of dragging them
@@ -908,12 +882,11 @@ func (m *Mirror) learnLocked() {
 			m.elems[i].Lambda = l
 		}
 	}
-	// Uncertainty drives the explore slice; computing it costs one
-	// Estimate per element (a full MLE re-solve for the history kind),
-	// so it runs only when a probe budget actually consumes it. The
-	// score is floored at the planning-relevant rate scale so elements
-	// confidently known to be near-static release their probe share
-	// (see estimate.Estimate.UncertaintyAt).
+	// Uncertainty drives the explore slice, so it is computed only when
+	// a probe budget actually consumes it. The score is floored at the
+	// planning-relevant rate scale so elements confidently known to be
+	// near-static release their probe share (see
+	// estimate.Estimate.UncertaintyAt).
 	if m.cfg.ExploreFrac > 0 {
 		for i := range m.uncertainty {
 			m.uncertainty[i] = m.est.Estimate(i).UncertaintyAt(m.cfg.PriorLambda / 10)

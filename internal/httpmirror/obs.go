@@ -35,6 +35,8 @@ type mirrorMetrics struct {
 	persistErrors  *obs.Counter
 	exploreProbes  *obs.Counter
 	canceled       *obs.Counter
+	estPolls       *obs.Counter
+	estChanges     *obs.Counter
 
 	pf            *obs.Gauge
 	avgFreshness  *obs.Gauge
@@ -47,8 +49,8 @@ type mirrorMetrics struct {
 
 // instrumentMirror registers the mirror's series on reg and wires the
 // scrape-time gauges to m. Called from New before any concurrency, and
-// before recovery replay so replayed polls reach the estimator
-// counters.
+// before recovery, which seeds the estimator counters with the
+// restored totals and replays journaled polls through them.
 func instrumentMirror(m *Mirror, reg *obs.Registry) *mirrorMetrics {
 	mm := &mirrorMetrics{
 		refreshSeconds: reg.HistogramVec("freshen_refresh_duration_seconds",
@@ -76,6 +78,10 @@ func instrumentMirror(m *Mirror, reg *obs.Registry) *mirrorMetrics {
 			"Refreshes funded purely by the explore slice (elements the exploit plan left unfunded)."),
 		canceled: reg.Counter("freshen_serve_canceled_total",
 			"Admitted object reads whose client disconnected before the response; their limiter slots were released immediately."),
+		estPolls: reg.Counter("freshen_estimator_polls_total",
+			"Change polls recorded by the estimator (restored and replayed polls included)."),
+		estChanges: reg.Counter("freshen_estimator_changes_total",
+			"Polls that observed a changed object."),
 
 		pf: reg.Gauge("freshen_pf",
 			"Live perceived freshness Σ pᵢ·F(fᵢ,λᵢ) under the current plan; recomputed once per period."),
@@ -269,6 +275,27 @@ func (mm *mirrorMetrics) countExploreProbe() {
 func (mm *mirrorMetrics) countCanceled() {
 	if mm != nil {
 		mm.canceled.Inc()
+	}
+}
+
+// countPoll counts one poll the estimator observed.
+func (mm *mirrorMetrics) countPoll(changed bool) {
+	if mm == nil {
+		return
+	}
+	mm.estPolls.Inc()
+	if changed {
+		mm.estChanges.Inc()
+	}
+}
+
+// seedPolls adds the poll and change totals a recovered estimator was
+// built on, so the estimator counters, unlike the event counters,
+// always cover the knowledge the estimates rest on.
+func (mm *mirrorMetrics) seedPolls(polls, changes int) {
+	if mm != nil {
+		mm.estPolls.Add(float64(polls))
+		mm.estChanges.Add(float64(changes))
 	}
 }
 

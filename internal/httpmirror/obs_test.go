@@ -325,3 +325,70 @@ func TestReadyzPlainTextUnavailable(t *testing.T) {
 		t.Errorf("cold /readyz body = %q; want unavailable", body)
 	}
 }
+
+// TestEstimatorMetricsCountLivePolls pins the estimator counters: every
+// poll the live estimator observes counts, changed polls count
+// separately, and a restarted mirror seeds both from the restored
+// per-element totals and the replayed journal, so they always match
+// the observations the estimates rest on.
+func TestEstimatorMetricsCountLivePolls(t *testing.T) {
+	f := newFaultySource(t, []float64{3, 1, 0.5, 2})
+	dir := t.TempDir()
+	counters := func(reg *obs.Registry) (polls, changes float64) {
+		t.Helper()
+		var b strings.Builder
+		if _, err := reg.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		e, err := obs.ParseExposition(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		polls, _ = e.Value("freshen_estimator_polls_total")
+		changes, _ = e.Value("freshen_estimator_changes_total")
+		return polls, changes
+	}
+	observed := func(m *Mirror) (polls, changes float64) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for _, e := range m.est.ExportState().Elements {
+			polls += float64(e.Polls)
+			changes += float64(e.Changes)
+		}
+		return polls, changes
+	}
+	withRegistry := func(reg *obs.Registry) func(*Config) {
+		return func(c *Config) { c.Metrics = reg }
+	}
+
+	reg1 := obs.NewRegistry()
+	m1, store := newPersistMirror(t, f.srv.URL, f.srv.Client(), dir, 1, 1000, withRegistry(reg1))
+	for step := 1; step <= 30; step++ {
+		tm := 0.25 * float64(step)
+		f.src.Advance(tm)
+		if _, err := m1.Step(tm); err != nil {
+			t.Fatal(err)
+		}
+		if step == 20 {
+			if err := m1.FlushSnapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	store.Close()
+	polls, changes := counters(reg1)
+	wantPolls, wantChanges := observed(m1)
+	if polls == 0 || changes == 0 || polls != wantPolls || changes != wantChanges {
+		t.Fatalf("live counters polls=%v changes=%v, estimator observed %v/%v", polls, changes, wantPolls, wantChanges)
+	}
+
+	// Restart on the snapshot plus the journal written after it.
+	reg2 := obs.NewRegistry()
+	m2, _ := newPersistMirror(t, f.srv.URL, f.srv.Client(), dir, 1, 1000, withRegistry(reg2))
+	if rd := m2.Readiness(); rd.RecoveryStatus != "recovered" || rd.JournalReplayed == 0 {
+		t.Fatalf("setup: recovery = %+v", rd)
+	}
+	if polls, changes := counters(reg2); polls != wantPolls || changes != wantChanges {
+		t.Errorf("restarted counters polls=%v changes=%v, want the recovered %v/%v", polls, changes, wantPolls, wantChanges)
+	}
+}

@@ -12,8 +12,8 @@ import (
 )
 
 // applyRecovery folds the store's salvaged state into a freshly built
-// mirror: the snapshot restores the estimator histories, learned
-// rates and profile, breaker/quarantine state, clock, and counters;
+// mirror: the snapshot restores the estimator state, learned rates and
+// profile, breaker/quarantine state, clock, and counters;
 // the journal records observed after that snapshot replay through the
 // same commit path live refreshes use. It returns the restored plan
 // (to warm-start the schedule) or nil when none was usable. Called
@@ -53,11 +53,6 @@ func (m *Mirror) applyRecovery(rec persist.RecoveryResult) *persist.PlanState {
 			h.lastProbe = e.LastProbe
 			if e.Quarantined {
 				m.quarantined++
-			}
-			for _, p := range e.History {
-				// Validated on load; Record only rejects what Validate
-				// already excluded.
-				m.tracker.Record(i, p.Elapsed, p.Changed)
 			}
 		}
 		// Status first, estimator second: restoreEstimatorLocked appends
@@ -101,56 +96,39 @@ func (m *Mirror) applyRecovery(rec persist.RecoveryResult) *persist.PlanState {
 }
 
 // restoreEstimatorLocked rebuilds the online estimator from a
-// recovered snapshot. Preferred path: the snapshot's estimator state
-// restores directly, so convergence resumes exactly where the crash
-// interrupted it. Fallback (older snapshot, kind changed between
-// runs, or state the estimator itself rejects): the persisted poll
-// histories — already replayed into the tracker — replay into the
-// online estimator, which re-converges from the same observations.
-// The history kind needs neither: the tracker replay above is its
-// state.
+// recovered snapshot's per-element state, so convergence resumes
+// exactly where the crash interrupted it, and seeds the estimator
+// counters with the restored totals.
 //
 // Rejections are loud, like the catalog-mismatch path: NewFromState
 // re-validates every λ̂ and Fisher-information field (NaN, negative,
 // infinite — belt and braces on top of persist's snapshot Validate
-// gate), and a snapshot whose estimator section fails it is discarded
-// with a warning and a readiness-visible status note, never loaded.
+// gate), and estimator state that fails it is discarded with a warning
+// and a readiness-visible status note, never loaded; the estimator then
+// starts from the prior and re-learns from the journal and live polls.
 func (m *Mirror) restoreEstimatorLocked(s *persist.Snapshot) {
-	if m.est == estimate.Estimator(m.tracker) {
+	st := estimate.State{Kind: estimate.KindMLE, Elements: make([]estimate.ElementState, len(s.Elements))}
+	polls, changes := 0, 0
+	for i := range s.Elements {
+		e := &s.Elements[i]
+		st.Elements[i] = estimate.ElementState{
+			Lambda:     e.EstLambda,
+			Info:       e.EstInfo,
+			Polls:      e.Polls,
+			Changes:    e.Changes,
+			SumElapsed: e.SumElapsed,
+		}
+		polls += e.Polls
+		changes += e.Changes
+	}
+	est, err := estimate.NewFromState(st, m.estParams)
+	if err != nil {
+		m.recoveryStatus = fmt.Sprintf("%s (estimator state discarded: %v)", m.recoveryStatus, err)
+		m.log.Warn("persisted estimator state discarded; re-learning from the prior", "error", err)
 		return
 	}
-	if es := s.Estimator; es != nil {
-		if es.Kind == m.est.Kind() {
-			st := estimate.State{Kind: es.Kind, Elements: make([]estimate.ElementState, len(es.Elements))}
-			for i, e := range es.Elements {
-				st.Elements[i] = estimate.ElementState{
-					Lambda:     e.Lambda,
-					Info:       e.Info,
-					Polls:      e.Polls,
-					Changes:    e.Changes,
-					SumElapsed: e.SumElapsed,
-				}
-			}
-			est, err := estimate.NewFromState(st, m.estParams)
-			if err == nil {
-				m.est = est
-				return
-			}
-			m.recoveryStatus = fmt.Sprintf("%s (estimator state discarded: %v)", m.recoveryStatus, err)
-			m.log.Warn("persisted estimator state discarded; re-converging from poll histories",
-				"kind", es.Kind, "error", err)
-		} else {
-			m.recoveryStatus = fmt.Sprintf("%s (estimator state discarded: snapshot has %q, mirror runs %q)",
-				m.recoveryStatus, es.Kind, m.est.Kind())
-			m.log.Warn("persisted estimator state discarded; re-converging from poll histories",
-				"snapshot_kind", es.Kind, "mirror_kind", m.est.Kind())
-		}
-	}
-	for i := range s.Elements {
-		for _, p := range s.Elements[i].History {
-			m.est.Observe(i, p.Elapsed, p.Changed)
-		}
-	}
+	m.est = est
+	m.metrics.seedPolls(polls, changes)
 }
 
 // replayJournalRecord re-applies one journaled refresh outcome exactly
@@ -242,7 +220,7 @@ func (m *Mirror) exportStateLocked() *persist.Snapshot {
 			Recoveries:       m.recoveries,
 		},
 	}
-	histories := m.tracker.Export()
+	est := m.est.ExportState()
 	for i := range m.elems {
 		e, c, h := &m.elems[i], &m.copies[i], &m.health[i]
 		es := persist.ElementState{
@@ -260,29 +238,16 @@ func (m *Mirror) exportStateLocked() *persist.Snapshot {
 			LastProbe:     h.lastProbe,
 			ConsecFails:   h.consecFails,
 		}
-		if hist := histories[i]; len(hist) > 0 {
-			es.History = make([]persist.PollObs, len(hist))
-			for j, p := range hist {
-				es.History[j] = persist.PollObs{Elapsed: p.Elapsed, Changed: p.Changed}
-			}
+		if ee := est.Elements[i]; ee.Polls > 0 {
+			// Unpolled elements carry no estimator state (and cost the
+			// snapshot nothing): they restore at the prior.
+			es.EstLambda = ee.Lambda
+			es.EstInfo = ee.Info
+			es.Polls = ee.Polls
+			es.Changes = ee.Changes
+			es.SumElapsed = ee.SumElapsed
 		}
 		s.Elements[i] = es
-	}
-	if m.est != estimate.Estimator(m.tracker) {
-		// The online estimator's O(1)-per-element state rides along so a
-		// restart resumes convergence instead of replaying histories.
-		st := m.est.ExportState()
-		snap := &persist.EstimatorSnap{Kind: st.Kind, Elements: make([]persist.EstimatorElem, len(st.Elements))}
-		for i, e := range st.Elements {
-			snap.Elements[i] = persist.EstimatorElem{
-				Lambda:     e.Lambda,
-				Info:       e.Info,
-				Polls:      e.Polls,
-				Changes:    e.Changes,
-				SumElapsed: e.SumElapsed,
-			}
-		}
-		s.Estimator = snap
 	}
 	return s
 }
@@ -426,9 +391,9 @@ func (m *Mirror) Readiness() Readiness {
 	}
 }
 
-// estimatesSnapshot returns the configured estimator's current
-// per-element estimates — test and diagnostic access to the estimator
-// state that persistence must preserve.
+// estimatesSnapshot returns the estimator's current per-element
+// estimates — test and diagnostic access to the estimator state that
+// persistence must preserve.
 func (m *Mirror) estimatesSnapshot() ([]float64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -396,13 +396,10 @@ func TestRecoveryDiscardsMismatchedCatalog(t *testing.T) {
 
 // rewriteSnapshot decodes the snapshot in dir, lets the caller mutate
 // it, and writes it back with a freshly computed CRC — framing intact,
-// payload poisoned. EncodeSnapshot validates, so the frame is rebuilt
-// by hand (magic "FRSNAP01", little-endian length + CRC-32C); this is
-// the on-disk layout the format doc pins.
+// payload poisoned.
 func rewriteSnapshot(t *testing.T, dir string, mutate func(*persist.Snapshot)) {
 	t.Helper()
-	path := filepath.Join(dir, persist.SnapshotFile)
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join(dir, persist.SnapshotFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,6 +412,15 @@ func rewriteSnapshot(t *testing.T, dir string, mutate func(*persist.Snapshot)) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	writeSnapshotPayload(t, dir, payload)
+}
+
+// writeSnapshotPayload installs a raw payload as the snapshot in dir.
+// EncodeSnapshot validates, so the frame is built by hand (magic
+// "FRSNAP01", little-endian length + CRC-32C); this is the on-disk
+// layout the format doc pins.
+func writeSnapshotPayload(t *testing.T, dir string, payload []byte) {
+	t.Helper()
 	var buf bytes.Buffer
 	buf.WriteString("FRSNAP01")
 	var hdr [8]byte
@@ -422,21 +428,20 @@ func rewriteSnapshot(t *testing.T, dir string, mutate func(*persist.Snapshot)) {
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
 	buf.Write(hdr[:])
 	buf.Write(payload)
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, persist.SnapshotFile), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestRecoveryDiscardsPoisonedEstimatorValues plants impossible values
-// in a persisted estimator section — CRC valid, payload poisoned. The
-// snapshot Validate gate must refuse the whole file, and the mirror
-// must come up on the journal alone with the discard reason in its
-// readiness report, not silently load a negative change rate.
+// in an element's persisted estimator state — CRC valid, payload
+// poisoned. The snapshot Validate gate must refuse the whole file, and
+// the mirror must come up on the journal alone with the discard reason
+// in its readiness report, not silently load a negative change rate.
 func TestRecoveryDiscardsPoisonedEstimatorValues(t *testing.T) {
 	f := newFaultySource(t, []float64{3, 1, 0.5, 2})
 	dir := t.TempDir()
-	mod := func(c *Config) { c.Estimator = "mle" }
-	m1, store := newPersistMirror(t, f.srv.URL, f.srv.Client(), dir, 1, 1000, mod)
+	m1, store := newPersistMirror(t, f.srv.URL, f.srv.Client(), dir, 1, 1000, nil)
 	for step := 1; step <= 20; step++ {
 		tm := 0.25 * float64(step)
 		f.src.Advance(tm)
@@ -459,13 +464,13 @@ func TestRecoveryDiscardsPoisonedEstimatorValues(t *testing.T) {
 	store.Close()
 
 	rewriteSnapshot(t, dir, func(s *persist.Snapshot) {
-		if s.Estimator == nil || len(s.Estimator.Elements) == 0 {
-			t.Fatal("setup: snapshot carries no estimator state")
+		if s.Elements[0].Polls == 0 {
+			t.Fatal("setup: snapshot carries no estimator state for element 0")
 		}
-		s.Estimator.Elements[0].Lambda = -1
+		s.Elements[0].EstLambda = -1
 	})
 
-	m2, _ := newPersistMirror(t, f.srv.URL, f.srv.Client(), dir, 1, 1000, mod)
+	m2, _ := newPersistMirror(t, f.srv.URL, f.srv.Client(), dir, 1, 1000, nil)
 	rd := m2.Readiness()
 	if !rd.Recovered || rd.JournalReplayed == 0 {
 		t.Fatalf("journal-only recovery did not happen: %+v", rd)
@@ -486,61 +491,6 @@ func TestRecoveryDiscardsPoisonedEstimatorValues(t *testing.T) {
 	}
 	f.src.Advance(8)
 	if _, err := m2.Step(8); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRecoveryDiscardsMismatchedEstimatorKind rewrites a persisted
-// estimator section under a kind the mirror does not run. Per-element
-// state from a different estimator family cannot be mapped, so the
-// section is discarded loudly and the estimator re-converges from the
-// persisted poll histories — the rest of the snapshot still loads.
-func TestRecoveryDiscardsMismatchedEstimatorKind(t *testing.T) {
-	f := newFaultySource(t, []float64{3, 1, 0.5, 2})
-	dir := t.TempDir()
-	mod := func(c *Config) { c.Estimator = "mle" }
-	m1, store := newPersistMirror(t, f.srv.URL, f.srv.Client(), dir, 1, 1000, mod)
-	for step := 1; step <= 40; step++ {
-		tm := 0.25 * float64(step)
-		f.src.Advance(tm)
-		if _, err := m1.Step(tm); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m1.FlushSnapshot(); err != nil {
-		t.Fatal(err)
-	}
-	pre := m1.Status()
-	store.Close()
-
-	rewriteSnapshot(t, dir, func(s *persist.Snapshot) {
-		if s.Estimator == nil {
-			t.Fatal("setup: snapshot carries no estimator state")
-		}
-		s.Estimator.Kind = "bogus"
-	})
-
-	m2, _ := newPersistMirror(t, f.srv.URL, f.srv.Client(), dir, 1, 1000, mod)
-	rd := m2.Readiness()
-	if !rd.Recovered {
-		t.Fatalf("snapshot rejected wholesale for an estimator-only mismatch: %+v", rd)
-	}
-	if !strings.Contains(rd.RecoveryStatus, "estimator state discarded") ||
-		!strings.Contains(rd.RecoveryStatus, `"bogus"`) {
-		t.Errorf("discard reason not surfaced: %q", rd.RecoveryStatus)
-	}
-	// The estimator re-converged from the replayed poll histories: it
-	// has observations again, and the rest of the snapshot survived.
-	if got := m2.est.Estimate(0); got.Polls == 0 {
-		t.Error("estimator empty after history replay")
-	}
-	post := m2.Status()
-	if post.Transfers != pre.Transfers || post.RefreshFailures != pre.RefreshFailures {
-		t.Errorf("catalog state lost with the estimator section: pre transfers=%d failures=%d, post transfers=%d failures=%d",
-			pre.Transfers, pre.RefreshFailures, post.Transfers, post.RefreshFailures)
-	}
-	f.src.Advance(11)
-	if _, err := m2.Step(11); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -576,5 +526,98 @@ func TestRecoveryJournalOnly(t *testing.T) {
 		if preEst[i] != postEst[i] {
 			t.Errorf("element %d: %v != %v", i, postEst[i], preEst[i])
 		}
+	}
+}
+
+// TestRecoveryRefusesFormatV1Snapshot is the loud migration from the
+// version-1 format, which carried every element's full poll history: a
+// mirror booting on such a state dir refuses the snapshot through the
+// version gate, says so in /readyz, and recovers from the journal
+// alone.
+func TestRecoveryRefusesFormatV1Snapshot(t *testing.T) {
+	f := newFaultySource(t, []float64{3, 1, 0.5, 2})
+	dir := t.TempDir()
+	m1, store := newPersistMirror(t, f.srv.URL, f.srv.Client(), dir, 1, 1000, nil)
+	for step := 1; step <= 20; step++ {
+		tm := 0.25 * float64(step)
+		f.src.Advance(tm)
+		if _, err := m1.Step(tm); err != nil {
+			t.Fatal(err)
+		}
+		if step == 12 {
+			if err := m1.FlushSnapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	store.Close()
+
+	// Replace the snapshot with the version-1 image of the same state:
+	// no estimator fields, a "history" array per element.
+	data, err := os.ReadFile(filepath.Join(dir, persist.SnapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := persist.DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pollV1 struct {
+		Elapsed float64 `json:"elapsed"`
+		Changed bool    `json:"changed"`
+	}
+	type elementV1 struct {
+		persist.ElementState
+		History []pollV1 `json:"history"`
+	}
+	elems := make([]elementV1, len(snap.Elements))
+	for i, e := range snap.Elements {
+		hist := make([]pollV1, e.Polls)
+		for j := range hist {
+			hist[j] = pollV1{Elapsed: e.SumElapsed / float64(e.Polls), Changed: j < e.Changes}
+		}
+		e.EstLambda, e.EstInfo, e.Polls, e.Changes, e.SumElapsed = 0, 0, 0, 0, 0
+		elems[i] = elementV1{ElementState: e, History: hist}
+	}
+	payload, err := json.Marshal(struct {
+		*persist.Snapshot
+		Version  int         `json:"format_version"`
+		Elements []elementV1 `json:"elements"`
+	}{Snapshot: snap, Version: 1, Elements: elems})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(payload, []byte(`"format_version":1,`)) || !bytes.Contains(payload, []byte(`"history":[{`)) {
+		t.Fatalf("setup: not a version-1 payload: %s", payload)
+	}
+	writeSnapshotPayload(t, dir, payload)
+
+	m2, _ := newPersistMirror(t, f.srv.URL, f.srv.Client(), dir, 1, 1000, nil)
+	rec := httptest.NewRecorder()
+	m2.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	var rd Readiness
+	if err := json.NewDecoder(rec.Body).Decode(&rd); err != nil {
+		t.Fatal(err)
+	}
+	if !rd.Recovered || rd.JournalReplayed == 0 {
+		t.Fatalf("journal-only recovery did not happen: %+v", rd)
+	}
+	if !strings.Contains(rd.RecoveryStatus, "journal only") ||
+		!strings.Contains(rd.RecoveryStatus, "unsupported snapshot version 1") {
+		t.Errorf("/readyz recovery_status does not name the refused format: %q", rd.RecoveryStatus)
+	}
+	// Only the journaled polls made it into the estimator: none of the
+	// version-1 histories were loaded.
+	polls, prePolls := 0, 0
+	for i := range snap.Elements {
+		polls += m2.est.Estimate(i).Polls
+		prePolls += m1.est.Estimate(i).Polls
+	}
+	if polls == 0 || polls >= prePolls {
+		t.Errorf("recovered estimator holds %d of the crashed mirror's %d polls; want only the journal's", polls, prePolls)
+	}
+	f.src.Advance(8)
+	if _, err := m2.Step(8); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,9 +2,10 @@
 // combines two durable artifacts in one state directory:
 //
 //   - A snapshot: a single versioned, CRC-checksummed file holding the
-//     full learned state of a mirror (estimator poll histories, the
-//     water-filled schedule, breaker and quarantine state, element
-//     metadata, lifetime counters). Snapshots are written atomically —
+//     full learned state of a mirror (the online estimator's O(1)
+//     per-element state, the water-filled schedule, breaker and
+//     quarantine state, element metadata, lifetime counters). Its size
+//     does not grow with uptime. Snapshots are written atomically —
 //     temp file, fsync, rename, directory fsync — so a crash at any
 //     instant leaves either the previous snapshot or the new one,
 //     never a torn hybrid.
@@ -26,5 +27,6 @@
 // encoding, or semantic validation fails is discarded (with the reason
 // surfaced to the caller) and recovery degrades to journal-only or
 // cold start — the estimator's correctness is preserved at the cost of
-// history, never the other way around.
+// what it had learned, never the other way around. A snapshot from an
+// older format version is refused the same way.
 package persist

@@ -23,6 +23,8 @@ func FuzzRecoverSnapshot(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("FRSNAP01 not a real snapshot"))
+	// A well-framed snapshot in the refused version-1 format.
+	f.Add(frameSnapshot([]byte(formatV1Payload)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeSnapshot(data)

@@ -19,7 +19,7 @@ func testSnapshot(now float64) *Snapshot {
 		Version: FormatVersion,
 		Now:     now,
 		Plan: PlanState{
-			Freqs:         []float64{2, 0.5},
+			Freqs:         []float64{2, 0.5, 0},
 			Perceived:     0.8,
 			AvgFreshness:  0.7,
 			BandwidthUsed: 2.5,
@@ -27,11 +27,47 @@ func testSnapshot(now float64) *Snapshot {
 		Breaker: BreakerSnap{State: 0, Fails: 1, Trips: 2},
 		Elements: []ElementState{
 			{ID: 0, Lambda: 1.5, AccessProb: 0.6, Size: 1, StoredVersion: 3, LastPoll: now, Fetches: 4,
-				History: []PollObs{{Elapsed: 0.5, Changed: true}, {Elapsed: 0.5, Changed: false}}},
+				EstLambda: 1.5, EstInfo: 2, Polls: 4, Changes: 3, SumElapsed: 2},
 			{ID: 1, Lambda: 0.2, AccessProb: 0.4, Size: 2, Quarantined: true, QuarantinedAt: 1, ConsecFails: 3,
-				History: []PollObs{{Elapsed: 2, Changed: false}}},
+				EstLambda: 0.2, EstInfo: 5, Polls: 1, SumElapsed: 2},
+			// Never polled: no estimator state at all.
+			{ID: 2, Lambda: 1, AccessProb: 0, Size: 1},
 		},
 		Counters: Counters{Fetches: 6, Transfers: 3, Replans: 2},
+	}
+}
+
+// frameSnapshot frames a raw payload the way EncodeSnapshot does but
+// without validating it, so tests can plant payloads persist itself
+// would refuse to write.
+func frameSnapshot(payload []byte) []byte {
+	var buf bytes.Buffer
+	buf.Write(snapshotMagic)
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	buf.Write(hdr[:])
+	buf.Write(payload)
+	return buf.Bytes()
+}
+
+// formatV1Payload is a snapshot payload in the version-1 format, which
+// carried every poll of every element in a "history" array.
+const formatV1Payload = `{"format_version":1,"last_seq":0,"now_periods":2.5,` +
+	`"plan":{"freqs":[2],"perceived":0.8,"avg_freshness":0.7,"bandwidth_used":2},` +
+	`"breaker":{"state":0,"fails":0,"opened_at":0,"trips":0},` +
+	`"elements":[{"id":0,"lambda":1.5,"access_prob":1,"size":1,"stored_version":3,` +
+	`"fetched_at":0,"last_poll":2.5,"fetches":4,"accesses":0,` +
+	`"history":[{"elapsed":0.5,"changed":true},{"elapsed":0.5,"changed":false}]}],` +
+	`"counters":{"accesses":0,"fetches":4,"transfers":1,"replans":1}}`
+
+// TestDecodeSnapshotRefusesFormatV1 pins the migration rule: a
+// well-framed version-1 snapshot is refused by the version gate, with
+// the version named in the error, never half-loaded.
+func TestDecodeSnapshotRefusesFormatV1(t *testing.T) {
+	snap, err := DecodeSnapshot(frameSnapshot([]byte(formatV1Payload)))
+	if snap != nil || err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 1") {
+		t.Fatalf("version-1 snapshot: got %+v, %v", snap, err)
 	}
 }
 
@@ -71,19 +107,6 @@ func TestDecodeSnapshotRejectsCorruption(t *testing.T) {
 	}
 }
 
-// withEstimator attaches a valid online-estimator section to a test
-// snapshot and returns it for the caller to corrupt.
-func withEstimator(s *Snapshot) *EstimatorSnap {
-	s.Estimator = &EstimatorSnap{
-		Kind: "mle",
-		Elements: []EstimatorElem{
-			{Lambda: 1.5, Info: 2, Polls: 4, Changes: 3, SumElapsed: 2},
-			{Lambda: 0.2, Info: 5, Polls: 1, Changes: 0, SumElapsed: 2},
-		},
-	}
-	return s.Estimator
-}
-
 func TestSnapshotValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -98,16 +121,11 @@ func TestSnapshotValidate(t *testing.T) {
 		{"sparse ids", func(s *Snapshot) { s.Elements[1].ID = 5 }},
 		{"negative lambda", func(s *Snapshot) { s.Elements[0].Lambda = -2 }},
 		{"access prob above one", func(s *Snapshot) { s.Elements[0].AccessProb = 1.5 }},
-		{"zero elapsed poll", func(s *Snapshot) { s.Elements[0].History[0].Elapsed = 0 }},
-		{"estimator without kind", func(s *Snapshot) { withEstimator(s).Kind = "" }},
-		{"estimator length mismatch", func(s *Snapshot) {
-			est := withEstimator(s)
-			est.Elements = est.Elements[:1]
-		}},
-		{"estimator negative rate", func(s *Snapshot) { withEstimator(s).Elements[0].Lambda = -1 }},
-		{"estimator NaN information", func(s *Snapshot) { withEstimator(s).Elements[1].Info = math.NaN() }},
-		{"estimator changes exceed polls", func(s *Snapshot) { withEstimator(s).Elements[0].Changes = 9 }},
-		{"estimator negative observed time", func(s *Snapshot) { withEstimator(s).Elements[1].SumElapsed = -2 }},
+		{"zero elapsed poll", func(s *Snapshot) { s.Elements[0].SumElapsed = 0 }},
+		{"estimator negative rate", func(s *Snapshot) { s.Elements[0].EstLambda = -1 }},
+		{"estimator NaN information", func(s *Snapshot) { s.Elements[1].EstInfo = math.NaN() }},
+		{"estimator changes exceed polls", func(s *Snapshot) { s.Elements[0].Changes = 9 }},
+		{"estimator negative observed time", func(s *Snapshot) { s.Elements[1].SumElapsed = -2 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -380,8 +398,8 @@ func TestStoreCorruptSnapshotDegradesGracefully(t *testing.T) {
 
 // TestStoreRejectsPoisonedEstimatorState plants a snapshot whose
 // framing is intact — magic, length, CRC all good — but whose
-// estimator section carries values the estimator could never have
-// produced. Validation must refuse the whole snapshot (a torn write
+// per-element estimator state carries values the estimator could never
+// have produced. Validation must refuse the whole snapshot (a torn write
 // can't make a CRC pass, so this is the bit-rot/foreign-writer case)
 // and recovery must degrade to the journal, reporting why.
 func TestStoreRejectsPoisonedEstimatorState(t *testing.T) {
@@ -390,9 +408,7 @@ func TestStoreRejectsPoisonedEstimatorState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := testSnapshot(2)
-	withEstimator(good)
-	if err := s.Commit(good); err != nil {
+	if err := s.Commit(testSnapshot(2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Append(Record{Kind: KindRefresh, Element: 0, At: 3, Elapsed: 1}); err != nil {
@@ -412,19 +428,12 @@ func TestStoreRejectsPoisonedEstimatorState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Estimator.Elements[0].Lambda = -1
+	snap.Elements[0].EstLambda = -1
 	payload, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	buf.Write(snapshotMagic)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	buf.Write(hdr[:])
-	buf.Write(payload)
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, frameSnapshot(payload), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -12,8 +12,10 @@ import (
 )
 
 // FormatVersion is the current snapshot payload version. Decoders
-// accept only payloads whose embedded version they understand.
-const FormatVersion = 1
+// accept only payloads whose embedded version they understand. Version
+// 2 folds the online estimator's O(1) state into each element; version
+// 1 carried full per-element poll histories and is refused.
+const FormatVersion = 2
 
 // snapshotMagic identifies a snapshot file and pins its framing
 // version; bumping the framing bumps the trailing digits.
@@ -43,30 +45,6 @@ type Snapshot struct {
 	Elements []ElementState `json:"elements"`
 	// Counters are the mirror's lifetime counters.
 	Counters Counters `json:"counters"`
-	// Estimator is the online change-rate estimator's state, present
-	// only when the mirror runs an O(1)-state estimator (the history
-	// estimator's state is the per-element poll histories above). The
-	// field is optional and additive, so version-1 snapshots from
-	// before it existed still decode; recovery falls back to replaying
-	// histories when it is absent or mismatched.
-	Estimator *EstimatorSnap `json:"estimator,omitempty"`
-}
-
-// EstimatorSnap is a persisted online estimator: its kind plus the
-// per-element summary that lets a restart resume convergence exactly
-// where the crash interrupted it.
-type EstimatorSnap struct {
-	Kind     string          `json:"kind"`
-	Elements []EstimatorElem `json:"elements"`
-}
-
-// EstimatorElem is one element's persisted estimator state.
-type EstimatorElem struct {
-	Lambda     float64 `json:"lambda"`
-	Info       float64 `json:"info"`
-	Polls      int     `json:"polls"`
-	Changes    int     `json:"changes"`
-	SumElapsed float64 `json:"sum_elapsed"`
 }
 
 // PlanState is the persisted schedule: the frequency vector plus the
@@ -89,7 +67,7 @@ type BreakerSnap struct {
 
 // ElementState is one element's durable state: identity and metadata,
 // the learned change rate and access probability, refresh bookkeeping,
-// quarantine state, and the full poll history the estimator runs on.
+// quarantine state, and the change-rate estimator's state.
 type ElementState struct {
 	ID         int     `json:"id"`
 	Lambda     float64 `json:"lambda"`
@@ -107,13 +85,14 @@ type ElementState struct {
 	LastProbe     float64 `json:"last_probe,omitempty"`
 	ConsecFails   int     `json:"consec_fails,omitempty"`
 
-	History []PollObs `json:"history"`
-}
-
-// PollObs is one persisted poll observation.
-type PollObs struct {
-	Elapsed float64 `json:"elapsed"`
-	Changed bool    `json:"changed"`
+	// The online MLE's O(1) state (estimate.ElementState): running
+	// rate, Fisher information, poll and change counts, and total
+	// observed time. All zero, and omitted, until the first poll.
+	EstLambda  float64 `json:"est_lambda,omitempty"`
+	EstInfo    float64 `json:"est_info,omitempty"`
+	Polls      int     `json:"polls,omitempty"`
+	Changes    int     `json:"changes,omitempty"`
+	SumElapsed float64 `json:"sum_elapsed,omitempty"`
 }
 
 // Counters are the mirror's lifetime counters, persisted so restarts
@@ -168,33 +147,19 @@ func (s *Snapshot) Validate() error {
 		if !finite(e.LastPoll) || !finite(e.FetchedAt) {
 			return fmt.Errorf("persist: element %d has non-finite poll times", i)
 		}
-		for j, p := range e.History {
-			if !(p.Elapsed > 0) || math.IsInf(p.Elapsed, 0) {
-				return fmt.Errorf("persist: element %d poll %d has invalid elapsed %v", i, j, p.Elapsed)
-			}
+		if !finite(e.EstLambda) || e.EstLambda < 0 {
+			return fmt.Errorf("persist: estimator element %d has invalid rate %v", i, e.EstLambda)
 		}
-	}
-	if est := s.Estimator; est != nil {
-		if est.Kind == "" {
-			return fmt.Errorf("persist: estimator state has no kind")
+		if !finite(e.EstInfo) || e.EstInfo < 0 {
+			return fmt.Errorf("persist: estimator element %d has invalid information %v", i, e.EstInfo)
 		}
-		if len(est.Elements) != len(s.Elements) {
-			return fmt.Errorf("persist: estimator state has %d elements for %d catalog elements",
-				len(est.Elements), len(s.Elements))
+		if e.Polls < 0 || e.Changes < 0 || e.Changes > e.Polls {
+			return fmt.Errorf("persist: estimator element %d has %d changes over %d polls", i, e.Changes, e.Polls)
 		}
-		for i, e := range est.Elements {
-			if !finite(e.Lambda) || e.Lambda < 0 {
-				return fmt.Errorf("persist: estimator element %d has invalid rate %v", i, e.Lambda)
-			}
-			if !finite(e.Info) || e.Info < 0 {
-				return fmt.Errorf("persist: estimator element %d has invalid information %v", i, e.Info)
-			}
-			if e.Polls < 0 || e.Changes < 0 || e.Changes > e.Polls {
-				return fmt.Errorf("persist: estimator element %d has %d changes over %d polls", i, e.Changes, e.Polls)
-			}
-			if !finite(e.SumElapsed) || e.SumElapsed < 0 {
-				return fmt.Errorf("persist: estimator element %d has invalid observed time %v", i, e.SumElapsed)
-			}
+		// Every poll observes a positive elapsed time, so a polled
+		// element has a positive total.
+		if !finite(e.SumElapsed) || e.SumElapsed < 0 || (e.Polls > 0 && e.SumElapsed == 0) {
+			return fmt.Errorf("persist: estimator element %d has invalid observed time %v over %d polls", i, e.SumElapsed, e.Polls)
 		}
 	}
 	return nil

@@ -48,7 +48,7 @@ wait_ready "http://$MOCK_ADDR/catalog"
 
 "$bin/freshend" -addr "$MIRROR_ADDR" -upstream "http://$MOCK_ADDR" \
     -bandwidth "$((N / 4))" -period 2s -replan-every 2 \
-    -estimator mle -explore-frac 0.2 &
+    -explore-frac 0.2 &
 wait_ready "http://$MIRROR_ADDR/readyz"
 
 "$bin/loadgen" -mirror "http://$MIRROR_ADDR" -n "$N" -rate "$RATE" \
