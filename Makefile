@@ -107,12 +107,14 @@ metrics-contract:
 
 # Shared-state hot spots under the race detector: the solver's worker
 # pool, the clustering buffers, the mirror's lock-free serving path
-# (the snapshot-swap stress test lives in internal/httpmirror), the
-# admission limiter / mode machine atomics, and the fleet router, a
-# lock-free reader of the shard and health state that Kill, Start and
-# the supervisor mutate.
+# (the snapshot-swap stress test lives in internal/httpmirror) and its
+# seeding workers, the admission limiter / mode machine atomics, the
+# fleet router, a lock-free reader of the shard and health state that
+# Kill, Start and the supervisor mutate, and the hierarchy source's
+# observer, which wraps the transport a nil client builds.
 race:
-	$(GO) test -race ./internal/solver/... ./internal/cluster/... ./internal/httpmirror/... ./internal/resilience/... ./internal/fleet/...
+	$(GO) test -race ./internal/solver/... ./internal/cluster/... ./internal/httpmirror/... ./internal/resilience/... ./internal/fleet/... ./internal/hierarchy/...
+	$(GO) test -race -count=10 -run 'TestSeed|TestNilClientSourceClientsShareNoConnection' ./internal/httpmirror/
 
 ci: build fmt vet test race
 

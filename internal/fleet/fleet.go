@@ -33,7 +33,13 @@ type Config struct {
 	// ShardUpstream, when non-nil, supplies shard i's own view of the
 	// global source — production fleets give every shard its own
 	// SourceClient so retry/failure counters and connection pools stay
-	// fault-isolated. nil shares Upstream.
+	// fault-isolated. The pool is the client's own only when the
+	// SourceClient is built with a nil http.Client (see
+	// httpmirror.NewTransport); clients built on one shared
+	// http.Client share its pool. nil shares Upstream: its counters
+	// and its pool, and so, when Upstream is a nil-client
+	// SourceClient, that pool's cap of four connections, which every
+	// shard's seeding and refreshes then queue for.
 	ShardUpstream func(shard int) httpmirror.Source
 	// Mirror is the per-shard configuration template (strategy,
 	// estimator, fault policy, overload limits). Upstream, Persist,

@@ -17,9 +17,30 @@ type shardSource struct {
 	gids  []int
 }
 
-// newShardSource builds shard s's view of the global source.
-func newShardSource(inner httpmirror.Source, p *Placement, s int) *shardSource {
-	return &shardSource{inner: inner, gids: p.Globals(s)}
+// newShardSource builds shard s's view of the global source. The view
+// answers conditional fetches exactly when inner does, so a shard's
+// mirror polls with one conditional GET, as a single mirror does,
+// instead of falling back to HEAD-then-GET.
+func newShardSource(inner httpmirror.Source, p *Placement, s int) httpmirror.Source {
+	base := &shardSource{inner: inner, gids: p.Globals(s)}
+	if cond, ok := inner.(httpmirror.ConditionalSource); ok {
+		return &condShardSource{shardSource: base, cond: cond}
+	}
+	return base
+}
+
+// condShardSource is the shard view of a ConditionalSource.
+type condShardSource struct {
+	*shardSource
+	cond httpmirror.ConditionalSource
+}
+
+func (s *condShardSource) FetchIfNewer(ctx context.Context, id, have int) ([]byte, int, bool, error) {
+	gid, err := s.global(id)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	return s.cond.FetchIfNewer(ctx, gid, have)
 }
 
 // Catalog lists the shard's objects under their dense local ids,

@@ -40,14 +40,19 @@ var (
 )
 
 // NewMirrorSource creates a source that refreshes from the mirror at
-// base (e.g. "http://regional:8080"). client may be nil for defaults;
-// it is cloned, never mutated — the observer transport wraps the
-// clone's.
+// base (e.g. "http://regional:8080"). A nil client means a transport
+// of the source's own, sized for seeding and shared with no other
+// client (httpmirror.NewTransport): it opens at most four connections
+// to base, and a fifth concurrent request waits for one to free. A
+// non-nil client is cloned, never mutated — the observer transport
+// wraps the clone's.
 func NewMirrorSource(base string, client *http.Client) *MirrorSource {
+	var clone http.Client
 	if client == nil {
-		client = http.DefaultClient
+		clone.Transport = httpmirror.NewTransport()
+	} else {
+		clone = *client
 	}
-	clone := *client
 	obs := &upstreamObserver{next: clone.Transport}
 	clone.Transport = obs
 	return &MirrorSource{

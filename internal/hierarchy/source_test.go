@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"freshen/internal/httpmirror"
@@ -144,5 +145,51 @@ func TestObserverTracksDegradationHeaders(t *testing.T) {
 	}
 	if ms.UpstreamDegraded() || ms.UpstreamStaleness(1) != 0 {
 		t.Error("healthy answer did not self-clear")
+	}
+}
+
+// TestNilClientMirrorSourcesOwnPools: with a nil client each
+// MirrorSource gets a transport of its own, so no connection serves
+// two sources, and the observer still reads every response through it.
+func TestNilClientMirrorSourcesOwnPools(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		owner = map[string]int{} // connection → the source that used it first
+		cur   int
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		if k, ok := owner[r.RemoteAddr]; ok && k != cur {
+			t.Errorf("connection %s served sources %d and %d", r.RemoteAddr, k, cur)
+		}
+		owner[r.RemoteAddr] = cur
+		mu.Unlock()
+		if r.URL.Path == "/catalog" {
+			w.Write([]byte(`[{"id":0,"size":1},{"id":1,"size":1}]`))
+			return
+		}
+		w.Header().Set("X-Mirror-Mode", "source-degraded")
+		w.Header().Set("X-Staleness-Periods", "2")
+		w.Header().Set("X-Version", "1")
+		w.Write([]byte("body"))
+	}))
+	defer srv.Close()
+	ctx := context.Background()
+	for k := range 2 {
+		mu.Lock()
+		cur = k
+		mu.Unlock()
+		ms := NewMirrorSource(srv.URL, nil)
+		if _, err := ms.Catalog(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for id := range 2 {
+			if _, _, err := ms.Fetch(ctx, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !ms.UpstreamDegraded() || ms.UpstreamStaleness(1) != 2 {
+			t.Errorf("source %d: the observer missed the degradation headers", k)
+		}
 	}
 }

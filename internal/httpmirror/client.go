@@ -90,11 +90,16 @@ type SourceClient struct {
 }
 
 // NewSourceClient creates a client for the given base URL (e.g.
-// "http://origin:8080"). client may be nil for http.DefaultClient. The
+// "http://origin:8080"). A nil client means a client with a transport
+// of its own (see NewTransport), shared with no other client. It opens
+// at most four connections to the origin, as many as seeding keeps
+// fetches in flight. The cap covers every request through the client:
+// a fifth concurrent request waits for a connection to free, so
+// goroutines that need more in flight need clients of their own. The
 // default RetryPolicy applies; use SetRetryPolicy to tune it.
 func NewSourceClient(base string, client *http.Client) *SourceClient {
 	if client == nil {
-		client = http.DefaultClient
+		client = &http.Client{Transport: NewTransport()}
 	}
 	return &SourceClient{
 		base:   strings.TrimRight(base, "/"),
@@ -102,6 +107,22 @@ func NewSourceClient(base string, client *http.Client) *SourceClient {
 		policy: RetryPolicy{}.withDefaults(),
 		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
+}
+
+// NewTransport returns a new transport, cloned from
+// http.DefaultTransport, that keeps up to seedWorkers connections per
+// host and opens no more: a request beyond that many waits for one to
+// free. Through http.DefaultTransport, which keeps two idle,
+// seedWorkers concurrent fetches would keep closing connections and
+// dialing new ones. The per-host cap makes the count
+// exact: without it, a request that finds no idle connection dials,
+// may be handed one freed in the meantime, and the finished dial joins
+// the pool as one connection too many.
+func NewTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = seedWorkers
+	t.MaxConnsPerHost = seedWorkers
+	return t
 }
 
 // SetRetryPolicy replaces the client's retry policy (zero fields take
@@ -174,6 +195,34 @@ func (c *SourceClient) get(ctx context.Context, method, url string) (*http.Respo
 	return resp, nil
 }
 
+// maxPresizedBody caps the allocation a response's Content-Length can
+// ask for before any of the body has arrived. A longer declared body is
+// read as it arrives and then copied to its exact size.
+const maxPresizedBody = 1 << 20
+
+// readBody reads a whole object body into a slice of exactly its
+// length. The mirror holds each body for the copy's whole life, and
+// io.ReadAll's buffer starts at 512 bytes and grows ahead of the data,
+// so a small body kept as read would pin many times its size. A body
+// shorter than its Content-Length fails like any truncated read
+// (transient).
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxPresizedBody {
+		b := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, b); err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
+	b, err := io.ReadAll(resp.Body)
+	if err != nil || len(b) == cap(b) {
+		return b, err
+	}
+	exact := make([]byte, len(b))
+	copy(exact, b)
+	return exact, nil
+}
+
 // Catalog fetches the upstream object list.
 func (c *SourceClient) Catalog(ctx context.Context) ([]CatalogEntry, error) {
 	var entries []CatalogEntry
@@ -187,6 +236,10 @@ func (c *SourceClient) Catalog(ctx context.Context) ([]CatalogEntry, error) {
 		if err := json.NewDecoder(resp.Body).Decode(&entries); err != nil {
 			return &permanentError{err}
 		}
+		// The decoder stops at the end of the value. Reading on to EOF
+		// (a trailing newline) returns the connection to the pool for
+		// seeding; closing a body short of it closes the connection.
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil
 	})
 	if err != nil {
@@ -210,7 +263,7 @@ func (c *SourceClient) Fetch(ctx context.Context, id int) (body []byte, version 
 		if err != nil {
 			return &permanentError{fmt.Errorf("bad X-Version %q", resp.Header.Get("X-Version"))}
 		}
-		b, err := io.ReadAll(resp.Body)
+		b, err := readBody(resp)
 		if err != nil {
 			return err // truncated body: transient
 		}
@@ -254,7 +307,7 @@ func (c *SourceClient) FetchIfNewer(ctx context.Context, id, have int) (body []b
 			body, version, notModified = nil, v, true
 			return nil
 		}
-		b, err := io.ReadAll(resp.Body)
+		b, err := readBody(resp)
 		if err != nil {
 			return err // truncated body: transient
 		}

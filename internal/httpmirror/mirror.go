@@ -227,9 +227,10 @@ type Mirror struct {
 }
 
 // New creates a mirror: it pulls the upstream catalog, seeds every
-// local copy with an initial fetch, and computes the first plan under
-// a uniform profile and the prior change rate. ctx bounds the seeding
-// round-trips.
+// local copy with an initial fetch (seedWorkers fetches in flight at
+// a time; the first failure fails New), and computes the first plan
+// under a uniform profile and the prior change rate. ctx bounds the
+// seeding round-trips.
 //
 // With Config.Persist set, New first recovers: the snapshot restores
 // the estimator state, learned rates and profile, quarantine and
@@ -334,22 +335,8 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 		}
 		m.publishModeLocked()
 	}
-	for i := range m.elems {
-		body, ver, err := cfg.Upstream.Fetch(ctx, i)
-		if err != nil {
-			return nil, fmt.Errorf("httpmirror: seeding copy %d: %w", i, err)
-		}
-		c := &m.copies[i]
-		c.body = body
-		c.version = ver
-		c.fetches++
-		m.fetches++
-		m.verified[i].Store(math.Float64bits(m.now))
-		if m.recovered {
-			// The next poll's elapsed time starts at the restored
-			// clock: the downtime gap never reaches the estimator.
-			c.lastPoll = m.now
-		}
+	if err := m.seed(ctx); err != nil {
+		return nil, err
 	}
 	m.clockBits.Store(math.Float64bits(m.now))
 	// Every body and version is now in place: publish the snapshot the
@@ -381,6 +368,86 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 		"journal_replayed", m.replayed,
 		"ready", m.ready)
 	return m, nil
+}
+
+// seedWorkers is how many fetches seeding keeps in flight, and so how
+// many connections a SourceClient built without a client may open per
+// host (see NewTransport). A sweep of New against a same-process
+// loopback origin on 2 vCPUs (medians of 3 rounds × 3 runs, per
+// fetch), W = 1, 2, 4, 8 workers:
+//
+//	50,000 objects, no added latency:       50, 31, 34, 34 µs
+//	10,000 objects, 1 ms added per request: 1289, 641, 352, 206 µs
+//
+// Without latency every W ≥ 2 sits at the two cores' limit. Where the
+// round trip bounds a fetch, 4 seeds twice as fast as 2. 8 is faster
+// still there, but it doubles the connections each client opens to
+// the origin, a fleet shard's included, and it was no faster than 4
+// without latency.
+const seedWorkers = 4
+
+// seed gives every copy its first body over seedWorkers goroutines.
+// Each worker claims ids from a shared counter and writes only the
+// copies[i] and verified[i] of the ids it claimed, so the workers
+// share no other state and take no lock; m.now and m.recovered are
+// settled before they start. The first failure cancels the rest and is
+// returned once every worker has exited. New runs it before the mirror
+// is shared.
+func (m *Mirror) seed(ctx context.Context) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	n := len(m.copies)
+	var (
+		next  atomic.Int64
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
+	)
+	fail := func(i int, err error) {
+		once.Do(func() {
+			first = fmt.Errorf("httpmirror: seeding copy %d: %w", i, err)
+			cancel()
+		})
+	}
+	for range min(seedWorkers, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				// A claimed id is either seeded or reported, so a nil
+				// first error after Wait means every copy is in place.
+				if err := ctx.Err(); err != nil {
+					fail(i, err)
+					return
+				}
+				body, ver, err := m.cfg.Upstream.Fetch(ctx, i)
+				if err != nil {
+					fail(i, err)
+					return
+				}
+				c := &m.copies[i]
+				c.body = body
+				c.version = ver
+				c.fetches++
+				m.verified[i].Store(math.Float64bits(m.now))
+				if m.recovered {
+					// The next poll's elapsed time starts at the restored
+					// clock: the downtime gap never reaches the estimator.
+					c.lastPoll = m.now
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if first != nil {
+		return first
+	}
+	m.fetches += n
+	return nil
 }
 
 // replanLocked recomputes the plan from the current element knowledge
