@@ -107,14 +107,16 @@ metrics-contract:
 
 # Shared-state hot spots under the race detector: the solver's worker
 # pool, the clustering buffers, the mirror's lock-free serving path
-# (the snapshot-swap stress test lives in internal/httpmirror) and its
-# seeding workers, the admission limiter / mode machine atomics, the
-# fleet router, a lock-free reader of the shard and health state that
-# Kill, Start and the supervisor mutate, and the hierarchy source's
-# observer, which wraps the transport a nil client builds.
+# (the per-object view stress test lives in internal/httpmirror, and
+# runs five more times on its own) and its seeding workers, the
+# admission limiter / mode machine atomics, the fleet router, a
+# lock-free reader of the shard and health state that Kill, Start and
+# the supervisor mutate, and the hierarchy source's observer, which
+# wraps the transport a nil client builds.
 race:
 	$(GO) test -race ./internal/solver/... ./internal/cluster/... ./internal/httpmirror/... ./internal/resilience/... ./internal/fleet/... ./internal/hierarchy/...
 	$(GO) test -race -count=10 -run 'TestSeed|TestNilClientSourceClientsShareNoConnection' ./internal/httpmirror/
+	$(GO) test -race -count=5 -run 'TestServeSnapshotNotTorn|TestAccessLockFree' ./internal/httpmirror/
 
 ci: build fmt vet test race
 

@@ -16,76 +16,24 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
-	"os"
 	"time"
 
-	"freshen/internal/core"
 	"freshen/internal/fleet"
 	"freshen/internal/freshness"
 	"freshen/internal/httpmirror"
 	"freshen/internal/obs"
 	"freshen/internal/partition"
 	"freshen/internal/persist"
-	"freshen/internal/resilience"
-	"freshen/internal/solver"
 )
 
-// planConfig translates the -strategy family of flags; shared by the
-// single-mirror and fleet paths.
-func planConfig(cfg config) (core.Config, error) {
-	planCfg := core.Config{
-		Bandwidth:        cfg.bandwidth,
-		Key:              partition.KeyPF,
-		NumPartitions:    cfg.partitions,
-		KMeansIterations: cfg.iterations,
-		Allocation:       partition.FBA,
-	}
-	switch cfg.strategy {
-	case "exact":
-		planCfg.Strategy = core.StrategyExact
-	case "partitioned":
-		planCfg.Strategy = core.StrategyPartitioned
-	case "clustered":
-		planCfg.Strategy = core.StrategyClustered
-	default:
-		return core.Config{}, fmt.Errorf("unknown strategy %q", cfg.strategy)
-	}
-	return planCfg, nil
-}
-
-// runFleet is run's -shards>1 twin: same flag surface, sharded tier.
-func runFleet(ctx context.Context, cfg config, ready chan<- net.Addr) error {
-	if cfg.upstream == "" {
-		return fmt.Errorf("-upstream is required")
-	}
-	if cfg.bandwidth <= 0 || cfg.period <= 0 || cfg.replanEvery <= 0 {
-		return fmt.Errorf("bandwidth, period and replan-every must be positive")
-	}
-	if cfg.stateDir != "" && cfg.snapshotEvery <= 0 {
-		return fmt.Errorf("snapshot-every must be positive, got %v", cfg.snapshotEvery)
-	}
-	if cfg.logLevel == "" {
-		cfg.logLevel = "info"
-	}
-	level, err := obs.ParseLevel(cfg.logLevel)
-	if err != nil {
-		return err
-	}
-	logger := obs.NewLogger(os.Stderr, level)
+// runFleet is run's -shards>1 branch: the same validated flags,
+// mirror template (mcfg) and registry, serving the sharded tier. A
+// non-nil faults arms disk-fault injection on -persist-fault-shard.
+func runFleet(ctx context.Context, cfg config, ready chan<- net.Addr, mcfg httpmirror.Config, faults *persist.FaultPlan, reg *obs.Registry, logger *slog.Logger) error {
 	lg := obs.Component(logger, "freshend")
-	planCfg, err := planConfig(cfg)
-	if err != nil {
-		return err
-	}
-
-	// The router registry carries the fleet-level series plus the
-	// process-global solver series (the pooled allocator's solves and
-	// every shard's land there); per-shard series live on each shard's
-	// own loopback listener.
-	reg := obs.NewRegistry()
-	solver.Instrument(reg)
 
 	newClient := func() *httpmirror.SourceClient {
 		c := httpmirror.NewSourceClient(cfg.upstream, nil)
@@ -121,29 +69,15 @@ func runFleet(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 	}
 
 	var wrapStore func(int, *persist.Store) persist.Storer
-	if cfg.persistFaultAfter > 0 {
-		faultErr := persist.ErrDiskIO
-		switch cfg.persistFaultKind {
-		case "", "eio":
-		case "enospc":
-			faultErr = persist.ErrDiskFull
-		default:
-			return fmt.Errorf("unknown persist-fault-kind %q (want eio or enospc)", cfg.persistFaultKind)
-		}
+	if faults != nil {
 		if cfg.persistFaultShard < 0 || cfg.persistFaultShard >= cfg.shards {
 			return fmt.Errorf("persist-fault-shard %d outside fleet of %d", cfg.persistFaultShard, cfg.shards)
-		}
-		plan := persist.FaultPlan{
-			FailFrom:   cfg.persistFaultAfter,
-			FailOps:    cfg.persistFaultOps,
-			Err:        faultErr,
-			TornAppend: cfg.persistFaultTorn,
 		}
 		wrapStore = func(shard int, s *persist.Store) persist.Storer {
 			if shard != cfg.persistFaultShard {
 				return s
 			}
-			return persist.NewFaultStore(s, plan)
+			return persist.NewFaultStore(s, *faults)
 		}
 		lg.Warn("disk-fault injection armed",
 			"shard", cfg.persistFaultShard,
@@ -161,29 +95,7 @@ func runFleet(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 		ShardUpstream: func(int) httpmirror.Source {
 			return newClient()
 		},
-		Mirror: httpmirror.Config{
-			Plan:        planCfg,
-			ReplanEvery: cfg.replanEvery,
-			ExploreFrac: cfg.exploreFrac,
-			FloorLambda: cfg.floorLambda,
-			Fault: httpmirror.FaultPolicy{
-				BreakerThreshold: cfg.breakerAfter,
-				BreakerCooldown:  cfg.breakerCooldown,
-				QuarantineAfter:  cfg.quarantineAfter,
-				ProbeEvery:       cfg.probeEvery,
-			},
-			Overload: resilience.LimiterConfig{
-				MaxInflight:   cfg.maxInflight,
-				MinInflight:   cfg.minInflight,
-				TargetLatency: cfg.shedTargetLatency,
-			},
-			Degrade: resilience.ModeConfig{
-				PersistFailureThreshold: cfg.persistDegradeAfter,
-			},
-			ServeFaultLatency: cfg.serveFaultLatency,
-			Seed:              cfg.seed,
-			SnapshotEvery:     cfg.snapshotEvery,
-		},
+		Mirror:      mcfg,
 		Period:      cfg.period,
 		StateDir:    cfg.stateDir,
 		WrapStore:   wrapStore,

@@ -60,9 +60,11 @@ import (
 	"syscall"
 	"time"
 
+	"freshen/internal/core"
 	"freshen/internal/hierarchy"
 	"freshen/internal/httpmirror"
 	"freshen/internal/obs"
+	"freshen/internal/partition"
 	"freshen/internal/persist"
 	"freshen/internal/resilience"
 	"freshen/internal/solver"
@@ -221,7 +223,9 @@ type config struct {
 // SIGTERM), then shuts down gracefully: the refresh loop stops before
 // the listener closes. If ready is non-nil the bound listener address
 // is sent on it once the server is accepting connections, which lets
-// tests bind port 0 and still find the daemon.
+// tests bind port 0 and still find the daemon. With -shards above 1
+// it hands the validated flags, the mirror template and the registry
+// to runFleet instead.
 func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 	if cfg.shards < 1 {
 		return fmt.Errorf("-shards must be at least 1, got %d", cfg.shards)
@@ -229,13 +233,12 @@ func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 	if cfg.upstream != "" && cfg.upstreamURL != "" {
 		return fmt.Errorf("-upstream and -upstream-url are mutually exclusive")
 	}
-	if cfg.shards > 1 {
-		if cfg.upstreamURL != "" {
-			return fmt.Errorf("-upstream-url is for single-mirror edge mode; fleet mode chains via -upstream")
-		}
-		return runFleet(ctx, cfg, ready)
-	}
-	if cfg.upstream == "" && cfg.upstreamURL == "" {
+	switch {
+	case cfg.shards > 1 && cfg.upstreamURL != "":
+		return fmt.Errorf("-upstream-url is for single-mirror edge mode; fleet mode chains via -upstream")
+	case cfg.shards > 1 && cfg.upstream == "":
+		return fmt.Errorf("-upstream is required")
+	case cfg.upstream == "" && cfg.upstreamURL == "":
 		return fmt.Errorf("-upstream or -upstream-url is required")
 	}
 	if cfg.bandwidth <= 0 || cfg.period <= 0 || cfg.replanEvery <= 0 {
@@ -253,16 +256,29 @@ func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 	}
 	logger := obs.NewLogger(os.Stderr, level)
 	lg := obs.Component(logger, "freshend")
-	planCfg, err := planConfig(cfg)
+	mcfg, err := mirrorConfig(cfg)
 	if err != nil {
 		return err
+	}
+	faults, err := faultPlan(cfg)
+	if err != nil {
+		return err
+	}
+	if cfg.serveFaultLatency > 0 {
+		lg.Warn("serve-fault latency armed", "latency", cfg.serveFaultLatency)
 	}
 
 	// One registry carries every layer's series: the mirror's (its
 	// estimator's included), the solver's, and — with persistence on —
-	// the store's.
+	// the store's. In fleet mode it is the router's registry: the
+	// fleet-level series plus the process-global solver series (the
+	// pooled allocator's solves and every shard's); per-shard series
+	// live on each shard's own loopback listener.
 	reg := obs.NewRegistry()
 	solver.Instrument(reg)
+	if cfg.shards > 1 {
+		return runFleet(ctx, cfg, ready, mcfg, faults, reg, logger)
+	}
 
 	// storer stays a nil interface when persistence is off: assigning a
 	// nil *persist.Store directly would make Config.Persist non-nil.
@@ -284,30 +300,14 @@ func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 			lg.Warn("snapshot discarded", "error", rec.SnapshotErr)
 		}
 		storer = store
-		if cfg.persistFaultAfter > 0 {
-			faultErr := persist.ErrDiskIO
-			switch cfg.persistFaultKind {
-			case "", "eio":
-			case "enospc":
-				faultErr = persist.ErrDiskFull
-			default:
-				return fmt.Errorf("unknown persist-fault-kind %q (want eio or enospc)", cfg.persistFaultKind)
-			}
-			storer = persist.NewFaultStore(store, persist.FaultPlan{
-				FailFrom:   cfg.persistFaultAfter,
-				FailOps:    cfg.persistFaultOps,
-				Err:        faultErr,
-				TornAppend: cfg.persistFaultTorn,
-			})
+		if faults != nil {
+			storer = persist.NewFaultStore(store, *faults)
 			lg.Warn("disk-fault injection armed",
 				"from_op", cfg.persistFaultAfter,
 				"ops", cfg.persistFaultOps,
 				"kind", cfg.persistFaultKind,
 				"torn", cfg.persistFaultTorn)
 		}
-	}
-	if cfg.serveFaultLatency > 0 {
-		lg.Warn("serve-fault latency armed", "latency", cfg.serveFaultLatency)
 	}
 
 	retry := httpmirror.RetryPolicy{
@@ -330,33 +330,11 @@ func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 		client.SetRetryPolicy(retry)
 		upstream = client
 	}
-	m, err := httpmirror.New(ctx, httpmirror.Config{
-		Upstream:    upstream,
-		Plan:        planCfg,
-		ReplanEvery: cfg.replanEvery,
-		ExploreFrac: cfg.exploreFrac,
-		FloorLambda: cfg.floorLambda,
-		Fault: httpmirror.FaultPolicy{
-			BreakerThreshold: cfg.breakerAfter,
-			BreakerCooldown:  cfg.breakerCooldown,
-			QuarantineAfter:  cfg.quarantineAfter,
-			ProbeEvery:       cfg.probeEvery,
-		},
-		Overload: resilience.LimiterConfig{
-			MaxInflight:   cfg.maxInflight,
-			MinInflight:   cfg.minInflight,
-			TargetLatency: cfg.shedTargetLatency,
-		},
-		Degrade: resilience.ModeConfig{
-			PersistFailureThreshold: cfg.persistDegradeAfter,
-		},
-		ServeFaultLatency: cfg.serveFaultLatency,
-		Seed:              cfg.seed,
-		Persist:           storer,
-		SnapshotEvery:     cfg.snapshotEvery,
-		Metrics:           reg,
-		Logger:            logger,
-	})
+	mcfg.Upstream = upstream
+	mcfg.Persist = storer
+	mcfg.Metrics = reg
+	mcfg.Logger = logger
+	m, err := httpmirror.New(ctx, mcfg)
 	if err != nil {
 		return err
 	}
@@ -467,6 +445,77 @@ func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 		return err
 	}
 	return nil
+}
+
+// mirrorConfig translates the flags into the mirror configuration
+// both modes share: the -strategy family of flags, the cadences, the
+// fault and overload policies. The single mirror adds its upstream,
+// store, registry and logger; the fleet uses it as every shard's
+// template.
+func mirrorConfig(cfg config) (httpmirror.Config, error) {
+	planCfg := core.Config{
+		Bandwidth:        cfg.bandwidth,
+		Key:              partition.KeyPF,
+		NumPartitions:    cfg.partitions,
+		KMeansIterations: cfg.iterations,
+		Allocation:       partition.FBA,
+	}
+	switch cfg.strategy {
+	case "exact":
+		planCfg.Strategy = core.StrategyExact
+	case "partitioned":
+		planCfg.Strategy = core.StrategyPartitioned
+	case "clustered":
+		planCfg.Strategy = core.StrategyClustered
+	default:
+		return httpmirror.Config{}, fmt.Errorf("unknown strategy %q", cfg.strategy)
+	}
+	return httpmirror.Config{
+		Plan:        planCfg,
+		ReplanEvery: cfg.replanEvery,
+		ExploreFrac: cfg.exploreFrac,
+		FloorLambda: cfg.floorLambda,
+		Fault: httpmirror.FaultPolicy{
+			BreakerThreshold: cfg.breakerAfter,
+			BreakerCooldown:  cfg.breakerCooldown,
+			QuarantineAfter:  cfg.quarantineAfter,
+			ProbeEvery:       cfg.probeEvery,
+		},
+		Overload: resilience.LimiterConfig{
+			MaxInflight:   cfg.maxInflight,
+			MinInflight:   cfg.minInflight,
+			TargetLatency: cfg.shedTargetLatency,
+		},
+		Degrade: resilience.ModeConfig{
+			PersistFailureThreshold: cfg.persistDegradeAfter,
+		},
+		ServeFaultLatency: cfg.serveFaultLatency,
+		Seed:              cfg.seed,
+		SnapshotEvery:     cfg.snapshotEvery,
+	}, nil
+}
+
+// faultPlan translates the -persist-fault-* chaos flags into the disk
+// faults a persist.FaultStore injects; nil when -persist-fault-after
+// leaves injection off.
+func faultPlan(cfg config) (*persist.FaultPlan, error) {
+	if cfg.persistFaultAfter <= 0 {
+		return nil, nil
+	}
+	faultErr := persist.ErrDiskIO
+	switch cfg.persistFaultKind {
+	case "", "eio":
+	case "enospc":
+		faultErr = persist.ErrDiskFull
+	default:
+		return nil, fmt.Errorf("unknown persist-fault-kind %q (want eio or enospc)", cfg.persistFaultKind)
+	}
+	return &persist.FaultPlan{
+		FailFrom:   cfg.persistFaultAfter,
+		FailOps:    cfg.persistFaultOps,
+		Err:        faultErr,
+		TornAppend: cfg.persistFaultTorn,
+	}, nil
 }
 
 // debugHandler builds the -debug-addr mux: the metrics exposition and

@@ -84,7 +84,7 @@ type stageResult struct {
 	Shed     int     `json:"shed"`
 	ShedRate float64 `json:"shed_rate"`
 	// Stalls counts requests slower than the stall threshold — the
-	// tail the RCU read path exists to keep empty (a mutex read path
+	// tail the lock-free read path exists to keep empty (a mutex read path
 	// stalls whenever a reader parks behind a commit).
 	Stalls int     `json:"stalls"`
 	P50Ms  float64 `json:"p50_ms"`

@@ -88,7 +88,7 @@ func Allocate(mirrors []*httpmirror.Mirror, healthy []bool, traffic []float64, b
 		return Allocation{}, fmt.Errorf("fleet: global budget must be positive and finite, got %v", budget)
 	}
 	if tol <= 0 {
-		tol = 1e-6
+		tol = certifyTol
 	}
 	a := Allocation{
 		Budget:  budget,

@@ -59,15 +59,9 @@ type Config struct {
 	// so a dead shard's slice reaches the survivors within one period
 	// regardless of cadence.
 	AllocEvery time.Duration
-	// HealthEvery is the /readyz probe cadence; 0 means Period/4.
+	// HealthEvery is the /readyz probe cadence, and the bound on one
+	// probe; 0 means Period/4.
 	HealthEvery time.Duration
-	// HealthTimeout bounds one probe; 0 means HealthEvery.
-	HealthTimeout time.Duration
-	// HealthFailures is how many consecutive probe failures mark a
-	// shard unhealthy; 0 means 2.
-	HealthFailures int
-	// CertifyTol is the KKT certification tolerance; 0 means 1e-6.
-	CertifyTol float64
 	// ChaosAdmin mounts POST /fleet/kill and /fleet/restart on the
 	// router — hard shard kills over HTTP, for chaos drills only.
 	ChaosAdmin bool
@@ -89,20 +83,20 @@ func (c Config) withDefaults() Config {
 	if c.HealthEvery <= 0 {
 		c.HealthEvery = time.Second
 	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = c.HealthEvery
-	}
-	if c.HealthFailures <= 0 {
-		c.HealthFailures = 2
-	}
-	if c.CertifyTol <= 0 {
-		c.CertifyTol = 1e-6
-	}
 	if c.Logger == nil {
 		c.Logger = obs.Nop()
 	}
 	return c
 }
+
+// healthFailures is how many consecutive probe failures mark a live
+// shard unhealthy, so one slow probe does not trigger a fleet-wide
+// re-level.
+const healthFailures = 2
+
+// certifyTol is the tolerance of the KKT certificate and the budget
+// conservation check every leveling must pass.
+const certifyTol = 1e-6
 
 // AllocationRecord is one supervisor re-leveling, kept in the fleet's
 // bounded history so chaos gates can assert budget conservation and
@@ -289,8 +283,8 @@ func (f *Fleet) Run(ctx context.Context) error {
 
 // checkHealth probes every shard's /readyz and reports whether the
 // healthy set changed. A dead process fails instantly (Running() is
-// false); a live one must answer 200 within HealthTimeout. Unhealthy
-// needs HealthFailures consecutive misses so one slow probe does not
+// false); a live one must answer 200 within HealthEvery. Unhealthy
+// needs healthFailures consecutive misses so one slow probe does not
 // trigger a fleet-wide re-level; recovery is immediate on the first
 // 200 — a restarted shard gets its budget back as fast as possible.
 func (f *Fleet) checkHealth(ctx context.Context) (changed bool) {
@@ -308,8 +302,8 @@ func (f *Fleet) checkHealth(ctx context.Context) (changed bool) {
 			f.fails[i]++
 			// A dead process cannot come back without Restart; skip
 			// the grace window and fail it now so its keyspace 503s
-			// honestly instead of timing out HealthFailures more times.
-			if f.healthy[i].Load() && (f.fails[i] >= f.cfg.HealthFailures || !sh.Running()) {
+			// honestly instead of timing out healthFailures more times.
+			if f.healthy[i].Load() && (f.fails[i] >= healthFailures || !sh.Running()) {
 				f.healthy[i].Store(false)
 				changed = true
 				f.log.Warn("shard unhealthy", "shard", i, "consecutive_failures", f.fails[i])
@@ -325,7 +319,7 @@ func (f *Fleet) probe(ctx context.Context, url string) bool {
 	if url == "" {
 		return false
 	}
-	ctx, cancel := context.WithTimeout(ctx, f.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(ctx, f.cfg.HealthEvery)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/readyz", nil)
 	if err != nil {
@@ -350,7 +344,7 @@ func (f *Fleet) reallocate(reason string) {
 		mirrors[i] = sh.Mirror()
 	}
 	traffic := f.trafficWindow(mirrors)
-	alloc, err := Allocate(mirrors, healthy, traffic, f.cfg.Budget, f.cfg.Mirror.Plan.Policy, f.cfg.CertifyTol)
+	alloc, err := Allocate(mirrors, healthy, traffic, f.cfg.Budget, f.cfg.Mirror.Plan.Policy, certifyTol)
 
 	f.mu.Lock()
 	f.alloc, f.allocErr = alloc, err
@@ -423,7 +417,7 @@ func (f *Fleet) Kill(i int) error {
 	f.shards[i].Kill()
 	f.mu.Lock()
 	changed := f.healthy[i].Swap(false)
-	f.fails[i] = f.cfg.HealthFailures
+	f.fails[i] = healthFailures
 	f.mu.Unlock()
 	if changed {
 		f.reallocate("kill")

@@ -37,12 +37,13 @@ type ShardConfig struct {
 	WrapStore func(*persist.Store) persist.Storer
 	// Period is the wall-clock length of one period.
 	Period time.Duration
-	// Addr is the shard's listen address; "" means 127.0.0.1:0
-	// (loopback, kernel-assigned port — shards are fleet-internal).
-	Addr string
 	// Logger receives the shard's events; nil discards them.
 	Logger *slog.Logger
 }
+
+// shardAddr is every shard's listen address: loopback with a
+// kernel-assigned port, because shards are fleet-internal.
+const shardAddr = "127.0.0.1:0"
 
 // Shard is one fault domain: its own mirror (solver, estimator,
 // breaker, limiter), its own metrics registry, its own persist store,
@@ -84,9 +85,6 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	}
 	if cfg.Period <= 0 {
 		return nil, fmt.Errorf("fleet: shard %d period must be positive, got %v", cfg.Index, cfg.Period)
-	}
-	if cfg.Addr == "" {
-		cfg.Addr = "127.0.0.1:0"
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Nop()
@@ -138,7 +136,7 @@ func (s *Shard) Start(ctx context.Context) error {
 		return fmt.Errorf("fleet: shard %d mirror: %w", s.cfg.Index, err)
 	}
 
-	ln, err := net.Listen("tcp", s.cfg.Addr)
+	ln, err := net.Listen("tcp", shardAddr)
 	if err != nil {
 		if store != nil {
 			store.Close()

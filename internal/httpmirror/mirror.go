@@ -59,9 +59,6 @@ type Config struct {
 	TruthLambda []float64
 	// ReplanEvery is the replanning cadence in periods; 0 means 5.
 	ReplanEvery float64
-	// ProfileSmoothing is the Laplace pseudo-count applied when the
-	// profile is learned from the access log; 0 means 1.
-	ProfileSmoothing float64
 	// Fault tunes the circuit breaker and quarantine (zero value:
 	// sensible defaults; see FaultPolicy).
 	Fault FaultPolicy
@@ -115,9 +112,6 @@ func (c Config) withDefaults() Config {
 	if c.ReplanEvery == 0 {
 		c.ReplanEvery = 5
 	}
-	if c.ProfileSmoothing == 0 {
-		c.ProfileSmoothing = 1
-	}
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 5
 	}
@@ -125,12 +119,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// copyState is one locally held object.
+// profileSmoothing is the Laplace pseudo-count added to every
+// object's access count when the profile is learned from the access
+// log.
+const profileSmoothing = 1
+
+// copyState is the bookkeeping for one locally held object. Its body
+// and version live in views and its last-poll time in verified, both
+// readable without m.mu.
 type copyState struct {
-	body      []byte
-	version   int
 	fetchedAt float64
-	lastPoll  float64
 	fetches   int
 	accesses  int
 }
@@ -144,17 +142,17 @@ type copyState struct {
 // network I/O, so Access keeps serving while a refresh rides out
 // retries or timeouts. stepMu serializes the refresh pipeline (Step,
 // ForceReplan) against itself. The read path takes neither lock: it
-// serves from the immutable snapshot behind serve and records into
-// the striped counters in acc (see serve.go and DESIGN.md §11).
+// serves each object's immutable view from views and records into the
+// striped counters in acc (see serve.go and DESIGN.md §11).
 type Mirror struct {
 	stepMu sync.Mutex
 	mu     sync.Mutex
 
-	// Lock-free serving state: the published snapshot readers load,
-	// and the access accounting they write. serve is swapped under
-	// m.mu whenever a body or version changes; acc is drained under
-	// m.mu at period boundaries.
-	serve atomic.Pointer[serveSnapshot]
+	// Lock-free serving state: one view per object, which readers
+	// load, and the access accounting they write. views[i] is stored by
+	// seeding and replaced under m.mu by a refresh that transferred a
+	// new body; acc is drained under m.mu at period boundaries.
+	views []atomic.Pointer[copyView]
 	acc   *accessCounters
 
 	cfg        Config
@@ -210,7 +208,8 @@ type Mirror struct {
 	// mode for lock-free readers; limiter is pure-atomic; verified and
 	// clockBits carry Float64bits of per-copy last-verified times and
 	// the period clock so the degraded read path computes staleness
-	// without locks.
+	// without locks. verified[i] is object i's last successful poll,
+	// which is also where the estimator's next elapsed time starts.
 	limiter     *resilience.Limiter
 	machine     *resilience.Machine
 	canceled    atomic.Uint64 // admitted reads whose client disconnected first
@@ -260,6 +259,7 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 		cfg:    cfg,
 		elems:  make([]freshness.Element, n),
 		copies: make([]copyState, n),
+		views:  make([]atomic.Pointer[copyView], n),
 		health: make([]elemHealth, n),
 		acc:    newAccessCounters(n),
 		brk: breaker{
@@ -312,10 +312,6 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 			Size:       entry.Size,
 		}
 	}
-	// The serving pointer is never nil: readers that somehow race New
-	// see an empty-bodied catalog, not a crash. The real snapshot is
-	// published after seeding below.
-	m.publishServingLocked()
 	var restoredPlan *persist.PlanState
 	if m.store != nil {
 		restoredPlan = m.applyRecovery(m.store.Recovery())
@@ -339,9 +335,6 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 		return nil, err
 	}
 	m.clockBits.Store(math.Float64bits(m.now))
-	// Every body and version is now in place: publish the snapshot the
-	// first real reader will serve from.
-	m.publishServingLocked()
 	if m.recovered {
 		// Fold the replayed observations into the element knowledge so
 		// the first cadence replan starts from everything on disk.
@@ -386,13 +379,14 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 // without latency.
 const seedWorkers = 4
 
-// seed gives every copy its first body over seedWorkers goroutines.
+// seed gives every copy its first view over seedWorkers goroutines.
 // Each worker claims ids from a shared counter and writes only the
-// copies[i] and verified[i] of the ids it claimed, so the workers
-// share no other state and take no lock; m.now and m.recovered are
-// settled before they start. The first failure cancels the rest and is
-// returned once every worker has exited. New runs it before the mirror
-// is shared.
+// copies[i], views[i] and verified[i] of the ids it claimed, so the
+// workers share no other state and take no lock; m.now is settled
+// before they start. The boot fetch is not a poll: verified[i] starts
+// at the (restored) clock, so the downtime gap never reaches the
+// estimator. The first failure cancels the rest and is returned once
+// every worker has exited. New runs it before the mirror is shared.
 func (m *Mirror) seed(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -429,16 +423,9 @@ func (m *Mirror) seed(ctx context.Context) error {
 					fail(i, err)
 					return
 				}
-				c := &m.copies[i]
-				c.body = body
-				c.version = ver
-				c.fetches++
+				m.views[i].Store(&copyView{body: body, version: ver})
+				m.copies[i].fetches++
 				m.verified[i].Store(math.Float64bits(m.now))
-				if m.recovered {
-					// The next poll's elapsed time starts at the restored
-					// clock: the downtime gap never reaches the estimator.
-					c.lastPoll = m.now
-				}
 			}
 		}()
 	}
@@ -729,7 +716,7 @@ func (m *Mirror) timedRefresh(id int, at float64) error {
 // one.
 func (m *Mirror) refresh(id int, at float64) error {
 	m.mu.Lock()
-	stored := m.copies[id].version
+	stored := m.views[id].Load().version
 	conditional := m.condSrc != nil && !m.condOff
 	m.mu.Unlock()
 
@@ -774,7 +761,7 @@ func (m *Mirror) refresh(id int, at float64) error {
 			"element", id, "version", ver)
 	}
 	c := &m.copies[id]
-	elapsed := at - c.lastPoll
+	elapsed := at - math.Float64frombits(m.verified[id].Load())
 	if elapsed > 0 {
 		if err := m.recordPollLocked(id, elapsed, changed); err != nil {
 			m.mu.Unlock()
@@ -783,20 +770,17 @@ func (m *Mirror) refresh(id int, at float64) error {
 	} else {
 		elapsed = 0 // no observation: first poll of this copy
 	}
-	c.lastPoll = at
 	m.verified[id].Store(math.Float64bits(at))
 	c.fetches++
 	m.fetches++
 	if changed {
-		c.body = body
-		c.version = ver
+		// Commit the new body/version pair to readers: one pointer
+		// store for this object alone. A reader holding the previous
+		// view finishes on it, internally consistent.
+		m.views[id].Store(&copyView{body: body, version: ver})
 		c.fetchedAt = at
 		m.transfers++
 		m.metrics.countTransfer()
-		// Commit the new body/version pair to readers: one snapshot
-		// swap per transferring refresh. Readers holding the previous
-		// snapshot finish on the old (internally consistent) view.
-		m.publishServingLocked()
 	}
 	journaled := m.store != nil
 	m.mu.Unlock()
@@ -932,12 +916,12 @@ func (m *Mirror) learnLocked() {
 	// the read path recorded since the last drain.
 	m.acc.drainInto(m.copies)
 	// Profile: Laplace-smoothed access counts.
-	total := m.cfg.ProfileSmoothing * float64(len(m.elems))
+	total := profileSmoothing * float64(len(m.elems))
 	for i := range m.copies {
 		total += float64(m.copies[i].accesses)
 	}
 	for i := range m.elems {
-		m.elems[i].AccessProb = (float64(m.copies[i].accesses) + m.cfg.ProfileSmoothing) / total
+		m.elems[i].AccessProb = (float64(m.copies[i].accesses) + profileSmoothing) / total
 	}
 	// Change rates from the estimator: prior where unpolled,
 	// floored so no element is starved (see Config.FloorLambda).
@@ -1022,18 +1006,17 @@ func (m *Mirror) Run(ctx context.Context, periodLength time.Duration) error {
 // learning. It returns the stored body and version. Unknown ids fail
 // with ErrNotFound.
 //
-// This is the hot path: one atomic snapshot load, a bounds check, and
-// two atomic counter increments — no locks, no allocations. It serves
-// concurrently with refresh commits, replans, and snapshot fsyncs;
-// the body/version pair always comes from one published snapshot, so
-// it is never torn.
+// This is the hot path: a bounds check, one atomic load of the
+// object's view, and two atomic counter increments — no locks, no
+// allocations. It serves concurrently with refresh commits, replans,
+// and snapshot fsyncs; the body/version pair always comes from one
+// immutable view, so it is never torn.
 func (m *Mirror) Access(id int) (body []byte, version int, err error) {
-	snap := m.serve.Load()
-	if id < 0 || id >= len(snap.views) {
+	if id < 0 || id >= len(m.views) {
 		return nil, 0, errAccessOutOfRange
 	}
 	m.acc.record(id)
-	v := &snap.views[id]
+	v := m.views[id].Load()
 	return v.body, v.version, nil
 }
 
@@ -1327,8 +1310,8 @@ func (m *Mirror) serveAdmitted(w http.ResponseWriter, r *http.Request, id int) {
 }
 
 // serveObject is the admitted object read: serve the body and version
-// from the lock-free snapshot, and — only when the mirror is degraded
-// — attach the mode and staleness headers. A HEAD answers headers only
+// from the object's lock-free view, and — only when the mirror is
+// degraded — attach the mode and staleness headers. A HEAD answers headers only
 // (the downstream change poll), and a GET whose X-If-Version matches
 // the served version answers 304 with no body (the downstream
 // conditional fetch) — both still carry the mode and staleness headers

@@ -40,10 +40,10 @@ func (m *Mirror) applyRecovery(rec persist.RecoveryResult) *persist.PlanState {
 			e := &s.Elements[i]
 			m.elems[i].Lambda = e.Lambda
 			m.elems[i].AccessProb = e.AccessProb
+			// StoredVersion and LastPoll are not restored: seeding
+			// overwrites both before anything reads them.
 			c := &m.copies[i]
-			c.version = e.StoredVersion
 			c.fetchedAt = e.FetchedAt
-			c.lastPoll = e.LastPoll
 			c.fetches = e.Fetches
 			c.accesses = e.Accesses
 			h := &m.health[i]
@@ -133,8 +133,10 @@ func (m *Mirror) restoreEstimatorLocked(s *persist.Snapshot) {
 
 // replayJournalRecord re-applies one journaled refresh outcome exactly
 // as the live pipeline would have: successful polls feed the
-// estimator and version bookkeeping, failures feed the breaker and
-// quarantine counters.
+// estimator and the poll and transfer bookkeeping, failures feed the
+// breaker and quarantine counters. The record's version and poll time
+// are not replayed: seeding, which runs next, stores every object's
+// view and last-poll time afresh.
 func (m *Mirror) replayJournalRecord(r persist.Record) {
 	if r.At > m.now {
 		m.now = r.At
@@ -147,12 +149,9 @@ func (m *Mirror) replayJournalRecord(r persist.Record) {
 	if r.Elapsed > 0 {
 		m.recordPollLocked(r.Element, r.Elapsed, r.Changed)
 	}
-	c.lastPoll = r.At
-	m.verified[r.Element].Store(math.Float64bits(r.At))
 	c.fetches++
 	m.fetches++
 	if r.Changed {
-		c.version = r.Version
 		c.fetchedAt = r.At
 		m.transfers++
 	}
@@ -228,9 +227,9 @@ func (m *Mirror) exportStateLocked() *persist.Snapshot {
 			Lambda:        e.Lambda,
 			AccessProb:    e.AccessProb,
 			Size:          e.Size,
-			StoredVersion: c.version,
+			StoredVersion: m.views[i].Load().version,
 			FetchedAt:     c.fetchedAt,
-			LastPoll:      c.lastPoll,
+			LastPoll:      math.Float64frombits(m.verified[i].Load()),
 			Fetches:       c.fetches,
 			Accesses:      c.accesses,
 			Quarantined:   h.quarantined,

@@ -7,9 +7,9 @@ import (
 )
 
 // This file is the lock-free serving path. The mirror's mutable state
-// (m.copies, the plan, health, counters) stays under m.mu, but readers
-// never touch it: Access and the /object handler serve from an
-// immutable snapshot published behind an atomic pointer, and record
+// (the plan, health, counters) stays under m.mu, but readers never
+// touch it: Access and the /object handler load each object's
+// immutable view from its own atomic pointer (m.views), and record
 // accesses into striped atomic counters. See DESIGN.md §11 for the
 // publication protocol.
 
@@ -23,36 +23,13 @@ var errAccessOutOfRange = fmt.Errorf("%w: id outside the catalog", ErrNotFound)
 
 // copyView is one object as the read path sees it: the body and the
 // version it was fetched at, captured together so a reader can never
-// observe a torn body/version pair.
+// observe a torn body/version pair. A view is never mutated after it
+// is stored: a transferring refresh replaces the object's pointer, and
+// the garbage collector reclaims the old view once its last reader
+// drops it.
 type copyView struct {
 	body    []byte
 	version int
-}
-
-// serveSnapshot is the immutable serving state: one view per object.
-// A snapshot is never mutated after publication — refresh commits
-// build a new slice and swap the pointer (RCU; the garbage collector
-// is the grace period, reclaiming an old snapshot once the last
-// reader drops it).
-type serveSnapshot struct {
-	views []copyView
-}
-
-// publishServingLocked builds a fresh immutable snapshot from m.copies
-// and atomically swaps it in. Callers hold m.mu (or are New, before
-// any concurrency), which serializes writers; the atomic store is the
-// release barrier that makes the fully built views visible to the
-// next Access. Cost is one O(n) slice of view headers per call —
-// bodies are shared, not copied — so it runs only when a body or
-// version actually changed: after seeding, after a refresh commit
-// that transferred a new body, and after restart recovery. Replans
-// and metric updates never touch the serving state and do not swap.
-func (m *Mirror) publishServingLocked() {
-	views := make([]copyView, len(m.copies))
-	for i := range m.copies {
-		views[i] = copyView{body: m.copies[i].body, version: m.copies[i].version}
-	}
-	m.serve.Store(&serveSnapshot{views: views})
 }
 
 // accessStripes is the number of padded cells the global access total

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -364,26 +365,88 @@ func TestServeSnapshotNotTorn(t *testing.T) {
 	}
 }
 
+// churnSource is an in-memory origin on which every object changes
+// between any two polls: Version answers a new version on every call.
+// Fetch hands out one shared body, so the source itself allocates
+// nothing per refresh.
+type churnSource struct {
+	n    int
+	ver  atomic.Int64
+	body []byte
+}
+
+func (s *churnSource) Catalog(context.Context) ([]CatalogEntry, error) {
+	out := make([]CatalogEntry, s.n)
+	for i := range out {
+		out[i] = CatalogEntry{ID: i, Size: 1}
+	}
+	return out, nil
+}
+
+func (s *churnSource) Version(context.Context, int) (int, error) {
+	return int(s.ver.Add(1)), nil
+}
+
+func (s *churnSource) Fetch(context.Context, int) ([]byte, int, error) {
+	return s.body, int(s.ver.Load()), nil
+}
+
+func (s *churnSource) Retries() int64  { return 0 }
+func (s *churnSource) Failures() int64 { return 0 }
+
+// TestTransferCommitAllocsFlat pins the cost of publishing a
+// transferred body to readers: a refresh that transfers allocates one
+// view for its own object, the same few bytes at N=1,000 as at
+// N=64,000, instead of re-copying a view of the whole catalog.
+func TestTransferCommitAllocsFlat(t *testing.T) {
+	const refreshes = 300
+	for _, n := range []int{1000, 64000} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
+			src := &churnSource{n: n, body: []byte("object body")}
+			m, err := New(context.Background(), Config{
+				Upstream: src,
+				Plan:     core.Config{Bandwidth: 4},
+				Seed:     1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := m.Status().Transfers
+			var start, end runtime.MemStats
+			runtime.ReadMemStats(&start)
+			for k := 0; k < refreshes; k++ {
+				if err := m.refresh(k, 1+float64(k)/refreshes); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&end)
+			if got := m.Status().Transfers - before; got != refreshes {
+				t.Fatalf("%d of %d refreshes transferred, want all", got, refreshes)
+			}
+			per := (end.TotalAlloc - start.TotalAlloc) / refreshes
+			t.Logf("N=%d: %d B allocated per transferring refresh", n, per)
+			if per >= 1024 {
+				t.Errorf("a transferring refresh allocates %d B at N=%d, want under 1 KiB", per, n)
+			}
+		})
+	}
+}
+
 // TestObjectRouteVersionHeader covers both X-Version paths: a cached
 // small version and an uncached large one.
 func TestObjectRouteVersionHeader(t *testing.T) {
 	_, m := newTestPair(t, []float64{1}, 1)
 	// Force a large version directly; the handler must fall back to
 	// formatting it.
-	m.mu.Lock()
-	m.copies[0].version = 123456
-	m.publishServingLocked()
-	m.mu.Unlock()
+	body := m.views[0].Load().body
+	m.views[0].Store(&copyView{body: body, version: 123456})
 	h := m.Handler()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/object/0", nil))
 	if got := rec.Header().Get("X-Version"); got != "123456" {
 		t.Errorf("X-Version = %q, want 123456", got)
 	}
-	m.mu.Lock()
-	m.copies[0].version = 7
-	m.publishServingLocked()
-	m.mu.Unlock()
+	m.views[0].Store(&copyView{body: body, version: 7})
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/object/0", nil))
 	if got := rec.Header().Get("X-Version"); got != "7" {
@@ -393,11 +456,19 @@ func TestObjectRouteVersionHeader(t *testing.T) {
 
 // mutexMirror replicates the pre-RCU serving path — every read takes
 // the state mutex and mutates the shared counters under it — so the
-// mutex-vs-RCU comparison in EXPERIMENTS.md stays reproducible from
-// this file alone.
+// mutex-vs-lock-free comparison in EXPERIMENTS.md stays reproducible
+// from this file alone.
 type mutexMirror struct {
 	mu       sync.Mutex
-	copies   []copyState
+	copies   []mutexCopy
+	accesses int
+}
+
+// mutexCopy is one object of the mutex baseline, body and version
+// stored beside the access count under the same lock.
+type mutexCopy struct {
+	body     []byte
+	version  int
 	accesses int
 }
 
@@ -449,8 +520,8 @@ func BenchmarkAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessParallel is the contended case the RCU path exists
-// for: every core reading at once.
+// BenchmarkAccessParallel is the contended case the lock-free path
+// exists for: every core reading at once.
 func BenchmarkAccessParallel(b *testing.B) {
 	m := newBenchMirror(b, 512)
 	b.ReportAllocs()
@@ -469,7 +540,7 @@ func BenchmarkAccessParallel(b *testing.B) {
 // BenchmarkAccessMutexBaseline is the old locked read path (frozen
 // above as mutexMirror), serial.
 func BenchmarkAccessMutexBaseline(b *testing.B) {
-	m := &mutexMirror{copies: make([]copyState, 512)}
+	m := &mutexMirror{copies: make([]mutexCopy, 512)}
 	for i := range m.copies {
 		m.copies[i].body = []byte("object body")
 	}
@@ -486,7 +557,7 @@ func BenchmarkAccessMutexBaseline(b *testing.B) {
 // under the same all-cores contention as BenchmarkAccessParallel —
 // the headline number for the EXPERIMENTS.md table.
 func BenchmarkAccessMutexBaselineParallel(b *testing.B) {
-	m := &mutexMirror{copies: make([]copyState, 512)}
+	m := &mutexMirror{copies: make([]mutexCopy, 512)}
 	for i := range m.copies {
 		m.copies[i].body = []byte("object body")
 	}
@@ -504,8 +575,8 @@ func BenchmarkAccessMutexBaselineParallel(b *testing.B) {
 }
 
 // BenchmarkAccessDuringCommits measures the read path while a writer
-// continuously publishes new snapshots — reads during commit must not
-// stall.
+// continuously commits new versions of object 0 exactly as a
+// transferring refresh does — reads during commit must not stall.
 func BenchmarkAccessDuringCommits(b *testing.B) {
 	m := newBenchMirror(b, 512)
 	stop := make(chan struct{})
@@ -518,8 +589,8 @@ func BenchmarkAccessDuringCommits(b *testing.B) {
 			default:
 			}
 			m.mu.Lock()
-			m.copies[0].version++
-			m.publishServingLocked()
+			v := m.views[0].Load()
+			m.views[0].Store(&copyView{body: v.body, version: v.version + 1})
 			m.mu.Unlock()
 		}
 	}()
@@ -537,18 +608,17 @@ func BenchmarkAccessDuringCommits(b *testing.B) {
 }
 
 // BenchmarkAccessMutexBaselineDuringCommits is the mutex counterpart
-// of BenchmarkAccessDuringCommits: the writer does the same O(n)
-// commit work, but under the lock every reader needs — so reads stall
+// of BenchmarkAccessDuringCommits: the writer commits the same one
+// object, but under the lock every reader needs — so reads stall
 // behind each commit instead of sailing past it.
 func BenchmarkAccessMutexBaselineDuringCommits(b *testing.B) {
-	m := &mutexMirror{copies: make([]copyState, 512)}
+	m := &mutexMirror{copies: make([]mutexCopy, 512)}
 	for i := range m.copies {
 		m.copies[i].body = []byte("object body")
 	}
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
-		views := make([]copyView, len(m.copies))
 		for {
 			select {
 			case <-stop:
@@ -557,9 +627,6 @@ func BenchmarkAccessMutexBaselineDuringCommits(b *testing.B) {
 			}
 			m.mu.Lock()
 			m.copies[0].version++
-			for i := range m.copies {
-				views[i] = copyView{body: m.copies[i].body, version: m.copies[i].version}
-			}
 			m.mu.Unlock()
 		}
 	}()
