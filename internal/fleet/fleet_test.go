@@ -15,6 +15,7 @@ import (
 	"freshen/internal/core"
 	"freshen/internal/httpmirror"
 	"freshen/internal/resilience"
+	"freshen/internal/testkit"
 )
 
 // memSource is an in-process global source: object gid's body names
@@ -279,5 +280,55 @@ func TestFleetDeadShardKeyspace(t *testing.T) {
 	a, _ = f.Allocation()
 	if err := a.Conserved(1e-6); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestShardSolveKeepsShardHealthy pins what the mirror's two-lock rule
+// buys the fleet: while shard 0's replan is parked inside its solve,
+// the shard's /readyz keeps answering, so checkHealth runs
+// healthFailures+1 times and the shard stays healthy. When a solve
+// held the mirror's state lock, every probe timed out and a long
+// replan failed over a healthy shard.
+func TestShardSolveKeepsShardHealthy(t *testing.T) {
+	pol := testkit.NewParkingPolicy()
+	f, err := New(context.Background(), Config{
+		Shards:   2,
+		Budget:   8,
+		Upstream: newMemSource(16),
+		Mirror:   httpmirror.Config{Plan: core.Config{Strategy: core.StrategyExact, Policy: pol}, Seed: 7},
+		// Refresh loops tick once an hour and the supervisor never runs:
+		// the only solve is the one the test parks.
+		Period:      time.Hour,
+		HealthEvery: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		f.Close(ctx)
+	})
+	pol.Arm()
+	replanned := make(chan error, 1)
+	go func() { replanned <- f.Shard(0).Mirror().ForceReplan() }()
+	select {
+	case <-pol.Parked():
+	case err := <-replanned:
+		t.Fatalf("ForceReplan returned without reaching its solve: %v", err)
+	}
+	defer func() {
+		pol.Release()
+		if err := <-replanned; err != nil {
+			t.Errorf("ForceReplan: %v", err)
+		}
+	}()
+	for pass := 1; pass <= healthFailures+1; pass++ {
+		if f.checkHealth(context.Background()) {
+			t.Fatalf("health pass %d changed the healthy set while shard 0 solved: %v", pass, f.Healthy())
+		}
+	}
+	if h := f.Healthy(); !h[0] || !h[1] {
+		t.Fatalf("healthy = %v during shard 0's solve, want both", h)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"freshen/internal/obs"
 	"freshen/internal/persist"
 	"freshen/internal/resilience"
-	"freshen/internal/schedule"
 )
 
 // ErrNotFound reports an object id outside the mirror's catalog.
@@ -133,15 +132,27 @@ type copyState struct {
 	accesses  int
 }
 
-// Mirror is the running service: local copies, the live plan, the
-// refresh iterator, the learning state, and the fault-tracking state
-// (circuit breaker + per-element quarantine). Methods are safe for
-// concurrent use.
+// Mirror is the running service: local copies, the planner (live plan,
+// refresh iterator, learned element knowledge), and the fault-tracking
+// state (circuit breaker + per-element quarantine). Methods are safe
+// for concurrent use.
 //
-// Locking: mu guards all mutable state and is never held across
-// network I/O, so Access keeps serving while a refresh rides out
-// retries or timeouts. stepMu serializes the refresh pipeline (Step,
-// ForceReplan) against itself. The read path takes neither lock: it
+// Locking: two mutexes, and none on the read path.
+//
+//   - stepMu serializes the calls that change what the mirror knows or
+//     plans: Step, ForceReplan, SetBudget and FlushSnapshot.
+//   - mu guards the mutable state and is never held across network
+//     I/O or a solve, so Status, Readiness, Health, Plan, Budget and
+//     the /metrics gauges never wait on either.
+//
+// The two-lock rule: the planner's state, and the copies, health, est,
+// cfg.Plan and clock it is computed from, are written only with both
+// stepMu and mu held, so a holder of either lock may read them. Every
+// writer of them already holds stepMu. The expensive passes therefore
+// run under stepMu alone: the solve and iterator build, the per-period
+// PF gauges, and the snapshot's per-element records. Only installing a
+// plan and its iterator, learn's in-place write pass, draining the
+// access counters and reading scalar counters take mu. The read path
 // serves each object's immutable view from views and records into the
 // striped counters in acc (see serve.go and DESIGN.md §11).
 type Mirror struct {
@@ -159,18 +170,13 @@ type Mirror struct {
 	condSrc    ConditionalSource // non-nil when the upstream answers conditional fetches
 	condOff    bool              // sticky: the origin demonstrably ignores the condition
 	upHealth   UpstreamHealth    // non-nil when the upstream is itself a mirror tier
-	elems      []freshness.Element
+	pl         *planner
 	copies     []copyState
 	health     []elemHealth
 	brk        breaker
 	est        estimate.Estimator // the online MLE
 	estParams  estimate.Params
-	plan       core.Plan
-	iter       *schedule.Iterator
-	iterBase   float64 // m.now at the last iterator rebuild
-	lastReplan float64
 	now        float64
-	replans    int
 	accessBase int // accesses restored from a snapshot at boot; live total adds acc.total()
 	fetches    int // running total across all copies (incl. seeding)
 	transfers  int
@@ -182,18 +188,11 @@ type Mirror struct {
 	recoveries       int
 	quarantined      int // elements currently quarantined; maintained at transitions
 
-	// Explore/exploit state (zero-valued when ExploreFrac is 0):
-	// uncertainty holds each element's estimator uncertainty as of the
-	// last learn pass; exploreOnly marks elements funded only by the
-	// explore slice, whose refreshes count as uncertainty probes.
-	uncertainty   []float64
-	exploreOnly   []bool
-	exploreProbes int
-	exploreBW     float64 // bandwidth the last plan's explore slice used
+	exploreProbes int // refreshes of elements funded only by the explore slice
 
 	// Crash-safe persistence (nil store disables it; see Config.Persist).
 	store          persist.Storer
-	lastSnapshot   float64 // period clock at the last snapshot attempt
+	lastSnapshot   float64 // period clock at the last snapshot attempt; stepMu holders only
 	lastSnapshotAt float64 // period clock of the last durable snapshot; -1 none
 	snapshots      int     // snapshots written this process
 	persistErrors  int     // journal/snapshot write failures (state kept in memory)
@@ -222,7 +221,7 @@ type Mirror struct {
 	// log is never nil (a no-op logger stands in).
 	metrics      *mirrorMetrics
 	log          *slog.Logger
-	lastPFUpdate float64 // period clock at the last PF gauge recompute
+	lastPFUpdate float64 // period clock at the last PF gauge recompute; stepMu holders only
 }
 
 // New creates a mirror: it pulls the upstream catalog, seeds every
@@ -257,7 +256,7 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 	n := len(catalog)
 	m := &Mirror{
 		cfg:    cfg,
-		elems:  make([]freshness.Element, n),
+		pl:     newPlanner(n, cfg),
 		copies: make([]copyState, n),
 		views:  make([]atomic.Pointer[copyView], n),
 		health: make([]elemHealth, n),
@@ -291,11 +290,6 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 	if cfg.TruthLambda != nil && len(cfg.TruthLambda) != n {
 		return nil, fmt.Errorf("httpmirror: TruthLambda has %d rates for %d elements", len(cfg.TruthLambda), n)
 	}
-	m.uncertainty = make([]float64, n)
-	for i := range m.uncertainty {
-		m.uncertainty[i] = 1
-	}
-	m.exploreOnly = make([]bool, n)
 	if cfg.Metrics != nil {
 		// Registered before recovery so replayed journal polls land in
 		// the estimator counters like live ones.
@@ -305,7 +299,7 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 		if entry.ID != i {
 			return nil, fmt.Errorf("httpmirror: catalog ids must be dense, got %d at position %d", entry.ID, i)
 		}
-		m.elems[i] = freshness.Element{
+		m.pl.elems[i] = freshness.Element{
 			ID:         entry.ID,
 			Lambda:     cfg.PriorLambda,
 			AccessProb: 1 / float64(n),
@@ -338,10 +332,10 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 	if m.recovered {
 		// Fold the replayed observations into the element knowledge so
 		// the first cadence replan starts from everything on disk.
-		m.learnLocked()
+		m.learn()
 	}
-	if restoredPlan == nil || m.restorePlanLocked(*restoredPlan) != nil {
-		if err := m.replanLocked(); err != nil {
+	if restoredPlan == nil || m.pl.restore(*restoredPlan, cfg.Plan, m.now) != nil {
+		if err := m.replan(cfg.Plan.Bandwidth); err != nil {
 			return nil, err
 		}
 	}
@@ -349,14 +343,13 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 	// Readiness: immediately without persistence or after a recovery;
 	// a cold persistent mirror answers 503 until its first snapshot.
 	m.ready = m.store == nil || m.recovered
-	// No concurrency yet, so the Locked gauge helpers run bare; this
-	// also covers the warm-start path, which bypasses replanLocked.
-	m.updatePlanGaugesLocked()
-	m.updatePFGaugesLocked()
+	// The warm-start path bypasses replan, so the gauges are set here.
+	m.updatePlanGauges()
+	m.updatePFGauges()
 	m.log.Info("mirror up",
 		"objects", n,
-		"strategy", m.plan.Strategy.String(),
-		"planned_pf", m.plan.Perceived,
+		"strategy", m.pl.plan.Strategy.String(),
+		"planned_pf", m.pl.plan.Perceived,
 		"recovery", m.recoveryStatus,
 		"journal_replayed", m.replayed,
 		"ready", m.ready)
@@ -437,139 +430,37 @@ func (m *Mirror) seed(ctx context.Context) error {
 	return nil
 }
 
-// replanLocked recomputes the plan from the current element knowledge
-// and rebuilds the refresh iterator. Quarantined elements are excluded
-// from the optimization — their budget share water-fills back across
-// the healthy elements — and re-enter on the replan after recovery.
-// With ExploreFrac > 0 the budget splits: f·ū·B is water-filled on
-// estimator uncertainty (explore, see schedule.AllocateExplore), where
-// ū is the catalog's mean uncertainty, and the rest is water-filled on
-// the learned rates as usual (exploit); both frequency vectors merge
-// into one iterator. Callers hold m.mu (or are New).
-func (m *Mirror) replanLocked() error {
-	active := make([]freshness.Element, 0, len(m.elems))
-	for i := range m.elems {
-		if !m.health[i].quarantined {
-			active = append(active, m.elems[i])
-		}
-	}
-	// The explore slice anneals with mean uncertainty: a cold mirror
-	// (all uncertainty 1) spends the full configured fraction probing;
-	// as the estimator converges the slice shrinks and its bandwidth
-	// flows back to exploitation, so a warm mirror pays almost no
-	// probe tax.
-	var meanU float64
-	for _, u := range m.uncertainty {
-		meanU += u
-	}
-	meanU /= float64(len(m.uncertainty))
-	exploreBudget := m.cfg.Plan.Bandwidth * m.cfg.ExploreFrac * meanU
-	full := make([]float64, len(m.elems))
-	for i := range m.exploreOnly {
-		m.exploreOnly[i] = false
-	}
-	m.exploreBW = 0
-	var plan core.Plan
-	if len(active) == 0 {
-		// Everything is quarantined: an empty plan; the mirror keeps
-		// serving stale copies and probing for recovery.
-		plan = core.Plan{Freqs: full, Strategy: m.cfg.Plan.Strategy}
-	} else {
-		cfg := m.cfg.Plan
-		cfg.Bandwidth -= exploreBudget
-		if cfg.NumPartitions > len(active) {
-			cfg.NumPartitions = len(active)
-		}
-		p, err := core.MakePlan(active, cfg)
-		if err != nil {
-			return err
-		}
-		// Expand the active-subset frequencies back over the full
-		// index space (zero for quarantined elements).
-		j := 0
-		for i := range m.elems {
-			if !m.health[i].quarantined {
-				full[i] = p.Freqs[j]
-				j++
-			}
-		}
-		p.Freqs = full
-		plan = p
-		if exploreBudget > 0 {
-			if err := m.mergeExploreLocked(&plan, active, exploreBudget); err != nil {
-				return err
-			}
-		}
-	}
-	iter, err := schedule.NewIterator(plan.Freqs, true, m.cfg.Seed+int64(m.replans))
+// replan solves at budget under stepMu alone, then installs the plan,
+// its iterator and the budget together under m.mu, so a failed solve
+// changes nothing. The caller holds stepMu and not m.mu (or is New).
+func (m *Mirror) replan(budget float64) error {
+	cfg := m.cfg.Plan
+	cfg.Bandwidth = budget
+	s, err := m.pl.solve(cfg, m.health)
 	if err != nil {
 		return err
 	}
-	m.plan = plan
-	m.iter = iter
-	m.iterBase = m.now
-	m.lastReplan = m.now
-	m.replans++
+	m.mu.Lock()
+	m.cfg.Plan.Bandwidth = budget
+	m.pl.install(s, m.now)
+	m.mu.Unlock()
 	m.metrics.countReplan()
-	m.metrics.setExploreBandwidth(m.exploreBW)
-	m.updatePlanGaugesLocked()
-	m.updatePFGaugesLocked()
+	m.metrics.setExploreBandwidth(s.exploreBW)
+	m.updatePlanGauges()
+	m.updatePFGauges()
 	m.log.Debug("replanned",
-		"planned_pf", plan.Perceived,
-		"bandwidth_used", plan.BandwidthUsed,
-		"active", len(active),
+		"planned_pf", s.plan.Perceived,
+		"bandwidth_used", s.plan.BandwidthUsed,
+		"active", len(m.copies)-m.quarantined,
 		"now", m.now)
 	return nil
 }
 
-// mergeExploreLocked water-fills the explore slice over the active
-// elements' uncertainty and folds the probe frequencies into the
-// plan: frequencies add, bandwidth adds, and the plan's quality
-// metrics are recomputed at the combined allocation over the full
-// catalog. Elements funded only by the explore slice are marked so
-// their refreshes count as uncertainty probes. Callers hold m.mu.
-func (m *Mirror) mergeExploreLocked(plan *core.Plan, active []freshness.Element, budget float64) error {
-	activeU := make([]float64, 0, len(active))
-	for i := range m.elems {
-		if !m.health[i].quarantined {
-			activeU = append(activeU, m.uncertainty[i])
-		}
-	}
-	exFreqs, exUsed, err := schedule.AllocateExplore(active, activeU, m.cfg.PriorLambda, budget)
-	if err != nil {
-		return err
-	}
-	j := 0
-	for i := range m.elems {
-		if m.health[i].quarantined {
-			continue
-		}
-		if exFreqs[j] > 0 && plan.Freqs[i] == 0 {
-			m.exploreOnly[i] = true
-		}
-		plan.Freqs[i] += exFreqs[j]
-		j++
-	}
-	plan.BandwidthUsed += exUsed
-	m.exploreBW = exUsed
-	pol := m.cfg.Plan.Policy
-	if pol == nil {
-		pol = freshness.FixedOrder{}
-	}
-	// Quality metrics at the combined allocation; failures here would
-	// mean invalid frequencies, which the allocators never produce.
-	if pf, err := freshness.Perceived(pol, m.elems, plan.Freqs); err == nil {
-		plan.Perceived = pf
-	}
-	if af, err := freshness.Average(pol, m.elems, plan.Freqs); err == nil {
-		plan.AvgFreshness = af
-	}
-	return nil
-}
-
 // Step advances the mirror clock to now (in periods), performing every
-// refresh that came due, probing quarantined elements, and re-planning
-// on cadence. It returns the number of refreshes performed.
+// refresh that came due, probing quarantined elements, and learning
+// and re-planning on cadence. A quarantine or recovery also re-plans,
+// but never in place of the cadence's learning, and a Step solves at
+// most once. It returns the number of refreshes performed.
 //
 // Step aggregates per-element outcomes: a failing refresh feeds the
 // breaker and the element's quarantine counter but never aborts the
@@ -591,12 +482,12 @@ func (m *Mirror) Step(now float64) (int, error) {
 	}
 	var due []dueEvent
 	for {
-		ev, ok := m.iter.Peek()
-		if !ok || m.iterBase+ev.Time > now {
+		ev, ok := m.pl.iter.Peek()
+		if !ok || m.pl.iterBase+ev.Time > now {
 			break
 		}
-		m.iter.Next()
-		due = append(due, dueEvent{element: ev.Element, at: m.iterBase + ev.Time})
+		m.pl.iter.Next()
+		due = append(due, dueEvent{element: ev.Element, at: m.pl.iterBase + ev.Time})
 	}
 	m.mu.Unlock()
 
@@ -628,7 +519,7 @@ func (m *Mirror) Step(now float64) (int, error) {
 		if err == nil {
 			refreshes++
 			m.mu.Lock()
-			if m.exploreOnly[ev.element] {
+			if m.pl.exploreProbe(ev.element) {
 				// This element is funded only by the explore slice: the
 				// refresh is an uncertainty probe, not an exploit poll.
 				m.exploreProbes++
@@ -651,39 +542,37 @@ func (m *Mirror) Step(now float64) (int, error) {
 		// the degraded read path.
 		m.clockBits.Store(math.Float64bits(m.now))
 	}
+	// Snapshot on the period clock. While persist-degraded the
+	// machine's exponential backoff gates attempts — each one is the
+	// fsync probe that would clear the mode, but a dead disk must not
+	// eat a timeout every cadence tick.
+	snapshotDue := m.store != nil && now-m.lastSnapshot >= m.cfg.SnapshotEvery && m.machine.SnapshotDue(now)
+	m.mu.Unlock()
+
+	// From here on Step holds stepMu alone: the passes below only read
+	// state under the two-lock rule (see Mirror) and take m.mu just to
+	// install what they computed.
 	if m.metrics != nil && m.now-m.lastPFUpdate >= 1 {
 		// The live PF gauges cost one exp per element, so they follow
 		// the period clock, not the tick or scrape rate.
-		m.updatePFGaugesLocked()
+		m.updatePFGauges()
 	}
-	if healthChanged {
-		if err := m.replanLocked(); err != nil {
-			m.mu.Unlock()
+	// Learning runs on its own clock: a health replan must not reset
+	// the cadence, or steady quarantine and recovery traffic would keep
+	// the mirror from ever learning.
+	learnDue := now-m.pl.lastLearn >= m.cfg.ReplanEvery
+	if learnDue {
+		m.learn()
+	}
+	if learnDue || healthChanged {
+		if err := m.replan(m.cfg.Plan.Bandwidth); err != nil {
 			return refreshes, err
 		}
 	}
-	if now-m.lastReplan >= m.cfg.ReplanEvery {
-		m.learnLocked()
-		if err := m.replanLocked(); err != nil {
-			m.mu.Unlock()
-			return refreshes, err
-		}
-	}
-	// Snapshot on the period clock. The state is captured under the
-	// lock but committed outside it: the fsyncs must not block Access.
-	// While persist-degraded the machine's exponential backoff gates
-	// attempts — each one is the fsync probe that would clear the mode,
-	// but a dead disk must not eat a timeout every cadence tick.
-	var snap *persist.Snapshot
-	if m.store != nil && now-m.lastSnapshot >= m.cfg.SnapshotEvery && m.machine.SnapshotDue(now) {
-		snap = m.exportStateLocked()
-		m.lastSnapshot = now
-	}
-	m.mu.Unlock()
-	if snap != nil {
+	if snapshotDue {
 		// A failing state disk is counted (surfaced via /readyz), not
 		// allowed to stop the refresh pipeline.
-		m.commitSnapshot(snap)
+		m.commitSnapshot(m.exportState())
 	}
 	return refreshes, nil
 }
@@ -814,7 +703,7 @@ func (m *Mirror) noteOutcome(id int, at float64, err error) bool {
 func (m *Mirror) noteOutcomeLocked(id int, at float64, err error) bool {
 	changed := m.recordOutcomeLocked(id, at, err)
 	m.machine.SetBreakerOpen(m.brk.state != BreakerClosed)
-	m.machine.SetQuarantineFrac(float64(m.quarantined) / float64(len(m.elems)))
+	m.machine.SetQuarantineFrac(float64(m.quarantined) / float64(len(m.copies)))
 	if m.upHealth != nil {
 		// In a hierarchical chain the upstream tier's own degradation
 		// compounds into ours: serving from a source-degraded regional
@@ -908,65 +797,30 @@ func (m *Mirror) recordPollLocked(id int, elapsed float64, changed bool) error {
 	return nil
 }
 
-// learnLocked folds the access log and the estimator's change rates
-// into the element knowledge the next plan uses.
-func (m *Mirror) learnLocked() {
+// learn folds the access log and the estimator's change rates into
+// the element knowledge the next solve reads. The caller holds stepMu
+// and not m.mu (or is New): m.mu is taken for the drain and the
+// planner's in-place write pass, an O(n) loop of stores.
+func (m *Mirror) learn() {
+	// Change rates from the estimator: prior where unpolled, floored
+	// so no element is starved (see Config.FloorLambda). Skipped and
+	// failed polls never reached the estimator, so an outage leaves
+	// the estimates untouched instead of dragging them toward zero.
+	rates, err := m.est.Estimates(m.cfg.PriorLambda)
+	if err != nil {
+		rates = nil
+	}
+	m.mu.Lock()
 	// Drain the striped per-object access counters into the copies at
 	// this period boundary; the learner then sees exactly the counts
 	// the read path recorded since the last drain.
 	m.acc.drainInto(m.copies)
-	// Profile: Laplace-smoothed access counts.
-	total := profileSmoothing * float64(len(m.elems))
-	for i := range m.copies {
-		total += float64(m.copies[i].accesses)
-	}
-	for i := range m.elems {
-		m.elems[i].AccessProb = (float64(m.copies[i].accesses) + profileSmoothing) / total
-	}
-	// Change rates from the estimator: prior where unpolled,
-	// floored so no element is starved (see Config.FloorLambda).
-	// Skipped and failed polls never reached the estimator, so an
-	// outage leaves the estimates untouched instead of dragging them
-	// toward zero.
-	if ests, err := m.est.Estimates(m.cfg.PriorLambda); err == nil {
-		for i, l := range ests {
-			m.elems[i].Lambda = l
-		}
-	}
-	// Uncertainty drives the explore slice, so it is computed only when
-	// a probe budget actually consumes it. The score is floored at the
-	// planning-relevant rate scale so elements confidently known to be
-	// near-static release their probe share (see
-	// estimate.Estimate.UncertaintyAt).
+	m.pl.learn(m.copies, rates, m.est, m.now)
+	m.mu.Unlock()
 	if m.cfg.ExploreFrac > 0 {
-		for i := range m.uncertainty {
-			m.uncertainty[i] = m.est.Estimate(i).UncertaintyAt(m.cfg.PriorLambda / 10)
-		}
-		m.metrics.observeConfidence(m.uncertainty)
+		m.metrics.observeConfidence(m.pl.uncertainty)
 	}
-	m.metrics.setLambdaError(m.lambdaErrorLocked())
-}
-
-// lambdaErrorLocked is the mean relative error of the learned rates
-// against the configured ground truth, or -1 when no truth is known
-// (production: the gauge stays at its sentinel).
-func (m *Mirror) lambdaErrorLocked() float64 {
-	truth := m.cfg.TruthLambda
-	if truth == nil {
-		return -1
-	}
-	sum, count := 0.0, 0
-	for i, want := range truth {
-		if want <= 0 {
-			continue
-		}
-		sum += math.Abs(m.elems[i].Lambda-want) / want
-		count++
-	}
-	if count == 0 {
-		return -1
-	}
-	return sum / float64(count)
+	m.metrics.setLambdaError(m.pl.lambdaError(m.cfg.TruthLambda))
 }
 
 // Run drives the refresh loop against the wall clock, mapping one
@@ -1091,15 +945,15 @@ func (m *Mirror) Status() Status {
 		Accesses:         m.totalAccessesLocked(),
 		Fetches:          m.fetches,
 		Transfers:        m.transfers,
-		Replans:          m.replans,
-		PlannedPF:        m.plan.Perceived,
-		PlannedAvg:       m.plan.AvgFreshness,
-		BandwidthUsed:    m.plan.BandwidthUsed,
-		Strategy:         m.plan.Strategy.String(),
+		Replans:          m.pl.replans,
+		PlannedPF:        m.pl.plan.Perceived,
+		PlannedAvg:       m.pl.plan.AvgFreshness,
+		BandwidthUsed:    m.pl.plan.BandwidthUsed,
+		Strategy:         m.pl.plan.Strategy.String(),
 		Estimator:        m.est.Kind(),
 		ExploreFrac:      m.cfg.ExploreFrac,
 		ExploreProbes:    m.exploreProbes,
-		ExploreBandwidth: m.exploreBW,
+		ExploreBandwidth: m.pl.exploreBW,
 		NotModified:      m.notModified,
 		Retries:          m.cfg.Upstream.Retries(),
 		RefreshFailures:  m.refreshFailures,
@@ -1177,17 +1031,16 @@ func (m *Mirror) Health() Health {
 func (m *Mirror) Plan() core.Plan {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.plan
+	return m.pl.plan
 }
 
 // ForceReplan learns from the current logs and re-plans immediately.
+// The solve runs off m.mu, so readers keep answering while it runs.
 func (m *Mirror) ForceReplan() error {
 	m.stepMu.Lock()
 	defer m.stepMu.Unlock()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.learnLocked()
-	return m.replanLocked()
+	m.learn()
+	return m.replan(m.cfg.Plan.Bandwidth)
 }
 
 // Catalog lists the mirror's objects in source-protocol form. Serving
@@ -1197,9 +1050,9 @@ func (m *Mirror) ForceReplan() error {
 func (m *Mirror) Catalog() []CatalogEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]CatalogEntry, len(m.elems))
-	for i := range m.elems {
-		out[i] = CatalogEntry{ID: m.elems[i].ID, Size: m.elems[i].Size}
+	out := make([]CatalogEntry, len(m.pl.elems))
+	for i := range m.pl.elems {
+		out[i] = CatalogEntry{ID: m.pl.elems[i].ID, Size: m.pl.elems[i].Size}
 	}
 	return out
 }
@@ -1211,7 +1064,7 @@ func (m *Mirror) Catalog() []CatalogEntry {
 func (m *Mirror) Elements() []freshness.Element {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]freshness.Element(nil), m.elems...)
+	return append([]freshness.Element(nil), m.pl.elems...)
 }
 
 // Budget is the refresh budget per period the planner currently runs
@@ -1234,16 +1087,12 @@ func (m *Mirror) SetBudget(b float64) error {
 	}
 	m.stepMu.Lock()
 	defer m.stepMu.Unlock()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if b == m.cfg.Plan.Bandwidth {
+	old := m.cfg.Plan.Bandwidth
+	if b == old {
 		return nil
 	}
-	old := m.cfg.Plan.Bandwidth
-	m.cfg.Plan.Bandwidth = b
-	m.learnLocked()
-	if err := m.replanLocked(); err != nil {
-		m.cfg.Plan.Bandwidth = old
+	m.learn()
+	if err := m.replan(b); err != nil {
 		return err
 	}
 	m.log.Info("budget updated", "from", old, "to", b, "now", m.now)

@@ -131,7 +131,7 @@ func instrumentMirror(m *Mirror, reg *obs.Registry) *mirrorMetrics {
 		"Periods elapsed since the schedule was last recomputed.", func() float64 {
 			m.mu.Lock()
 			defer m.mu.Unlock()
-			return m.now - m.lastReplan
+			return m.now - m.pl.lastReplan
 		})
 	reg.GaugeFunc("freshen_breaker_state",
 		"Circuit breaker state: 0 closed, 1 open, 2 half-open.", func() float64 {
@@ -325,27 +325,28 @@ func (mm *mirrorMetrics) observeConfidence(uncertainty []float64) {
 	}
 }
 
-// updatePlanGaugesLocked refreshes the gauges that follow the plan:
-// planned bandwidth and the mean change-rate estimate. Called on every
-// replan, when the values actually move. Callers hold m.mu.
-func (m *Mirror) updatePlanGaugesLocked() {
+// updatePlanGauges refreshes the gauges that follow the plan: planned
+// bandwidth and the mean change-rate estimate. Called on every replan,
+// when the values actually move. Callers hold stepMu (or are New); the
+// pass reads planner state under the two-lock rule (see Mirror).
+func (m *Mirror) updatePlanGauges() {
 	mm := m.metrics
 	if mm == nil {
 		return
 	}
-	mm.bandwidthUsed.Set(m.plan.BandwidthUsed)
+	mm.bandwidthUsed.Set(m.pl.plan.BandwidthUsed)
 	var sum float64
-	for i := range m.elems {
-		sum += m.elems[i].Lambda
+	for i := range m.pl.elems {
+		sum += m.pl.elems[i].Lambda
 	}
-	mm.lambdaMean.Set(sum / float64(len(m.elems)))
+	mm.lambdaMean.Set(sum / float64(len(m.pl.elems)))
 }
 
-// updatePFGaugesLocked recomputes the live freshness gauges. Each
-// evaluation costs one exp per element, so callers rate-limit to once
-// per period (see Step); replans recompute immediately because the
-// frequency vector just changed. Callers hold m.mu.
-func (m *Mirror) updatePFGaugesLocked() {
+// updatePFGauges recomputes the live freshness gauges. Each evaluation
+// costs one exp per element, so callers rate-limit to once per period
+// (see Step); replans recompute immediately because the frequency
+// vector just changed. Callers hold stepMu (or are New) and not m.mu.
+func (m *Mirror) updatePFGauges() {
 	mm := m.metrics
 	if mm == nil {
 		return
@@ -354,10 +355,10 @@ func (m *Mirror) updatePFGaugesLocked() {
 	if pol == nil {
 		pol = freshness.FixedOrder{}
 	}
-	if pf, err := freshness.Perceived(pol, m.elems, m.plan.Freqs); err == nil {
+	if pf, err := freshness.Perceived(pol, m.pl.elems, m.pl.plan.Freqs); err == nil {
 		mm.pf.Set(pf)
 	}
-	if avg, err := freshness.Average(pol, m.elems, m.plan.Freqs); err == nil {
+	if avg, err := freshness.Average(pol, m.pl.elems, m.pl.plan.Freqs); err == nil {
 		mm.avgFreshness.Set(avg)
 	}
 	m.lastPFUpdate = m.now

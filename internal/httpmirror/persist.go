@@ -5,10 +5,8 @@ import (
 	"math"
 	"time"
 
-	"freshen/internal/core"
 	"freshen/internal/estimate"
 	"freshen/internal/persist"
-	"freshen/internal/schedule"
 )
 
 // applyRecovery folds the store's salvaged state into a freshly built
@@ -19,7 +17,7 @@ import (
 // (to warm-start the schedule) or nil when none was usable. Called
 // from New, before seeding, with no concurrency yet.
 func (m *Mirror) applyRecovery(rec persist.RecoveryResult) *persist.PlanState {
-	n := len(m.elems)
+	n := len(m.copies)
 	m.recoveryStatus = "cold-start"
 	if rec.SnapshotErr != nil {
 		m.recoveryStatus = fmt.Sprintf("cold-start (snapshot discarded: %v)", rec.SnapshotErr)
@@ -38,8 +36,8 @@ func (m *Mirror) applyRecovery(rec persist.RecoveryResult) *persist.PlanState {
 		m.lastSnapshotAt = s.Now
 		for i := range s.Elements {
 			e := &s.Elements[i]
-			m.elems[i].Lambda = e.Lambda
-			m.elems[i].AccessProb = e.AccessProb
+			m.pl.elems[i].Lambda = e.Lambda
+			m.pl.elems[i].AccessProb = e.AccessProb
 			// StoredVersion and LastPoll are not restored: seeding
 			// overwrites both before anything reads them.
 			c := &m.copies[i]
@@ -66,7 +64,7 @@ func (m *Mirror) applyRecovery(rec persist.RecoveryResult) *persist.PlanState {
 		m.accessBase = s.Counters.Accesses
 		m.fetches = s.Counters.Fetches
 		m.transfers = s.Counters.Transfers
-		m.replans = s.Counters.Replans
+		m.pl.replans = s.Counters.Replans
 		m.refreshFailures = s.Counters.RefreshFailures
 		m.skippedRefreshes = s.Counters.SkippedRefreshes
 		m.quarantineEvents = s.Counters.QuarantineEvents
@@ -158,70 +156,48 @@ func (m *Mirror) replayJournalRecord(r persist.Record) {
 	m.noteOutcomeLocked(r.Element, r.At, nil)
 }
 
-// restorePlanLocked warm-starts the schedule from a persisted plan:
-// the iterator resumes the pre-crash frequency vector immediately, so
-// a recovered mirror refreshes on its learned cadence from the first
-// period instead of re-solving from scratch. The next cadence replan
-// refines it against the replayed observations.
-func (m *Mirror) restorePlanLocked(ps persist.PlanState) error {
-	if len(ps.Freqs) != len(m.elems) {
-		return fmt.Errorf("httpmirror: restored plan has %d frequencies for %d elements", len(ps.Freqs), len(m.elems))
-	}
-	iter, err := schedule.NewIterator(ps.Freqs, true, m.cfg.Seed+int64(m.replans))
-	if err != nil {
-		return err
-	}
-	m.plan = core.Plan{
-		Freqs:         append([]float64(nil), ps.Freqs...),
-		Perceived:     ps.Perceived,
-		AvgFreshness:  ps.AvgFreshness,
-		BandwidthUsed: ps.BandwidthUsed,
-		Strategy:      m.cfg.Plan.Strategy,
-		NumPartitions: m.cfg.Plan.NumPartitions,
-	}
-	m.iter = iter
-	m.iterBase = m.now
-	m.lastReplan = m.now
-	m.replans++
-	return nil
-}
-
-// exportStateLocked builds the durable image of the mirror's current
-// state. Callers hold m.mu.
-func (m *Mirror) exportStateLocked() *persist.Snapshot {
+// exportState builds the durable image of the mirror's current state.
+// The caller holds stepMu and not m.mu: m.mu is taken only to drain
+// the access counters and read the scalar state, and the per-element
+// records are built off it under the two-lock rule (see Mirror).
+func (m *Mirror) exportState() *persist.Snapshot {
+	m.mu.Lock()
 	// Fold live access counts in first so the persisted per-element
 	// profile matches what the read path has recorded so far.
 	m.acc.drainInto(m.copies)
+	m.lastSnapshot = m.now
 	s := &persist.Snapshot{
 		Version: persist.FormatVersion,
 		Now:     m.now,
-		Plan: persist.PlanState{
-			Freqs:         append([]float64(nil), m.plan.Freqs...),
-			Perceived:     m.plan.Perceived,
-			AvgFreshness:  m.plan.AvgFreshness,
-			BandwidthUsed: m.plan.BandwidthUsed,
-		},
 		Breaker: persist.BreakerSnap{
 			State:    int(m.brk.state),
 			Fails:    m.brk.fails,
 			OpenedAt: m.brk.openedAt,
 			Trips:    m.brk.trips,
 		},
-		Elements: make([]persist.ElementState, len(m.elems)),
 		Counters: persist.Counters{
 			Accesses:         m.totalAccessesLocked(),
 			Fetches:          m.fetches,
 			Transfers:        m.transfers,
-			Replans:          m.replans,
+			Replans:          m.pl.replans,
 			RefreshFailures:  m.refreshFailures,
 			SkippedRefreshes: m.skippedRefreshes,
 			QuarantineEvents: m.quarantineEvents,
 			Recoveries:       m.recoveries,
 		},
 	}
+	m.mu.Unlock()
+	plan := &m.pl.plan
+	s.Plan = persist.PlanState{
+		Freqs:         append([]float64(nil), plan.Freqs...),
+		Perceived:     plan.Perceived,
+		AvgFreshness:  plan.AvgFreshness,
+		BandwidthUsed: plan.BandwidthUsed,
+	}
+	s.Elements = make([]persist.ElementState, len(m.pl.elems))
 	est := m.est.ExportState()
-	for i := range m.elems {
-		e, c, h := &m.elems[i], &m.copies[i], &m.health[i]
+	for i := range m.pl.elems {
+		e, c, h := &m.pl.elems[i], &m.copies[i], &m.health[i]
 		es := persist.ElementState{
 			ID:            e.ID,
 			Lambda:        e.Lambda,
@@ -251,8 +227,8 @@ func (m *Mirror) exportStateLocked() *persist.Snapshot {
 	return s
 }
 
-// commitSnapshot durably installs a snapshot built by
-// exportStateLocked. Callers hold stepMu but not m.mu: the fsyncs in
+// commitSnapshot durably installs a snapshot built by exportState.
+// Callers hold stepMu but not m.mu: the fsyncs in
 // Commit must never block Access. Outcomes feed the mode machine — a
 // failure grows the persist-degraded backoff, a success is the fsync
 // proof that clears the mode.
@@ -288,11 +264,7 @@ func (m *Mirror) FlushSnapshot() error {
 	}
 	m.stepMu.Lock()
 	defer m.stepMu.Unlock()
-	m.mu.Lock()
-	snap := m.exportStateLocked()
-	m.lastSnapshot = m.now
-	m.mu.Unlock()
-	return m.commitSnapshot(snap)
+	return m.commitSnapshot(m.exportState())
 }
 
 // appendJournal journals one record, counting (never propagating) the

@@ -7,8 +7,8 @@ import (
 )
 
 // This file is the lock-free serving path. The mirror's mutable state
-// (the plan, health, counters) stays under m.mu, but readers never
-// touch it: Access and the /object handler load each object's
+// (the plan, health, counters) stays under its two locks (see Mirror),
+// but readers never touch it: Access and the /object handler load each object's
 // immutable view from its own atomic pointer (m.views), and record
 // accesses into striped atomic counters. See DESIGN.md §11 for the
 // publication protocol.
@@ -51,9 +51,9 @@ type paddedCount struct {
 //
 //   - elems is one plain atomic per object — the per-object counts the
 //     profile learner needs. Step drains them (Swap(0)) into
-//     copyState.accesses under m.mu at period boundaries, so
-//     learnLocked and the persisted snapshot see exactly the counts
-//     the old mutex path produced.
+//     copyState.accesses under m.mu at period boundaries, so learn
+//     and the persisted snapshot see exactly the counts the old
+//     mutex path produced.
 //   - stripes is the global total, striped so the hottest objects of a
 //     Zipf community don't all contend one cache line. Stripes are
 //     cumulative for the process lifetime (never drained): the live

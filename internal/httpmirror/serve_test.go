@@ -236,7 +236,7 @@ func TestAccessCountsDrainExactly(t *testing.T) {
 	for i := range m.copies {
 		drained += m.copies[i].accesses
 	}
-	p0, p3 := m.elems[0].AccessProb, m.elems[3].AccessProb
+	p0, p3 := m.pl.elems[0].AccessProb, m.pl.elems[3].AccessProb
 	m.mu.Unlock()
 	if drained != 60 {
 		t.Fatalf("drained per-object accesses = %d, want 60", drained)

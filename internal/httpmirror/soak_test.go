@@ -98,9 +98,7 @@ func TestSoakStateBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	measure := func() (estBytes, snapBytes int) {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		data, err := persist.EncodeSnapshot(m.exportStateLocked())
+		data, err := persist.EncodeSnapshot(m.exportState())
 		if err != nil {
 			t.Fatal(err)
 		}

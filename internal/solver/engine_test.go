@@ -2,9 +2,12 @@ package solver
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"freshen/internal/freshness"
+	"freshen/internal/stats"
+	"freshen/internal/testkit"
 )
 
 // TestEngineDeterministicAcrossRuns checks the determinism guarantee:
@@ -236,4 +239,93 @@ func TestEngineAgeAndBlendReuse(t *testing.T) {
 			t.Errorf("blend element %d: engine %v vs package %v", i, b1.Freqs[i], b2.Freqs[i])
 		}
 	}
+}
+
+// tiedCatalog is a mirror's cold catalog under the uniform prior: n
+// unit-size elements with λ = 1 and p = 1/n, all tied on one cutoff.
+func tiedCatalog(n int) []freshness.Element {
+	elems := make([]freshness.Element, n)
+	for i := range elems {
+		elems[i] = freshness.Element{ID: i, Lambda: 1, AccessProb: 1 / float64(n), Size: 1}
+	}
+	return elems
+}
+
+// learnedCatalog is a unit-size catalog as a mirror learns it over
+// periods of 1,000 reads and 500 polls each: the profile is
+// Laplace-smoothed Zipf(1) read counts; λ̂ is the prior 1 for unpolled
+// elements and, for the 500·periods polled ones, 0.1 with probability
+// 0.8, else uniform on [0.05, 0.35].
+func learnedCatalog(n, periods int, seed int64) []freshness.Element {
+	r := stats.NewRNG(seed)
+	cum := make([]float64, n)
+	h := 0.0
+	for i := range cum {
+		h += 1 / float64(i+1)
+		cum[i] = h
+	}
+	counts := make([]float64, n)
+	reads := 1000 * periods
+	for k := 0; k < reads; k++ {
+		counts[sort.SearchFloat64s(cum, r.Float64()*h)]++
+	}
+	elems := make([]freshness.Element, n)
+	for i := range elems {
+		p := (counts[i] + 1) / float64(reads+n)
+		elems[i] = freshness.Element{ID: i, Lambda: 1, AccessProb: p, Size: 1}
+	}
+	for _, i := range r.Perm(n)[:min(500*periods, n)] {
+		if r.Float64() < 0.8 {
+			elems[i].Lambda = 0.1
+		} else {
+			elems[i].Lambda = 0.05 + 0.3*r.Float64()
+		}
+	}
+	return elems
+}
+
+// TestEngineTiedCatalogSweeps pins the tied-group cutoff probe. Under
+// the uniform prior one funding cutoff holds the whole catalog and the
+// root sits within an ulp below it. Probing the group's cutoff takes
+// the cold N=50k plan from 50 sweeps to 1; at N=10k the probe cuts the
+// bracket to the group and the secant finishes (31 sweeps before it).
+func TestEngineTiedCatalogSweeps(t *testing.T) {
+	for _, c := range []struct {
+		n         int
+		maxSweeps int
+	}{
+		{50_000, 3},
+		{10_000, 30},
+	} {
+		elems := tiedCatalog(c.n)
+		sol, err := NewEngine().WaterFill(Problem{Elements: elems, Bandwidth: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Iterations > c.maxSweeps {
+			t.Errorf("N=%d tied catalog took %d sweeps, want ≤ %d", c.n, sol.Iterations, c.maxSweeps)
+		}
+		testkit.MustCertify(t, nil, elems, sol.Freqs, 500, 1e-6)
+	}
+}
+
+// TestEngineLearnedCatalogSweeps pins a learned catalog's sweep count
+// to the 12 it took before the tied-group probe. Its unpolled, unread
+// elements form one large tied group near the root, and probing that
+// group while something is already funded at the bracket's high end
+// took 18 sweeps; the probe leaves the secant alone there, so learned
+// replans pay no extra sweeps. One worker keeps the count independent
+// of GOMAXPROCS.
+func TestEngineLearnedCatalogSweeps(t *testing.T) {
+	elems := learnedCatalog(50_000, 4, 3)
+	e := NewEngine()
+	e.maxWorkers = 1
+	sol, err := e.WaterFill(Problem{Elements: elems, Bandwidth: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 12; sol.Iterations != want {
+		t.Errorf("learned catalog took %d sweeps, want %d", sol.Iterations, want)
+	}
+	testkit.MustCertify(t, nil, elems, sol.Freqs, 500, 1e-6)
 }

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -38,6 +39,17 @@ func FuzzWaterFill(f *testing.F) {
 		128, 0, 128, 0, 128, 0,
 	}, 3.5, false)
 	f.Add([]byte{10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120}, 0.125, true)
+	// Tied groups: one element repeated, so every cutoff coincides,
+	// with budgets below and above the group's total size. The mid
+	// element has λ ≈ 1 and s ≈ 1 (group size ≈ 8); the all-zero one
+	// sits at the domain's low corner (s = 1e-6, group size 5e-6).
+	mid := bytes.Repeat([]byte{128, 0, 128, 0, 128, 0}, 8)
+	f.Add(mid, 2.5, false)
+	f.Add(mid, 2.5, true)
+	f.Add(mid, 50.0, false)
+	low := bytes.Repeat([]byte{0, 0, 0, 0, 0, 0}, 5)
+	f.Add(low, 1e-6, false)
+	f.Add(low, 1e-3, true)
 	f.Fuzz(func(t *testing.T, data []byte, rawBandwidth float64, poisson bool) {
 		p := fuzzProblem(data, rawBandwidth, poisson)
 		sol, err := WaterFill(p)
