@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test test-short race cover fuzz-smoke restart-chaos overload-chaos shard-chaos edge-chain metrics-contract estimator-convergence ci bench-solver bench-obs bench-serve bench-all bench clean
+.PHONY: all build fmt vet test test-short race cover fuzz-smoke restart-chaos overload-chaos shard-chaos edge-chain metrics-contract estimator-convergence ci bench-solver bench clean
 
 all: ci
 
@@ -51,38 +51,41 @@ restart-chaos:
 	$(GO) test -race -count=1 -run 'TestDaemonShutdownPersistsState|TestMetricsAcrossRestart' ./cmd/freshend/
 	$(GO) test -race -count=1 ./internal/persist/
 
-# Overload + disk-fault chaos gate: race-built live loop driven far
-# past the admission cap while a scheduled disk-fault window forces
-# persist-degraded; asserts zero non-503 errors, bounded admitted p99,
-# and recovery to full mode (see scripts/overload_chaos.sh). The unit-
-# level halves of the same story run under the race detector first.
+# Overload + disk-fault chaos gate: the unit-level degradation suite
+# and the resilience package under the race detector, then the drill
+# three times over: 32 closed-loop clients driven far past the
+# admission cap while the state disk is broken; asserts zero non-503
+# errors, shed > 0, bounded admitted p99, persist-degraded served
+# mid-run, and recovery to full mode with a new snapshot after the heal
+# (TestOverloadDiskFaultDrill).
 overload-chaos:
 	$(GO) test -race -count=1 -run 'TestOverloadShedding|TestSourceDegradedHeaders|TestDiskDiesMidRun|TestKillRestartInPersistDegraded|TestReadyzRetryAfter' ./internal/httpmirror/
 	$(GO) test -race -count=1 ./internal/resilience/
-	./scripts/overload_chaos.sh
+	$(GO) test -race -count=3 -run TestOverloadDiskFaultDrill ./internal/httpmirror/
 
 # Shard-kill chaos gate for the fleet tier: the whole internal/fleet
 # suite under the race detector first — placement, allocator
-# conservation/certificates, the router's in-process dispatch, the
-# in-process kill-and-restart drill (TestShardKillChaos) — then the
-# race-built live loop:
-# loadgen driven past the knee through the router while a shard is
-# hard-killed and restarted mid-ramp and a survivor's state disk fails
-# (see scripts/shard_chaos.sh).
+# conservation/certificates, the router's in-process dispatch — then
+# the kill drills three times over: load past every shard's admission
+# cap through the router while a shard is hard-killed and restarted and
+# a survivor's state disk fails (TestShardKillChaos), and the dead
+# shard's keyspace answering 503 + Retry-After (TestFleetDeadShardKeyspace).
 shard-chaos:
 	$(GO) test -race -count=1 ./internal/fleet/
-	./scripts/shard_chaos.sh
+	$(GO) test -race -count=3 -run 'TestShardKillChaos|TestFleetDeadShardKeyspace' ./internal/fleet/
 
 # Hierarchical-topology gate: the hierarchy package under the race
 # detector (the MirrorSource observer's atomics run under concurrent
-# refreshes), the chain closed form's sim cross-validation, then the
-# live two-level drill — origin -> regional freshend -> edge freshend,
-# regional hard-killed and restarted mid-run (see scripts/edge_chain.sh).
+# refreshes), the chain closed form's sim cross-validation, two real
+# daemons chained, then the two-level drills three times over — origin
+# -> regional -> edge with the regional killed and restarted mid-run,
+# the origin cut above a live regional — and the topology walk.
 edge-chain:
 	$(GO) test -race -count=1 ./internal/hierarchy/
 	$(GO) test -race -count=1 -run 'TestChain|TestRunChain|TestCrossValid' ./internal/freshness/ ./internal/sim/ ./internal/testkit/
 	$(GO) test -race -count=1 -run 'TestDaemonEdgeChain' ./cmd/freshend/
-	./scripts/edge_chain.sh
+	$(GO) test -race -count=3 -run 'TestEdgeChainRegionalOutage|TestCompoundedStaleness' ./internal/hierarchy/
+	$(GO) test -race -count=3 -run TestCmdTopologyStatus ./cmd/freshenctl/
 
 # The estimator-convergence gate under the race detector: the
 # ground-truth cross-validator (the online MLE and the batch-MLE
@@ -124,22 +127,6 @@ ci: build fmt vet test race
 # Engine-vs-reference timings; writes BENCH_solver.json.
 bench-solver:
 	$(GO) run ./cmd/freshenctl bench-solver
-
-# Live-loop observability benchmark; stands up mocksource + freshend,
-# drives loadgen traffic, scrapes /metrics, writes BENCH_obs.json.
-bench-obs:
-	./scripts/bench_obs.sh
-
-# Closed-loop serving benchmark; measures serving-path allocs/op, then
-# ramps paced Zipf GET traffic against a live mirror while refreshes,
-# breaker trips, and snapshots run concurrently. Writes BENCH_serve.json.
-bench-serve:
-	./scripts/bench_serve.sh
-
-# The full reproducible perf trajectory in one command, followed by
-# the overload/disk-fault chaos gate that proves the envelope the
-# serve benchmark records is actually enforced.
-bench-all: bench-solver bench-obs bench-serve overload-chaos
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/solver/

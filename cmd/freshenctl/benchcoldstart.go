@@ -14,7 +14,7 @@ import (
 // fast each change-rate estimation policy steers an uninformed mirror
 // onto the optimal refresh plan — and merges the result under the
 // "cold_start" key of the output JSON, preserving whatever other
-// sections (e.g. loadgen's closed-loop serve results) the file already
+// sections (e.g. bench-chainsplit's "chain_split") the file already
 // holds.
 func cmdBenchColdStart(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("bench-coldstart", flag.ContinueOnError)

@@ -61,8 +61,8 @@ func TestCmdTopologyStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, "chain: 2 level(s)") {
-		t.Errorf("wrong chain depth:\n%s", out)
+	if first, _, _ := strings.Cut(out, "\n"); first != "chain: 2 level(s), edge first" {
+		t.Errorf("first line %q, want %q:\n%s", first, "chain: 2 level(s), edge first", out)
 	}
 	for _, want := range []string{"edge", "root", edgeURL, regionalURL} {
 		if !strings.Contains(out, want) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"freshen/internal/core"
 	"freshen/internal/httpmirror"
 	"freshen/internal/persist"
 )
@@ -80,11 +81,6 @@ func TestParseFlagsOverrides(t *testing.T) {
 		"-min-inflight", "4",
 		"-shed-target-latency", "20ms",
 		"-persist-degrade-after", "2",
-		"-persist-fault-after", "10",
-		"-persist-fault-ops", "5",
-		"-persist-fault-kind", "enospc",
-		"-persist-fault-torn",
-		"-serve-fault-latency", "3ms",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,12 +99,56 @@ func TestParseFlagsOverrides(t *testing.T) {
 		shards: 1, placement: "hash",
 		maxInflight: 32, minInflight: 4,
 		shedTargetLatency: 20 * time.Millisecond, persistDegradeAfter: 2,
-		persistFaultAfter: 10, persistFaultOps: 5,
-		persistFaultKind: "enospc", persistFaultTorn: true,
-		serveFaultLatency: 3 * time.Millisecond,
 	}
 	if cfg != want {
 		t.Errorf("parsed %+v, want %+v", cfg, want)
+	}
+}
+
+// TestMirrorConfigFlags follows each mirror-tuning flag past the
+// config struct into the httpmirror.Config both modes build from it.
+// Every value differs from the flag's default except -strategy exact,
+// so a flag that parses but never reaches its field fails here.
+func TestMirrorConfigFlags(t *testing.T) {
+	cases := []struct {
+		flag, value string
+		field       func(httpmirror.Config) any
+		want        any
+	}{
+		{"-bandwidth", "42.5", func(c httpmirror.Config) any { return c.Plan.Bandwidth }, 42.5},
+		{"-strategy", "exact", func(c httpmirror.Config) any { return c.Plan.Strategy }, core.StrategyExact},
+		{"-strategy", "partitioned", func(c httpmirror.Config) any { return c.Plan.Strategy }, core.StrategyPartitioned},
+		{"-strategy", "clustered", func(c httpmirror.Config) any { return c.Plan.Strategy }, core.StrategyClustered},
+		{"-partitions", "7", func(c httpmirror.Config) any { return c.Plan.NumPartitions }, 7},
+		{"-iterations", "2", func(c httpmirror.Config) any { return c.Plan.KMeansIterations }, 2},
+		{"-replan-every", "3", func(c httpmirror.Config) any { return c.ReplanEvery }, 3.0},
+		{"-explore-frac", "0.15", func(c httpmirror.Config) any { return c.ExploreFrac }, 0.15},
+		{"-floor-lambda", "0.01", func(c httpmirror.Config) any { return c.FloorLambda }, 0.01},
+		{"-seed", "99", func(c httpmirror.Config) any { return c.Seed }, int64(99)},
+		{"-breaker-after", "7", func(c httpmirror.Config) any { return c.Fault.BreakerThreshold }, 7},
+		{"-breaker-cooldown", "4", func(c httpmirror.Config) any { return c.Fault.BreakerCooldown }, 4.0},
+		{"-quarantine-after", "-1", func(c httpmirror.Config) any { return c.Fault.QuarantineAfter }, -1},
+		{"-probe-every", "2", func(c httpmirror.Config) any { return c.Fault.ProbeEvery }, 2.0},
+		{"-snapshot-every", "7", func(c httpmirror.Config) any { return c.SnapshotEvery }, 7.0},
+		{"-max-inflight", "32", func(c httpmirror.Config) any { return c.Overload.MaxInflight }, 32},
+		{"-min-inflight", "4", func(c httpmirror.Config) any { return c.Overload.MinInflight }, 4},
+		{"-shed-target-latency", "20ms", func(c httpmirror.Config) any { return c.Overload.TargetLatency }, 20 * time.Millisecond},
+		{"-persist-degrade-after", "2", func(c httpmirror.Config) any { return c.Degrade.PersistFailureThreshold }, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			cfg, err := parseFlags([]string{"-upstream", "http://src", tc.flag, tc.value})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mcfg, err := mirrorConfig(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tc.field(mcfg); got != tc.want {
+				t.Errorf("%s %s: field = %v, want %v", tc.flag, tc.value, got, tc.want)
+			}
+		})
 	}
 }
 
@@ -116,6 +156,12 @@ func TestParseFlagsErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bandwidth", "not-a-number"},
 		{"-estimator", "mle"}, // removed: the online MLE is the only estimator
+		// Removed chaos-only flags: the in-process drill tests inject
+		// these faults through httpmirror.Config, fleet.Config and
+		// persist.FaultStore.
+		{"-persist-fault-after", "10"},
+		{"-serve-fault-latency", "3ms"},
+		{"-fleet-chaos"},
 		{"-period", "sideways"},
 		{"-no-such-flag"},
 	} {

@@ -26,13 +26,11 @@ import (
 	"freshen/internal/httpmirror"
 	"freshen/internal/obs"
 	"freshen/internal/partition"
-	"freshen/internal/persist"
 )
 
 // runFleet is run's -shards>1 branch: the same validated flags,
-// mirror template (mcfg) and registry, serving the sharded tier. A
-// non-nil faults arms disk-fault injection on -persist-fault-shard.
-func runFleet(ctx context.Context, cfg config, ready chan<- net.Addr, mcfg httpmirror.Config, faults *persist.FaultPlan, reg *obs.Registry, logger *slog.Logger) error {
+// mirror template (mcfg) and registry, serving the sharded tier.
+func runFleet(ctx context.Context, cfg config, ready chan<- net.Addr, mcfg httpmirror.Config, reg *obs.Registry, logger *slog.Logger) error {
 	lg := obs.Component(logger, "freshend")
 
 	newClient := func() *httpmirror.SourceClient {
@@ -68,25 +66,6 @@ func runFleet(ctx context.Context, cfg config, ready chan<- net.Addr, mcfg httpm
 		return fmt.Errorf("unknown placement %q (want hash or partition)", cfg.placement)
 	}
 
-	var wrapStore func(int, *persist.Store) persist.Storer
-	if faults != nil {
-		if cfg.persistFaultShard < 0 || cfg.persistFaultShard >= cfg.shards {
-			return fmt.Errorf("persist-fault-shard %d outside fleet of %d", cfg.persistFaultShard, cfg.shards)
-		}
-		wrapStore = func(shard int, s *persist.Store) persist.Storer {
-			if shard != cfg.persistFaultShard {
-				return s
-			}
-			return persist.NewFaultStore(s, *faults)
-		}
-		lg.Warn("disk-fault injection armed",
-			"shard", cfg.persistFaultShard,
-			"from_op", cfg.persistFaultAfter,
-			"ops", cfg.persistFaultOps,
-			"kind", cfg.persistFaultKind,
-			"torn", cfg.persistFaultTorn)
-	}
-
 	fl, err := fleet.New(ctx, fleet.Config{
 		Shards:    cfg.shards,
 		Budget:    cfg.bandwidth,
@@ -98,10 +77,8 @@ func runFleet(ctx context.Context, cfg config, ready chan<- net.Addr, mcfg httpm
 		Mirror:      mcfg,
 		Period:      cfg.period,
 		StateDir:    cfg.stateDir,
-		WrapStore:   wrapStore,
 		AllocEvery:  cfg.allocEvery,
 		HealthEvery: cfg.healthEvery,
-		ChaosAdmin:  cfg.fleetChaos,
 		Metrics:     reg,
 		Logger:      logger,
 	})
@@ -113,8 +90,7 @@ func runFleet(ctx context.Context, cfg config, ready chan<- net.Addr, mcfg httpm
 		"placement", cfg.placement,
 		"objects", fl.Placement().NumObjects(),
 		"budget", cfg.bandwidth,
-		"period", cfg.period.String(),
-		"chaos_admin", cfg.fleetChaos)
+		"period", cfg.period.String())
 
 	runCtx, cancelRun := context.WithCancel(context.Background())
 	supDone := make(chan struct{})

@@ -112,17 +112,10 @@ func parseFlags(args []string) (config, error) {
 	minInflight := fs.Int("min-inflight", 0, "floor the adaptive concurrency limit never drops below (0 means 2)")
 	shedTargetLatency := fs.Duration("shed-target-latency", 0, "object-read latency above which the adaptive limiter backs off (0 means 50ms)")
 	persistDegradeAfter := fs.Int("persist-degrade-after", 0, "consecutive persist failures before persist-degraded read-only mode (0 means 3, negative disables)")
-	persistFaultAfter := fs.Int("persist-fault-after", 0, "chaos testing: inject disk faults starting at this persist op (0 disables injection)")
-	persistFaultOps := fs.Int("persist-fault-ops", 0, "chaos testing: how many consecutive persist ops fail (0 means the fault never heals)")
-	persistFaultKind := fs.String("persist-fault-kind", "eio", "chaos testing: injected fault kind, eio | enospc")
-	persistFaultTorn := fs.Bool("persist-fault-torn", false, "chaos testing: also tear the journal tail on the first injected append fault")
-	serveFaultLatency := fs.Duration("serve-fault-latency", 0, "chaos testing: artificial latency added to every admitted object read (0 disables)")
 	shards := fs.Int("shards", 1, "shard count; above 1 the daemon runs the sharded fleet tier behind a router on -addr")
 	placement := fs.String("placement", "hash", "fleet object placement: hash (consistent hashing) | partition (paper's partitioner over prior parameters)")
 	allocEvery := fs.Duration("alloc-every", 0, "fleet budget re-leveling cadence (0 means one period)")
 	healthEvery := fs.Duration("health-every", 0, "fleet shard health-probe cadence (0 means a quarter period)")
-	fleetChaos := fs.Bool("fleet-chaos", false, "chaos testing: mount POST /fleet/kill and /fleet/restart on the router")
-	persistFaultShard := fs.Int("persist-fault-shard", 0, "chaos testing: which shard the persist-fault flags apply to in fleet mode")
 	debugAddr := fs.String("debug-addr", "", "optional second listen address serving /metrics and /debug/pprof/; empty disables it")
 	logLevel := fs.String("log-level", "info", "log verbosity: debug | info | warn | error")
 	if err := fs.Parse(args); err != nil {
@@ -152,22 +145,15 @@ func parseFlags(args []string) (config, error) {
 		debugAddr:       *debugAddr,
 		logLevel:        *logLevel,
 
-		shards:            *shards,
-		placement:         *placement,
-		allocEvery:        *allocEvery,
-		healthEvery:       *healthEvery,
-		fleetChaos:        *fleetChaos,
-		persistFaultShard: *persistFaultShard,
+		shards:      *shards,
+		placement:   *placement,
+		allocEvery:  *allocEvery,
+		healthEvery: *healthEvery,
 
 		maxInflight:         *maxInflight,
 		minInflight:         *minInflight,
 		shedTargetLatency:   *shedTargetLatency,
 		persistDegradeAfter: *persistDegradeAfter,
-		persistFaultAfter:   *persistFaultAfter,
-		persistFaultOps:     *persistFaultOps,
-		persistFaultKind:    *persistFaultKind,
-		persistFaultTorn:    *persistFaultTorn,
-		serveFaultLatency:   *serveFaultLatency,
 	}, nil
 }
 
@@ -194,25 +180,16 @@ type config struct {
 	logLevel               string
 
 	// Fleet mode (shards > 1; see fleet.go in this package).
-	shards            int
-	placement         string
-	allocEvery        time.Duration
-	healthEvery       time.Duration
-	fleetChaos        bool
-	persistFaultShard int
+	shards      int
+	placement   string
+	allocEvery  time.Duration
+	healthEvery time.Duration
 
 	// Overload shedding and degraded-mode tuning.
 	maxInflight         int
 	minInflight         int
 	shedTargetLatency   time.Duration
 	persistDegradeAfter int
-
-	// Deterministic fault injection (chaos testing).
-	persistFaultAfter int
-	persistFaultOps   int
-	persistFaultKind  string
-	persistFaultTorn  bool
-	serveFaultLatency time.Duration
 
 	// debugReady, when set (tests), receives the debug listener's bound
 	// address once it is accepting connections.
@@ -260,13 +237,6 @@ func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 	if err != nil {
 		return err
 	}
-	faults, err := faultPlan(cfg)
-	if err != nil {
-		return err
-	}
-	if cfg.serveFaultLatency > 0 {
-		lg.Warn("serve-fault latency armed", "latency", cfg.serveFaultLatency)
-	}
 
 	// One registry carries every layer's series: the mirror's (its
 	// estimator's included), the solver's, and — with persistence on —
@@ -277,7 +247,7 @@ func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 	reg := obs.NewRegistry()
 	solver.Instrument(reg)
 	if cfg.shards > 1 {
-		return runFleet(ctx, cfg, ready, mcfg, faults, reg, logger)
+		return runFleet(ctx, cfg, ready, mcfg, reg, logger)
 	}
 
 	// storer stays a nil interface when persistence is off: assigning a
@@ -300,14 +270,6 @@ func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 			lg.Warn("snapshot discarded", "error", rec.SnapshotErr)
 		}
 		storer = store
-		if faults != nil {
-			storer = persist.NewFaultStore(store, *faults)
-			lg.Warn("disk-fault injection armed",
-				"from_op", cfg.persistFaultAfter,
-				"ops", cfg.persistFaultOps,
-				"kind", cfg.persistFaultKind,
-				"torn", cfg.persistFaultTorn)
-		}
 	}
 
 	retry := httpmirror.RetryPolicy{
@@ -489,32 +451,8 @@ func mirrorConfig(cfg config) (httpmirror.Config, error) {
 		Degrade: resilience.ModeConfig{
 			PersistFailureThreshold: cfg.persistDegradeAfter,
 		},
-		ServeFaultLatency: cfg.serveFaultLatency,
-		Seed:              cfg.seed,
-		SnapshotEvery:     cfg.snapshotEvery,
-	}, nil
-}
-
-// faultPlan translates the -persist-fault-* chaos flags into the disk
-// faults a persist.FaultStore injects; nil when -persist-fault-after
-// leaves injection off.
-func faultPlan(cfg config) (*persist.FaultPlan, error) {
-	if cfg.persistFaultAfter <= 0 {
-		return nil, nil
-	}
-	faultErr := persist.ErrDiskIO
-	switch cfg.persistFaultKind {
-	case "", "eio":
-	case "enospc":
-		faultErr = persist.ErrDiskFull
-	default:
-		return nil, fmt.Errorf("unknown persist-fault-kind %q (want eio or enospc)", cfg.persistFaultKind)
-	}
-	return &persist.FaultPlan{
-		FailFrom:   cfg.persistFaultAfter,
-		FailOps:    cfg.persistFaultOps,
-		Err:        faultErr,
-		TornAppend: cfg.persistFaultTorn,
+		Seed:          cfg.seed,
+		SnapshotEvery: cfg.snapshotEvery,
 	}, nil
 }
 

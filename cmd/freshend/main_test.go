@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"strings"
 	"testing"
 	"time"
 )
@@ -54,26 +53,6 @@ func TestRunValidation(t *testing.T) {
 			t.Fatal("invalid configuration accepted")
 		}
 	})
-	// The disk-fault flags are checked before any upstream call, in
-	// both modes.
-	faultCases := []struct {
-		name, want string
-		set        func(*config)
-	}{
-		{"unknown persist-fault-kind", "persist-fault-kind", func(c *config) { c.persistFaultKind = "ebadf" }},
-		{"persist-fault-shard outside fleet", "persist-fault-shard", func(c *config) { c.shards, c.persistFaultShard = 2, 2 }},
-	}
-	for _, tc := range faultCases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := testConfig("http://localhost:1", "exact", 10, 5, time.Second)
-			cfg.persistFaultAfter = 1
-			tc.set(&cfg)
-			err := run(context.Background(), cfg, nil)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("run = %v, want an error naming %s", err, tc.want)
-			}
-		})
-	}
 }
 
 func TestRunUnreachableUpstream(t *testing.T) {

@@ -7,35 +7,26 @@
 //
 //	loadgen -mirror http://localhost:8081 -n 500 -theta 1.0 -rate 100
 //
-// With -metrics-url set, loadgen also scrapes the mirror's Prometheus
-// exposition every -scrape-every while the traffic runs and writes an
-// observability benchmark (PF trajectory, refresh latency quantiles,
-// solver solve-time mean) to -obs-out:
-//
-//	loadgen -mirror http://localhost:8081 -n 500 \
-//	        -metrics-url http://localhost:8081/metrics -obs-out BENCH_obs.json
-//
-// With -serve-out set, loadgen instead runs a closed-loop serving
-// benchmark: a paced worker pool ramps Zipf GET traffic through the
-// -stages RPS targets and writes per-stage latency quantiles, stall
-// counts, and the maximum sustained rate (see serve.go):
-//
-//	loadgen -mirror http://localhost:8081 -n 500 -serve-out BENCH_serve.json
+// Requests go out one at a time on a fixed schedule of -rate per
+// second over one kept-alive connection; a reply slower than the
+// interval is made up by sending the next requests back to back.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
-	"sync"
 	"time"
 
-	"freshen/internal/obs"
 	"freshen/internal/stats"
 )
+
+// requestTimeout bounds one read, so a stalled mirror shows up as
+// counted errors rather than a hung generator.
+const requestTimeout = 10 * time.Second
 
 func main() {
 	cfg, err := parseFlags(os.Args[1:])
@@ -53,23 +44,6 @@ type config struct {
 	theta, rate float64
 	duration    time.Duration
 	seed        int64
-	metricsURL  string
-	scrapeEvery time.Duration
-	obsOut      string
-
-	// Serve-benchmark mode (see serve.go); empty serveOut disables it.
-	serveOut       string
-	workers        int
-	stages         string
-	stageDuration  time.Duration
-	warmup         time.Duration
-	stallThreshold time.Duration
-	sustainFrac    float64
-	maxErrRate     float64
-	accessAllocs   float64
-	handlerAllocs  float64
-	pastKnee       bool
-	statusURL      string
 }
 
 // parseFlags builds the generator configuration from a command line;
@@ -82,50 +56,22 @@ func parseFlags(args []string) (config, error) {
 	rate := fs.Float64("rate", 50, "requests per second")
 	duration := fs.Duration("duration", 30*time.Second, "how long to run")
 	seed := fs.Int64("seed", 1, "traffic seed")
-	metricsURL := fs.String("metrics-url", "", "mirror /metrics URL to scrape while driving traffic; empty disables scraping")
-	scrapeEvery := fs.Duration("scrape-every", time.Second, "scrape cadence for -metrics-url")
-	obsOut := fs.String("obs-out", "BENCH_obs.json", "where the observability benchmark is written (with -metrics-url)")
-	serveOut := fs.String("serve-out", "", "write a closed-loop serving benchmark here instead of running demo traffic; empty disables serve mode")
-	workers := fs.Int("workers", 4, "concurrent closed-loop clients (serve mode)")
-	stages := fs.String("stages", "500,1000,2000,4000", "comma-separated target-RPS ramp (serve mode)")
-	stageDuration := fs.Duration("stage-duration", 5*time.Second, "how long each ramp stage runs (serve mode)")
-	warmup := fs.Duration("warmup", time.Second, "untimed warmup before the ramp (serve mode)")
-	stall := fs.Duration("stall", 100*time.Millisecond, "latency above which a request counts as a stall (serve mode)")
-	sustainFrac := fs.Float64("sustain-frac", 0.95, "fraction of the target a stage must achieve to count as sustained (serve mode)")
-	maxErrRate := fs.Float64("max-err-rate", 0.01, "error rate above which a stage is not sustained (serve mode)")
-	accessAllocs := fs.Float64("access-allocs", -1, "measured allocs/op of Mirror.Access, folded into the report; -1 means not measured")
-	handlerAllocs := fs.Float64("handler-allocs", -1, "measured allocs/op of the /object handler, folded into the report; -1 means not measured")
-	pastKnee := fs.Bool("past-knee", false, "keep ramping past the first unsustained stage to record shedding behavior (serve mode)")
-	statusURL := fs.String("status-url", "", "mirror /status URL sampled after the ramp for mode and shed counters; empty disables (serve mode)")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
 	return config{
-		mirror:      *mirror,
-		n:           *n,
-		theta:       *theta,
-		rate:        *rate,
-		duration:    *duration,
-		seed:        *seed,
-		metricsURL:  *metricsURL,
-		scrapeEvery: *scrapeEvery,
-		obsOut:      *obsOut,
-
-		serveOut:       *serveOut,
-		workers:        *workers,
-		stages:         *stages,
-		stageDuration:  *stageDuration,
-		warmup:         *warmup,
-		stallThreshold: *stall,
-		sustainFrac:    *sustainFrac,
-		maxErrRate:     *maxErrRate,
-		accessAllocs:   *accessAllocs,
-		handlerAllocs:  *handlerAllocs,
-		pastKnee:       *pastKnee,
-		statusURL:      *statusURL,
+		mirror:   *mirror,
+		n:        *n,
+		theta:    *theta,
+		rate:     *rate,
+		duration: *duration,
+		seed:     *seed,
 	}, nil
 }
 
+// run sends the traffic and logs what it sent: every attempt is a
+// request, and an error is any attempt that did not come back 200,
+// transport failures included.
 func run(cfg config) error {
 	if cfg.mirror == "" {
 		return fmt.Errorf("-mirror is required")
@@ -133,202 +79,38 @@ func run(cfg config) error {
 	if cfg.n <= 0 {
 		return fmt.Errorf("n must be positive, got %d", cfg.n)
 	}
-	if cfg.serveOut != "" {
-		return runServe(cfg)
-	}
 	if cfg.rate <= 0 || cfg.duration <= 0 {
 		return fmt.Errorf("rate and duration must be positive")
-	}
-	if cfg.metricsURL != "" && cfg.scrapeEvery <= 0 {
-		return fmt.Errorf("scrape-every must be positive, got %v", cfg.scrapeEvery)
 	}
 	zipf, err := stats.NewZipf(cfg.n, cfg.theta)
 	if err != nil {
 		return err
 	}
 
-	var scraper *metricsScraper
-	if cfg.metricsURL != "" {
-		scraper = newMetricsScraper(cfg.metricsURL)
-		stop := scraper.start(cfg.scrapeEvery)
-		defer stop()
-	}
-
+	client := &http.Client{Timeout: requestTimeout}
 	rng := stats.NewRNG(cfg.seed)
 	interval := time.Duration(float64(time.Second) / cfg.rate)
-	deadline := time.Now().Add(cfg.duration)
+	next := time.Now()
+	deadline := next.Add(cfg.duration)
 	requests, errors := 0, 0
 	for time.Now().Before(deadline) {
 		id := zipf.Sample(rng) - 1
-		resp, err := http.Get(fmt.Sprintf("%s/object/%d", cfg.mirror, id))
+		requests++
+		resp, err := client.Get(fmt.Sprintf("%s/object/%d", cfg.mirror, id))
 		if err != nil {
 			errors++
 		} else {
+			// Drained to EOF, the connection goes back to the pool for
+			// the next send; closed unread, the transport drops it.
+			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
 				errors++
 			}
-			requests++
 		}
-		time.Sleep(interval)
+		next = next.Add(interval)
+		time.Sleep(time.Until(next))
 	}
 	log.Printf("loadgen: %d requests (%d errors) over %v at zipf θ=%.2f", requests, errors, cfg.duration, cfg.theta)
-
-	if scraper != nil {
-		report := scraper.report(cfg.metricsURL)
-		report.Requests = requests
-		report.RequestErrors = errors
-		// Preserve sections other tools merged into the same file (the
-		// cold-start estimator benchmark writes under "cold_start").
-		if raw, err := os.ReadFile(cfg.obsOut); err == nil {
-			var prev struct {
-				ColdStart json.RawMessage `json:"cold_start"`
-			}
-			if json.Unmarshal(raw, &prev) == nil {
-				report.ColdStart = prev.ColdStart
-			}
-		}
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.obsOut, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("writing %s: %w", cfg.obsOut, err)
-		}
-		log.Printf("loadgen: wrote %s (%d scrapes, %d scrape errors)", cfg.obsOut, report.Scrapes, report.ScrapeErrors)
-	}
 	return nil
-}
-
-// obsReport is the observability benchmark loadgen writes: what a live
-// mirror's exposition said while this traffic ran.
-type obsReport struct {
-	MetricsURL   string    `json:"metrics_url"`
-	Scrapes      int       `json:"scrapes"`
-	ScrapeErrors int       `json:"scrape_errors"`
-	BadLines     int       `json:"bad_exposition_lines"`
-	PFTrajectory []float64 `json:"pf_trajectory"`
-
-	// Latency digests from the final scrape (success refreshes).
-	RefreshP50Seconds float64 `json:"refresh_p50_seconds"`
-	RefreshP99Seconds float64 `json:"refresh_p99_seconds"`
-	SolverMeanSeconds float64 `json:"solver_mean_seconds"`
-	RefreshCount      float64 `json:"refresh_count"`
-
-	Requests      int `json:"requests"`
-	RequestErrors int `json:"request_errors"`
-
-	// ColdStart carries the estimator cold-start benchmark merged into
-	// the same file by `freshenctl bench-coldstart`; loadgen preserves
-	// it verbatim when it rewrites the report.
-	ColdStart json.RawMessage `json:"cold_start,omitempty"`
-}
-
-// metricsScraper polls a /metrics endpoint on a cadence, keeping the
-// PF trajectory and the final exposition. Scrape failures and
-// unparseable lines are counted, never fatal: a mirror mid-restart
-// just leaves a gap in the trajectory.
-type metricsScraper struct {
-	url    string
-	client *http.Client
-
-	mu       sync.Mutex
-	scrapes  int
-	errors   int
-	badLines int
-	pf       []float64
-	last     *obs.Exposition
-}
-
-func newMetricsScraper(url string) *metricsScraper {
-	return &metricsScraper{url: url, client: &http.Client{Timeout: 5 * time.Second}}
-}
-
-// scrapeOnce fetches and folds in one exposition.
-func (s *metricsScraper) scrapeOnce() {
-	resp, err := s.client.Get(s.url)
-	if err != nil {
-		s.mu.Lock()
-		s.errors++
-		s.mu.Unlock()
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		s.mu.Lock()
-		s.errors++
-		s.mu.Unlock()
-		return
-	}
-	e, err := obs.ParseExposition(resp.Body)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err != nil {
-		s.errors++
-		return
-	}
-	s.scrapes++
-	s.badLines += e.BadLines
-	if pf, ok := e.Value("freshen_pf"); ok {
-		s.pf = append(s.pf, pf)
-	}
-	s.last = e
-}
-
-// start launches the scrape loop and returns its stop function. One
-// scrape runs immediately so even sub-cadence runs report something.
-func (s *metricsScraper) start(every time.Duration) (stop func()) {
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		s.scrapeOnce()
-		ticker := time.NewTicker(every)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				s.scrapeOnce()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(done)
-			<-finished
-		})
-	}
-}
-
-// report folds the collected scrapes into the benchmark document,
-// taking one final scrape so the digests cover the whole run.
-func (s *metricsScraper) report(url string) obsReport {
-	s.scrapeOnce()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := obsReport{
-		MetricsURL:   url,
-		Scrapes:      s.scrapes,
-		ScrapeErrors: s.errors,
-		BadLines:     s.badLines,
-		PFTrajectory: s.pf,
-	}
-	if e := s.last; e != nil {
-		if p50, ok := e.HistogramQuantile("freshen_refresh_duration_seconds", 0.5, "outcome", "success"); ok {
-			r.RefreshP50Seconds = p50
-		}
-		if p99, ok := e.HistogramQuantile("freshen_refresh_duration_seconds", 0.99, "outcome", "success"); ok {
-			r.RefreshP99Seconds = p99
-		}
-		r.RefreshCount, _ = e.Value("freshen_refresh_duration_seconds_count", "outcome", "success")
-		sum, ok1 := e.Value("freshen_solver_solve_seconds_sum")
-		count, ok2 := e.Value("freshen_solver_solve_seconds_count")
-		if ok1 && ok2 && count > 0 {
-			r.SolverMeanSeconds = sum / count
-		}
-	}
-	return r
 }

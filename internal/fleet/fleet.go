@@ -62,9 +62,6 @@ type Config struct {
 	// HealthEvery is the /readyz probe cadence, and the bound on one
 	// probe; 0 means Period/4.
 	HealthEvery time.Duration
-	// ChaosAdmin mounts POST /fleet/kill and /fleet/restart on the
-	// router — hard shard kills over HTTP, for chaos drills only.
-	ChaosAdmin bool
 	// Metrics, when non-nil, carries the fleet-level series (shard
 	// health, slices, router traffic). Per-shard series live on each
 	// shard's own listener.
@@ -479,7 +476,7 @@ func (f *Fleet) AllocationHistory() []AllocationRecord {
 	return append([]AllocationRecord(nil), f.history...)
 }
 
-// Shard returns shard i (for tests and the chaos admin surface).
+// Shard returns shard i.
 func (f *Fleet) Shard(i int) *Shard { return f.shards[i] }
 
 // healthySnapshot returns (healthy flags, healthy count).

@@ -93,7 +93,6 @@ func newTestFleet(t *testing.T, src *memSource, mutate func(*Config)) (*Fleet, *
 		},
 		Period:     50 * time.Millisecond,
 		AllocEvery: 50 * time.Millisecond,
-		ChaosAdmin: true,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -209,14 +208,8 @@ func TestFleetDeadShardKeyspace(t *testing.T) {
 	f, srv := newTestFleet(t, src, nil)
 	place := f.Placement()
 
-	// Kill shard 1 through the chaos admin surface.
-	resp, err := http.Post(srv.URL+"/fleet/kill?shard=1", "", nil)
-	if err != nil {
+	if err := f.Kill(1); err != nil {
 		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("kill: status %d", resp.StatusCode)
 	}
 
 	// The dead shard's keyspace answers 503 + jittered Retry-After,
@@ -265,13 +258,8 @@ func TestFleetDeadShardKeyspace(t *testing.T) {
 	}
 
 	// Restart: the shard rejoins and gets a slice back.
-	resp, err = http.Post(srv.URL+"/fleet/restart?shard=1", "", nil)
-	if err != nil {
+	if err := f.Restart(context.Background(), 1); err != nil {
 		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("restart: status %d", resp.StatusCode)
 	}
 	waitFor(t, 10*time.Second, "shard 1 to rejoin with budget", func() bool {
 		a, err := f.Allocation()

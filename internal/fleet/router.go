@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -126,9 +125,9 @@ func (m *fleetMetrics) countDeadReject() {
 }
 
 // FleetStatus is the router's /status document. The top-level mode
-// and mode_transitions fields keep the single-mirror status contract
-// (loadgen and dashboards sample them without caring whether they
-// watch one mirror or a fleet).
+// and mode_transitions fields keep the single-mirror status contract,
+// so a dashboard samples them without caring whether it watches one
+// mirror or a fleet.
 type FleetStatus struct {
 	Mode            string  `json:"mode"`
 	ModeTransitions int     `json:"mode_transitions"`
@@ -207,13 +206,11 @@ func (f *Fleet) Status() FleetStatus {
 //	                       shard's keyspace 503s immediately with a
 //	                       jittered Retry-After — never a hang, never
 //	                       a mis-route.
-//	GET  /status         — fleet-wide aggregate (loadgen-compatible
+//	GET  /status         — fleet-wide aggregate (single-mirror
 //	                       top-level mode/mode_transitions).
 //	GET  /healthz        — liveness (always 200 while the router runs).
 //	GET  /readyz         — 200 when ≥1 shard is healthy.
 //	GET  /metrics        — fleet-level series (with Config.Metrics).
-//	POST /fleet/kill     — ?shard=i hard-kill   (Config.ChaosAdmin).
-//	POST /fleet/restart  — ?shard=i restart      (Config.ChaosAdmin).
 func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/object/", func(w http.ResponseWriter, r *http.Request) {
@@ -268,14 +265,6 @@ func (f *Fleet) Handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 		f.m.countRequest("/readyz", http.StatusOK)
 	})
-	if f.cfg.ChaosAdmin {
-		mux.HandleFunc("/fleet/kill", f.chaosAdmin(func(ctx context.Context, i int) error {
-			return f.Kill(i)
-		}))
-		mux.HandleFunc("/fleet/restart", f.chaosAdmin(func(ctx context.Context, i int) error {
-			return f.Restart(ctx, i)
-		}))
-	}
 	if f.cfg.Metrics != nil {
 		mux.Handle("/metrics", f.cfg.Metrics.Handler())
 	}
@@ -293,26 +282,6 @@ func (f *Fleet) Handler() http.Handler {
 		}
 		mux.ServeHTTP(w, r)
 	})
-}
-
-// chaosAdmin wraps a kill/restart action as a POST ?shard=i handler.
-func (f *Fleet) chaosAdmin(action func(context.Context, int) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		i, err := strconv.Atoi(r.URL.Query().Get("shard"))
-		if err != nil {
-			http.Error(w, "bad shard", http.StatusBadRequest)
-			return
-		}
-		if err := action(r.Context(), i); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	}
 }
 
 // routeObject serves one object read from its owning shard's mirror,

@@ -3,16 +3,20 @@ package httpmirror
 import (
 	"context"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"freshen/internal/core"
 	"freshen/internal/persist"
 	"freshen/internal/resilience"
+	"freshen/internal/stats"
 )
 
 // newChaosMirror builds a persistent mirror over src whose store is
@@ -384,6 +388,206 @@ func TestDiskDiesMidRun(t *testing.T) {
 	if st.ConsecutivePersistFailures != 0 {
 		t.Errorf("consecutive persist failures = %d after recovery, want 0", st.ConsecutivePersistFailures)
 	}
+}
+
+// TestOverloadDiskFaultDrill is the overload and disk-fault drill. A
+// persistent mirror runs under Run over a real, fsyncing store wrapped
+// in a FaultStore, with 16 admission slots that each admitted read
+// holds for 5 ms. 32 closed-loop clients read it at a paced 400
+// reads/s, inside that envelope, and then unpaced, far past it, while
+// the state disk is broken; then the disk heals. Gates:
+//   - every read is a 200 or a 503 with a valid Retry-After; a
+//     transport error or any other status fails the drill;
+//   - the unpaced stage sheds;
+//   - the worst admitted p99 of both stages stays within max(5× the
+//     envelope p99, 250 ms). The envelope p99 is the paced stage's
+//     admitted p99 when that stage admitted at least 85% of its
+//     target rate, else 0, leaving the 250 ms floor;
+//   - reads are served in persist-degraded mode while the disk is
+//     broken;
+//   - after the heal the mirror is back in full mode with no
+//     consecutive persist failures, a new snapshot, and at least two
+//     mode transitions.
+func TestOverloadDiskFaultDrill(t *testing.T) {
+	if testing.Short() {
+		t.Skip("overload drill skipped in -short")
+	}
+	const (
+		workers   = 32
+		pacedRPS  = 400
+		stageTime = 1500 * time.Millisecond
+		period    = 100 * time.Millisecond
+	)
+	lambdas := make([]float64, 64)
+	for i := range lambdas {
+		lambdas[i] = 0.5
+	}
+	f := newFaultySource(t, lambdas)
+	inner, err := persist.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { inner.Close() })
+	fs := persist.NewFaultStore(inner, persist.FaultPlan{})
+	client := NewSourceClient(f.srv.URL, f.srv.Client())
+	client.SetRetryPolicy(fastRetry(1))
+	m, err := New(context.Background(), Config{
+		Upstream:          client,
+		Plan:              core.Config{Bandwidth: 16},
+		ReplanEvery:       2,
+		Overload:          resilience.LimiterConfig{MaxInflight: 16},
+		Degrade:           resilience.ModeConfig{PersistFailureThreshold: 3},
+		ServeFaultLatency: 5 * time.Millisecond,
+		Persist:           fs,
+		SnapshotEvery:     2,
+		Seed:              7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runErr := make(chan error, 1)
+	go func() { runErr <- m.Run(ctx, period) }()
+	defer func() {
+		cancel()
+		if err := <-runErr; err != nil {
+			t.Errorf("Run: %v", err)
+		}
+	}()
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	waitUntil := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s; status %+v", what, m.Status())
+			}
+		}
+	}
+	// Ready: the first snapshot is durable before the disk can die.
+	waitUntil("the first snapshot", func() bool { return m.Status().Snapshots > 0 })
+
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConnsPerHost = workers
+	defer transport.CloseIdleConnections()
+	hc := &http.Client{Transport: transport, Timeout: 10 * time.Second}
+	type stage struct {
+		admittedMs []float64 // latency of each 200
+		shed       int       // 503s
+		degraded   int       // 200s served persist-degraded
+		failures   []string
+	}
+	// drive runs one stage: each worker paces itself to one read per
+	// interval (0: unpaced), the w-th starting interval·w/workers in,
+	// so the paced stage arrives evenly instead of in one burst of 32.
+	drive := func(interval time.Duration) (stage, time.Duration) {
+		per := make([]stage, workers)
+		start := time.Now()
+		deadline := start.Add(stageTime)
+		var wg sync.WaitGroup
+		for w := range per {
+			wg.Add(1)
+			go func(w int, st *stage) {
+				defer wg.Done()
+				next := start.Add(interval * time.Duration(w) / workers)
+				for i := w; ; i++ {
+					if d := time.Until(next); d > 0 {
+						time.Sleep(d)
+					} else {
+						next = time.Now()
+					}
+					if time.Now().After(deadline) {
+						return
+					}
+					next = next.Add(interval)
+					sent := time.Now()
+					resp, err := hc.Get(fmt.Sprintf("%s/object/%d", srv.URL, i%len(lambdas)))
+					if err != nil {
+						st.failures = append(st.failures, err.Error())
+						continue
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					switch resp.StatusCode {
+					case http.StatusOK:
+						st.admittedMs = append(st.admittedMs, float64(time.Since(sent))/float64(time.Millisecond))
+						if strings.Contains(resp.Header.Get("X-Mirror-Mode"), resilience.ModePersistDegraded.String()) {
+							st.degraded++
+						}
+					case http.StatusServiceUnavailable:
+						st.shed++
+						ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+						if err != nil || ra < resilience.RetryAfterSeconds || ra >= resilience.RetryAfterSeconds+resilience.RetryAfterSpread {
+							st.failures = append(st.failures, fmt.Sprintf("503 with Retry-After %q", resp.Header.Get("Retry-After")))
+						}
+					default:
+						st.failures = append(st.failures, fmt.Sprintf("status %d", resp.StatusCode))
+					}
+				}
+			}(w, &per[w])
+		}
+		wg.Wait()
+		elapsed := time.Since(start)
+		var all stage
+		for _, st := range per {
+			all.admittedMs = append(all.admittedMs, st.admittedMs...)
+			all.shed += st.shed
+			all.degraded += st.degraded
+			all.failures = append(all.failures, st.failures...)
+		}
+		return all, elapsed
+	}
+
+	paced, pacedElapsed := drive(time.Second * workers / pacedRPS)
+	fs.Break(persist.ErrDiskIO)
+	unpaced, _ := drive(0)
+	// No snapshot can land while the disk is broken, so this is the
+	// count any snapshot after the heal must exceed.
+	healedAt := m.Status().Snapshots
+	fs.Heal()
+
+	for _, st := range []stage{paced, unpaced} {
+		for i, fail := range st.failures {
+			if i == 8 {
+				t.Errorf("... and %d more failures", len(st.failures)-i)
+				break
+			}
+			t.Errorf("read failed: %s", fail)
+		}
+	}
+	if unpaced.shed == 0 {
+		t.Error("no read shed past the knee; the overload never engaged admission control")
+	}
+	envelope := 0.0
+	pacedP99 := stats.Quantile(paced.admittedMs, 0.99)
+	if len(paced.admittedMs) > 0 && float64(len(paced.admittedMs))/pacedElapsed.Seconds() >= 0.85*pacedRPS {
+		envelope = pacedP99
+	}
+	pastKneeP99 := stats.Quantile(unpaced.admittedMs, 0.99)
+	bound := math.Max(5*envelope, 250)
+	if worst := math.Max(pacedP99, pastKneeP99); !(worst <= bound) {
+		t.Errorf("worst admitted p99 %.1f ms exceeds bound %.1f ms (envelope p99 %.1f ms)", worst, bound, envelope)
+	}
+	if unpaced.degraded == 0 {
+		t.Error("no read served persist-degraded while the disk was broken")
+	}
+
+	// The backed-off snapshot probe after the heal is the fsync that
+	// clears persist-degraded.
+	waitUntil("full mode after the heal", func() bool { return m.Mode() == resilience.ModeFull })
+	st := m.Status()
+	if st.ConsecutivePersistFailures != 0 {
+		t.Errorf("%d consecutive persist failures after the heal", st.ConsecutivePersistFailures)
+	}
+	if st.Snapshots <= healedAt {
+		t.Errorf("snapshots %d after the heal, %d at it: durability never recovered", st.Snapshots, healedAt)
+	}
+	if st.ModeTransitions < 2 {
+		t.Errorf("%d mode transitions, want >= 2 (enter and leave persist-degraded)", st.ModeTransitions)
+	}
+	t.Logf("paced: %d admitted, %d shed, p99 %.2f ms (envelope %.2f ms); unpaced: %d admitted, %d shed, %d persist-degraded, p99 %.2f ms; %d transitions",
+		len(paced.admittedMs), paced.shed, pacedP99, envelope,
+		len(unpaced.admittedMs), unpaced.shed, unpaced.degraded, pastKneeP99, st.ModeTransitions)
 }
 
 // TestKillRestartInPersistDegraded kills a mirror while its disk is

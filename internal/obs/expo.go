@@ -78,59 +78,6 @@ func (e *Exposition) familyOf(name string) string {
 	return name
 }
 
-// HistogramQuantile estimates quantile q (in [0, 1]) for the named
-// histogram restricted by the label constraints, interpolating
-// linearly inside the bucket the quantile falls in (zero lower bound
-// for the first bucket, the last finite bound for the +Inf bucket).
-// It returns false when the histogram is absent or empty.
-func (e *Exposition) HistogramQuantile(name string, q float64, constraints ...string) (float64, bool) {
-	type bucket struct {
-		upper string
-		count float64
-	}
-	var buckets []bucket
-	for _, s := range e.Samples {
-		if s.Name != name+"_bucket" {
-			continue
-		}
-		ok := true
-		for i := 0; i+1 < len(constraints); i += 2 {
-			if s.Labels[constraints[i]] != constraints[i+1] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			buckets = append(buckets, bucket{upper: s.Labels["le"], count: s.Value})
-		}
-	}
-	if len(buckets) == 0 {
-		return 0, false
-	}
-	// Buckets arrive in exposition order: ascending le, +Inf last.
-	total := buckets[len(buckets)-1].count
-	if total == 0 {
-		return 0, false
-	}
-	rank := q * total
-	lower, prev := 0.0, 0.0
-	for _, b := range buckets {
-		upper, err := strconv.ParseFloat(b.upper, 64)
-		if b.upper == "+Inf" || err != nil {
-			return lower, true // the quantile is past every finite bound
-		}
-		if b.count >= rank {
-			frac := 1.0
-			if width := b.count - prev; width > 0 {
-				frac = (rank - prev) / width
-			}
-			return lower + frac*(upper-lower), true
-		}
-		lower, prev = upper, b.count
-	}
-	return lower, true
-}
-
 // ParseExposition parses Prometheus text-format exposition
 // tolerantly: unparseable lines are counted in BadLines and skipped
 // rather than failing the scrape — one mangled series must not blind

@@ -50,56 +50,6 @@ func TestParseExpositionEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	in := `
-# TYPE lat_seconds histogram
-lat_seconds_bucket{le="0.1"} 10
-lat_seconds_bucket{le="1"} 90
-lat_seconds_bucket{le="10"} 100
-lat_seconds_bucket{le="+Inf"} 100
-lat_seconds_sum 55
-lat_seconds_count 100
-`
-	e, err := ParseExposition(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Median: rank 50 falls in the (0.1, 1] bucket, halfway through it.
-	p50, ok := e.HistogramQuantile("lat_seconds", 0.5)
-	if !ok {
-		t.Fatal("quantile on populated histogram reported absent")
-	}
-	if p50 < 0.1 || p50 > 1 {
-		t.Errorf("p50 = %v, want inside (0.1, 1]", p50)
-	}
-	p99, ok := e.HistogramQuantile("lat_seconds", 0.99)
-	if !ok || p99 < 1 || p99 > 10 {
-		t.Errorf("p99 = %v, %v; want inside (1, 10]", p99, ok)
-	}
-	if _, ok := e.HistogramQuantile("missing_seconds", 0.5); ok {
-		t.Error("quantile on a missing histogram reported present")
-	}
-}
-
-func TestHistogramQuantileWithConstraints(t *testing.T) {
-	in := `
-lat_seconds_bucket{outcome="success",le="1"} 4
-lat_seconds_bucket{outcome="success",le="+Inf"} 4
-lat_seconds_bucket{outcome="failure",le="1"} 0
-lat_seconds_bucket{outcome="failure",le="+Inf"} 0
-`
-	e, err := ParseExposition(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := e.HistogramQuantile("lat_seconds", 0.5, "outcome", "success"); !ok || v <= 0 || v > 1 {
-		t.Errorf("success p50 = %v, %v", v, ok)
-	}
-	if _, ok := e.HistogramQuantile("lat_seconds", 0.5, "outcome", "failure"); ok {
-		t.Error("empty histogram produced a quantile")
-	}
-}
-
 func TestFamiliesFoldsHistogramSeries(t *testing.T) {
 	in := `
 # TYPE a_seconds histogram

@@ -45,11 +45,11 @@ type FaultPlan struct {
 }
 
 // FaultStore wraps a *Store and injects faults on a deterministic
-// schedule, plus manual Break/Heal control for chaos tests and the
-// freshend CLI. It implements Storer; the inner store is never touched
-// by a failed op (except the deliberate TornAppend garbage), so its
-// durability invariants hold across injected faults. Methods are safe
-// for concurrent use.
+// schedule, plus manual Break/Heal control for chaos tests. It
+// implements Storer; the inner store is never touched by a failed op
+// (except the deliberate TornAppend garbage), so its durability
+// invariants hold across injected faults. Methods are safe for
+// concurrent use.
 type FaultStore struct {
 	inner *Store
 
