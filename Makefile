@@ -39,6 +39,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOnlineEstimators$$' -fuzztime 30s ./internal/estimate/
 	$(GO) test -run '^$$' -fuzz '^FuzzExploreAllocation$$' -fuzztime 30s ./internal/schedule/
 	$(GO) test -run '^$$' -fuzz '^FuzzHTTPHandler$$' -fuzztime 30s ./internal/httpmirror/
+	$(GO) test -run '^$$' -fuzz '^FuzzFetchBatch$$' -fuzztime 30s ./internal/httpmirror/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoverSnapshot$$' -fuzztime 30s ./internal/persist/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayJournal$$' -fuzztime 30s ./internal/persist/
 	$(GO) test -run '^$$' -fuzz '^FuzzModeMachine$$' -fuzztime 30s ./internal/resilience/
@@ -79,7 +80,8 @@ shard-chaos:
 # refreshes), the chain closed form's sim cross-validation, two real
 # daemons chained, then the two-level drills three times over — origin
 # -> regional -> edge with the regional killed and restarted mid-run,
-# the origin cut above a live regional — and the topology walk.
+# the origin cut above a live regional, an edge booted below a
+# source-degraded regional — and the topology walk.
 edge-chain:
 	$(GO) test -race -count=1 ./internal/hierarchy/
 	$(GO) test -race -count=1 -run 'TestChain|TestRunChain|TestCrossValid' ./internal/freshness/ ./internal/sim/ ./internal/testkit/
@@ -111,14 +113,15 @@ metrics-contract:
 # Shared-state hot spots under the race detector: the solver's worker
 # pool, the clustering buffers, the mirror's lock-free serving path
 # (the per-object view stress test lives in internal/httpmirror, and
-# runs five more times on its own) and its seeding workers, the
+# runs five more times on its own) and its seeding workers (ten more
+# times, batch and per-object, a fleet shard's batches included), the
 # admission limiter / mode machine atomics, the fleet router, a
 # lock-free reader of the shard and health state that Kill, Start and
 # the supervisor mutate, and the hierarchy source's observer, which
 # wraps the transport a nil client builds.
 race:
 	$(GO) test -race ./internal/solver/... ./internal/cluster/... ./internal/httpmirror/... ./internal/resilience/... ./internal/fleet/... ./internal/hierarchy/...
-	$(GO) test -race -count=10 -run 'TestSeed|TestNilClientSourceClientsShareNoConnection' ./internal/httpmirror/
+	$(GO) test -race -count=10 -run 'TestSeed|TestNilClientSourceClientsShareNoConnection' ./internal/httpmirror/ ./internal/fleet/
 	$(GO) test -race -count=5 -run 'TestServeSnapshotNotTorn|TestAccessLockFree' ./internal/httpmirror/
 	$(GO) test -race -count=5 -run 'TestSolveRunsOffStateLock|TestHealthReplansKeepLearning|TestShardSolveKeepsShardHealthy' ./internal/httpmirror/ ./internal/fleet/
 

@@ -100,7 +100,7 @@ func parseFlags(args []string) (config, error) {
 	exploreFrac := fs.Float64("explore-frac", 0, "fraction of bandwidth spent probing high-uncertainty objects (0 disables exploration)")
 	floorLambda := fs.Float64("floor-lambda", 0, "minimum change-rate estimate; 0 means prior/10, negative means no floor")
 	seed := fs.Int64("seed", 1, "phase seed")
-	upTimeout := fs.Duration("upstream-timeout", 5*time.Second, "per-request upstream timeout")
+	upTimeout := fs.Duration("upstream-timeout", 5*time.Second, "per-request upstream timeout (while seeding, one request fetches a batch of objects)")
 	upRetries := fs.Int("upstream-retries", 3, "attempts per upstream call (1 disables retries)")
 	breakerAfter := fs.Int("breaker-after", 5, "consecutive failures that open the circuit breaker (negative disables)")
 	breakerCooldown := fs.Float64("breaker-cooldown", 2, "breaker cooldown in periods")

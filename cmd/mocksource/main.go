@@ -1,7 +1,8 @@
 // Command mocksource runs a simulated origin server whose objects
 // change as independent Poisson processes — a stand-in for any data
-// source a freshend mirror can poll. It speaks the minimal source
-// protocol (GET /catalog, GET|HEAD /object/{id} with X-Version).
+// source a freshend mirror can poll. It speaks the source protocol
+// (GET /catalog, GET|HEAD /object/{id} with X-Version) and the
+// optional batch GET /objects?ids=… that speeds up a mirror's boot.
 //
 // For resilience testing the origin can misbehave on demand:
 // -fault-rate injects probabilistic 500s, -fault-latency delays every

@@ -20,7 +20,8 @@ type shardSource struct {
 // newShardSource builds shard s's view of the global source. The view
 // answers conditional fetches exactly when inner does, so a shard's
 // mirror polls with one conditional GET, as a single mirror does,
-// instead of falling back to HEAD-then-GET.
+// instead of falling back to HEAD-then-GET. Both variants fetch
+// batches when inner does.
 func newShardSource(inner httpmirror.Source, p *Placement, s int) httpmirror.Source {
 	base := &shardSource{inner: inner, gids: p.Globals(s)}
 	if cond, ok := inner.(httpmirror.ConditionalSource); ok {
@@ -81,6 +82,24 @@ func (s *shardSource) Fetch(ctx context.Context, id int) ([]byte, int, error) {
 		return nil, 0, err
 	}
 	return s.inner.Fetch(ctx, gid)
+}
+
+// FetchBatch forwards a batch under its global ids, or reports
+// httpmirror.ErrBatchUnsupported when inner does not fetch batches.
+func (s *shardSource) FetchBatch(ctx context.Context, ids []int) ([][]byte, []int, error) {
+	batch, ok := s.inner.(httpmirror.BatchSource)
+	if !ok {
+		return nil, nil, httpmirror.ErrBatchUnsupported
+	}
+	gids := make([]int, len(ids))
+	for k, id := range ids {
+		gid, err := s.global(id)
+		if err != nil {
+			return nil, nil, err
+		}
+		gids[k] = gid
+	}
+	return batch.FetchBatch(ctx, gids)
 }
 
 func (s *shardSource) Version(ctx context.Context, id int) (int, error) {

@@ -2,9 +2,13 @@ package fleet
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -80,5 +84,78 @@ func TestShardPollsWithConditionalFetches(t *testing.T) {
 	}
 	if st.NotModified == 0 || st.Transfers == 0 {
 		t.Errorf("NotModified = %d, Transfers = %d; want both > 0", st.NotModified, st.Transfers)
+	}
+}
+
+// TestSeedBatchShardOwnIDs boots one shard of a batch-serving origin:
+// its seed batches name only the shard's own global ids, and its
+// copies match the origin's objects under those ids.
+func TestSeedBatchShardOwnIDs(t *testing.T) {
+	const n, shards, shard = 900, 3, 2
+	src, err := httpmirror.NewSimulatedSource(make([]float64, n), nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	place, err := HashPlacement(n, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := make(map[string]bool)
+	for _, gid := range place.Globals(shard) {
+		own[strconv.Itoa(gid)] = true
+	}
+	var mu sync.Mutex
+	var batches, seen int
+	var strays []string
+	inner := src.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/objects" {
+			mu.Lock()
+			batches++
+			for _, id := range strings.Split(r.URL.Query().Get("ids"), ",") {
+				seen++
+				if !own[id] {
+					strays = append(strays, id)
+				}
+			}
+			mu.Unlock()
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	up := newShardSource(httpmirror.NewSourceClient(srv.URL, srv.Client()), place, shard)
+	batch, ok := up.(httpmirror.BatchSource)
+	if !ok {
+		t.Fatal("the shard view of a batch source fetches no batches")
+	}
+	if _, _, err := batch.FetchBatch(context.Background(), []int{0, len(own)}); err == nil {
+		t.Error("a local id past the shard's catalog reached the upstream")
+	}
+	if batches != 0 {
+		t.Errorf("an out-of-range batch sent %d requests", batches)
+	}
+	plain := newShardSource(newMemSource(n), place, shard).(httpmirror.BatchSource)
+	if _, _, err := plain.FetchBatch(context.Background(), []int{0}); !errors.Is(err, httpmirror.ErrBatchUnsupported) {
+		t.Errorf("the shard view of a per-object source: FetchBatch = %v, want ErrBatchUnsupported", err)
+	}
+
+	m, err := httpmirror.New(context.Background(), httpmirror.Config{
+		Upstream: up,
+		Plan:     core.Config{Bandwidth: 10},
+		Seed:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if batches == 0 || seen != len(own) || len(strays) > 0 {
+		t.Errorf("%d batches named %d ids for a %d-object shard; ids of other shards: %v", batches, seen, len(own), strays)
+	}
+	for l, gid := range place.Globals(shard) {
+		body, _, err := m.Access(l)
+		if want := fmt.Sprintf("object %d version 0", gid); err != nil || string(body) != want {
+			t.Fatalf("local copy %d = %q, %v; want %q", l, body, err, want)
+		}
 	}
 }

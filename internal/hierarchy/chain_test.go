@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -283,5 +285,73 @@ func TestCompoundedStaleness(t *testing.T) {
 	}
 	if st := edge.Status(); st.UpstreamDegraded {
 		t.Error("recovered edge still reports upstream degradation")
+	}
+}
+
+// TestCompoundedStalenessAtBoot cuts the regional off from its origin
+// before the edge exists, then boots an edge below it. The edge must
+// seed one object at a time, never asking the regional for GET
+// /objects, whose frames carry no degradation headers, and from its
+// first read serve every object at least as stale as the regional
+// reports it.
+func TestCompoundedStalenessAtBoot(t *testing.T) {
+	const n = 5
+	origin, err := httpmirror.NewSimulatedSource([]float64{2, 1, 0.5, 0.25, 0}, nil, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	originSrv := startKillable(t, origin.Handler())
+	regUp := httpmirror.NewSourceClient(originSrv.URL(), nil)
+	regUp.SetRetryPolicy(fastRetry)
+	regional := newChainMirror(t, regUp)
+	var batches, objects atomic.Int64
+	regHandler := regional.Handler()
+	regAPI := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/objects":
+			batches.Add(1)
+		case strings.HasPrefix(r.URL.Path, "/object/"):
+			objects.Add(1)
+		}
+		regHandler.ServeHTTP(w, r)
+	}))
+	defer regAPI.Close()
+
+	originSrv.Stop()
+	for now := 1.0; now <= 4; now++ {
+		if _, err := regional.Step(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if mode := regional.Mode(); mode&resilience.ModeSourceDegraded == 0 {
+		t.Fatalf("origin dead: regional mode %v, want source-degraded", mode)
+	}
+
+	edgeUp := NewMirrorSource(regAPI.URL, regAPI.Client())
+	edgeUp.SetRetryPolicy(fastRetry)
+	edge := newChainMirror(t, edgeUp)
+	edgeAPI := httptest.NewServer(edge.Handler())
+	defer edgeAPI.Close()
+	if b, o := batches.Load(), objects.Load(); b != 0 || o != n {
+		t.Errorf("edge boot sent %d GET /objects and %d object requests to the regional, want 0 and %d", b, o, n)
+	}
+	for id := 0; id < n; id++ {
+		path := "/object/" + strconv.Itoa(id)
+		_, rh := getHeaders(t, regAPI.URL+path)
+		regStale, err := strconv.ParseFloat(rh.Get("X-Staleness-Periods"), 64)
+		if err != nil || regStale <= 0 {
+			t.Fatalf("regional object %d staleness header %q", id, rh.Get("X-Staleness-Periods"))
+		}
+		code, eh := getHeaders(t, edgeAPI.URL+path)
+		if code != http.StatusOK {
+			t.Fatalf("edge object %d served %d", id, code)
+		}
+		if got := eh.Get("X-Mirror-Mode"); got != "source-degraded" {
+			t.Errorf("edge object %d mode header %q, want source-degraded", id, got)
+		}
+		s, err := strconv.ParseFloat(eh.Get("X-Staleness-Periods"), 64)
+		if err != nil || s < regStale {
+			t.Errorf("edge object %d staleness header %q, regional reports %v", id, eh.Get("X-Staleness-Periods"), regStale)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package hierarchy chains mirrors into multi-level topologies:
 // source → regional → edge, each level refreshing from the one above
-// it over the same HTTP source protocol an origin speaks.
+// it over the per-object HTTP source protocol an origin speaks (a
+// mirror does not serve the origin's optional batch GET /objects).
 //
 // Two pieces make a chain more than a pair of independent mirrors:
 //

@@ -12,10 +12,11 @@ import (
 )
 
 // MirrorSource adapts an upstream mirror's HTTP API into the Source
-// contract a downstream mirror refreshes from. The protocol is the
-// origin's own — GET /catalog, GET/HEAD /object/{id}, conditional
-// fetches via X-If-Version — so a mirror needs no new code to sit
-// below another mirror instead of an origin.
+// contract a downstream mirror refreshes from. A mirror serves the
+// origin's per-object protocol — GET /catalog, GET/HEAD /object/{id},
+// conditional fetches via X-If-Version — but not the batch GET
+// /objects, so a mirror below another seeds one object at a time and
+// needs no other new code to sit below a mirror instead of an origin.
 //
 // What the adapter adds is hierarchy awareness: every object response
 // passes through an observing transport that records the upstream's
@@ -70,6 +71,14 @@ func (s *MirrorSource) Catalog(ctx context.Context) ([]httpmirror.CatalogEntry, 
 		s.obs.grow(len(entries))
 	}
 	return entries, err
+}
+
+// FetchBatch reports httpmirror.ErrBatchUnsupported without asking the
+// upstream, overriding the SourceClient's. A batch response carries no
+// per-object X-Mirror-Mode or X-Staleness-Periods headers, so a mirror
+// booting below a source-degraded one would under-report staleness.
+func (s *MirrorSource) FetchBatch(context.Context, []int) ([][]byte, []int, error) {
+	return nil, nil, httpmirror.ErrBatchUnsupported
 }
 
 // UpstreamDegraded reports whether the upstream mirror most recently

@@ -1,12 +1,15 @@
 package httpmirror
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"mime"
 	"net/http"
 	"strconv"
 	"strings"
@@ -24,7 +27,8 @@ type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per call (first attempt
 	// included); 0 means 3. 1 disables retries.
 	MaxAttempts int
-	// Timeout bounds each individual attempt; 0 means 5s.
+	// Timeout bounds each individual attempt; 0 means 5s. While
+	// seeding, one attempt covers one batch of objects.
 	Timeout time.Duration
 	// BaseBackoff is the delay before the first retry; 0 means 50ms.
 	BaseBackoff time.Duration
@@ -200,21 +204,21 @@ func (c *SourceClient) get(ctx context.Context, method, url string) (*http.Respo
 // read as it arrives and then copied to its exact size.
 const maxPresizedBody = 1 << 20
 
-// readBody reads a whole object body into a slice of exactly its
-// length. The mirror holds each body for the copy's whole life, and
-// io.ReadAll's buffer starts at 512 bytes and grows ahead of the data,
-// so a small body kept as read would pin many times its size. A body
-// shorter than its Content-Length fails like any truncated read
-// (transient).
-func readBody(resp *http.Response) ([]byte, error) {
-	if n := resp.ContentLength; n >= 0 && n <= maxPresizedBody {
+// readBody reads a whole object body of declared length n (-1 when
+// unknown) into a slice of exactly its length. The mirror holds each
+// body for the copy's whole life, and io.ReadAll's buffer starts at
+// 512 bytes and grows ahead of the data, so a small body kept as read
+// would pin many times its size. A response body shorter than its
+// Content-Length fails like any truncated read (transient).
+func readBody(r io.Reader, n int64) ([]byte, error) {
+	if n >= 0 && n <= maxPresizedBody {
 		b := make([]byte, n)
-		if _, err := io.ReadFull(resp.Body, b); err != nil {
+		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
 		}
 		return b, nil
 	}
-	b, err := io.ReadAll(resp.Body)
+	b, err := io.ReadAll(r)
 	if err != nil || len(b) == cap(b) {
 		return b, err
 	}
@@ -263,7 +267,7 @@ func (c *SourceClient) Fetch(ctx context.Context, id int) (body []byte, version 
 		if err != nil {
 			return &permanentError{fmt.Errorf("bad X-Version %q", resp.Header.Get("X-Version"))}
 		}
-		b, err := readBody(resp)
+		b, err := readBody(resp.Body, resp.ContentLength)
 		if err != nil {
 			return err // truncated body: transient
 		}
@@ -274,6 +278,122 @@ func (c *SourceClient) Fetch(ctx context.Context, id int) (body []byte, version 
 		return nil, 0, fmt.Errorf("httpmirror: fetch %d: %w", id, err)
 	}
 	return body, version, nil
+}
+
+// FetchBatch implements BatchSource with one GET /objects?ids=…,
+// timed and retried as one call. A 404, 405 or 501, or a 200 of
+// another Content-Type (a catch-all origin), is ErrBatchUnsupported.
+// A response whose frames do not name ids in order, or that does not
+// end right after the last one, is a permanent error.
+func (c *SourceClient) FetchBatch(ctx context.Context, ids []int) (bodies [][]byte, versions []int, err error) {
+	url := make([]byte, 0, len(c.base)+len("/objects?ids=")+8*len(ids))
+	url = append(url, c.base...)
+	url = append(url, "/objects?ids="...)
+	for k, id := range ids {
+		if k > 0 {
+			url = append(url, ',')
+		}
+		url = strconv.AppendInt(url, int64(id), 10)
+	}
+	unsupported := false
+	err = c.do(ctx, func(ctx context.Context) error {
+		resp, err := c.get(ctx, http.MethodGet, string(url))
+		var se *statusError
+		if errors.As(err, &se) && (se.code == http.StatusNotFound || se.code == http.StatusMethodNotAllowed || se.code == http.StatusNotImplemented) {
+			unsupported = true
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if mt, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type")); mt != batchContentType {
+			unsupported = true
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+			return nil
+		}
+		body := &readErr{r: resp.Body}
+		b, v, err := readFrames(body, ids)
+		if err != nil {
+			if body.err != nil {
+				return body.err // the transfer broke off: transient
+			}
+			return &permanentError{err}
+		}
+		bodies, versions = b, v
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("httpmirror: fetch batch of %d: %w", len(ids), err)
+	}
+	if unsupported {
+		return nil, nil, ErrBatchUnsupported
+	}
+	return bodies, versions, nil
+}
+
+// readErr records the first error other than io.EOF its reader
+// returns, telling a transfer that broke off from a response that
+// ended where its sender ended it.
+type readErr struct {
+	r   io.Reader
+	err error
+}
+
+func (r *readErr) Read(p []byte) (int, error) {
+	n, err := r.r.Read(p)
+	if err != nil && err != io.EOF && r.err == nil {
+		r.err = err
+	}
+	return n, err
+}
+
+// readFrames reads a GET /objects body: for each id, in order, the
+// line "{id} {version} {len}\n" and then len body bytes, each read as
+// readBody reads one; then the end of the body.
+func readFrames(r io.Reader, ids []int) ([][]byte, []int, error) {
+	br := bufio.NewReader(r)
+	bodies := make([][]byte, len(ids))
+	versions := make([]int, len(ids))
+	for k, want := range ids {
+		line, err := br.ReadSlice('\n')
+		if err != nil {
+			return nil, nil, fmt.Errorf("frame %d of %d: %w", k, len(ids), err)
+		}
+		id, ver, size, ok := parseFrameHeader(line[:len(line)-1])
+		if !ok {
+			return nil, nil, fmt.Errorf("frame %d: malformed header %q", k, line)
+		}
+		if id != want {
+			return nil, nil, fmt.Errorf("frame %d names object %d, want %d", k, id, want)
+		}
+		b, err := readBody(io.LimitReader(br, int64(size)), int64(size))
+		if err == nil && len(b) != size {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("frame %d body: %w", k, err)
+		}
+		bodies[k], versions[k] = b, ver
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		if err == nil {
+			err = errors.New("bytes after the last frame")
+		}
+		return nil, nil, err
+	}
+	return bodies, versions, nil
+}
+
+// parseFrameHeader parses "{id} {version} {len}"; len is never
+// negative.
+func parseFrameHeader(line []byte) (id, version, size int, ok bool) {
+	f1, rest, ok1 := bytes.Cut(line, []byte{' '})
+	f2, f3, ok2 := bytes.Cut(rest, []byte{' '})
+	id, err1 := strconv.Atoi(string(f1))
+	version, err2 := strconv.Atoi(string(f2))
+	size, err3 := strconv.Atoi(string(f3))
+	return id, version, size, ok1 && ok2 && err1 == nil && err2 == nil && err3 == nil && size >= 0
 }
 
 // FetchIfNewer implements ConditionalSource: one conditional GET with
@@ -307,7 +427,7 @@ func (c *SourceClient) FetchIfNewer(ctx context.Context, id, have int) (body []b
 			body, version, notModified = nil, v, true
 			return nil
 		}
-		b, err := readBody(resp)
+		b, err := readBody(resp.Body, resp.ContentLength)
 		if err != nil {
 			return err // truncated body: transient
 		}

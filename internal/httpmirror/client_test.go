@@ -1,12 +1,16 @@
 package httpmirror
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"io"
 	"maps"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -51,10 +55,22 @@ type roundTripFunc func(*http.Request) (*http.Response, error)
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
 // TestHugeContentLengthAllocatesNothingUpFront: a declared length
-// above the presizing cap is never allocated before the body arrives.
+// above the presizing cap, a response's or a batch frame's, is never
+// allocated before the body arrives.
 func TestHugeContentLengthAllocatesNothingUpFront(t *testing.T) {
 	const declared = 64 << 20
 	client := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if r.URL.Path == "/objects" {
+			frame := "0 1 " + strconv.Itoa(declared) + "\nshort body"
+			return &http.Response{
+				StatusCode:    http.StatusOK,
+				Status:        "200 OK",
+				Header:        http.Header{"Content-Type": {batchContentType}},
+				ContentLength: int64(len(frame)),
+				Body:          io.NopCloser(strings.NewReader(frame)),
+				Request:       r,
+			}, nil
+		}
 		return &http.Response{
 			StatusCode:    http.StatusOK,
 			Status:        "200 OK",
@@ -75,17 +91,22 @@ func TestHugeContentLengthAllocatesNothingUpFront(t *testing.T) {
 	if err != nil || string(b) != "short body" {
 		t.Fatalf("FetchIfNewer = %q, %v", b, err)
 	}
+	if _, _, err := c.FetchBatch(context.Background(), []int{0}); err == nil {
+		t.Fatal("FetchBatch accepted a frame cut short of its length")
+	}
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > declared/8 {
-		t.Errorf("two fetches allocated %d bytes for a declared %d-byte body", got, declared)
+		t.Errorf("three fetches allocated %d bytes for a declared %d-byte body", got, declared)
 	}
 }
 
-// TestTruncatedBodyIsRetried: a body cut short of its Content-Length
-// is a transient failure, retried like a dropped connection.
+// TestTruncatedBodyIsRetried: a body cut short of its Content-Length,
+// an object's or a batch's, is a transient failure, retried like a
+// dropped connection.
 func TestTruncatedBodyIsRetried(t *testing.T) {
 	var calls atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		batch := r.URL.Path == "/objects"
 		if calls.Add(1)%2 == 1 {
 			// Declare 64 bytes, send 5, hang up.
 			conn, buf, err := w.(http.Hijacker).Hijack()
@@ -93,9 +114,14 @@ func TestTruncatedBodyIsRetried(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			buf.WriteString("HTTP/1.1 200 OK\r\nX-Version: 4\r\nContent-Length: 64\r\n\r\nshort")
+			buf.WriteString("HTTP/1.1 200 OK\r\nX-Version: 4\r\nContent-Type: " + batchContentType + "\r\nContent-Length: 64\r\n\r\nshort")
 			buf.Flush()
 			conn.Close()
+			return
+		}
+		if batch {
+			w.Header().Set("Content-Type", batchContentType)
+			w.Write(appendFrame(nil, 0, 4, []byte("whole body")))
 			return
 		}
 		w.Header().Set("X-Version", "4")
@@ -112,7 +138,11 @@ func TestTruncatedBodyIsRetried(t *testing.T) {
 	if err != nil || string(b) != "whole body" {
 		t.Fatalf("FetchIfNewer = %q, %v", b, err)
 	}
-	if r := c.Retries(); r != 2 {
+	bodies, versions, err := c.FetchBatch(context.Background(), []int{0})
+	if err != nil || string(bodies[0]) != "whole body" || versions[0] != 4 {
+		t.Fatalf("FetchBatch = %q, %v, %v", bodies, versions, err)
+	}
+	if r := c.Retries(); r != 3 {
 		t.Errorf("Retries = %d, want one per truncated body", r)
 	}
 }
@@ -153,5 +183,88 @@ func TestNilClientSourceClientsShareNoConnection(t *testing.T) {
 		if a[addr] {
 			t.Errorf("connection %s served both clients", addr)
 		}
+	}
+}
+
+// TestFetchBatchResponses runs FetchBatch for ids 3 and 9 against
+// in-memory responses. A well-framed batch returns each body at its
+// exact size; a status that says the route is missing, or a 200 that
+// is not a batch, is ErrBatchUnsupported; any other framing is a
+// permanent error, never retried.
+func TestFetchBatchResponses(t *testing.T) {
+	big := bytes.Repeat([]byte{'x'}, maxPresizedBody+1)
+	frames := func(fs ...[]byte) []byte { return bytes.Join(fs, nil) }
+	f3 := appendFrame(nil, 3, 1, []byte("object 3 version 1"))
+	f9 := appendFrame(nil, 9, 0, nil)
+	for _, tc := range []struct {
+		name   string
+		status int
+		ctype  string
+		body   []byte
+		want   [][]byte // nil: an error
+		unsupp bool
+	}{
+		{name: "two frames", body: frames(f3, f9), want: [][]byte{[]byte("object 3 version 1"), {}}},
+		{name: "body past the presize cap", body: frames(f3, appendFrame(nil, 9, 0, big)), want: [][]byte{[]byte("object 3 version 1"), big}},
+		{name: "media type parameters", ctype: batchContentType + "; charset=binary", body: frames(f3, f9), want: [][]byte{[]byte("object 3 version 1"), {}}},
+		{name: "404", status: http.StatusNotFound, unsupp: true},
+		{name: "405", status: http.StatusMethodNotAllowed, unsupp: true},
+		{name: "501", status: http.StatusNotImplemented, unsupp: true},
+		{name: "catch-all 200", ctype: "text/plain", body: []byte("hello"), unsupp: true},
+		{name: "400", status: http.StatusBadRequest},
+		{name: "ids out of order", body: frames(f9, f3)},
+		{name: "missing frame", body: f3},
+		{name: "bytes after the last frame", body: frames(f3, f9, []byte("\n"))},
+		{name: "body cut short", body: frames(f3, []byte("9 0 5\nab"))},
+		{name: "negative length", body: frames(f3, []byte("9 0 -1\n"))},
+		{name: "two spaces", body: frames(f3, []byte("9  0 0\n"))},
+		{name: "no newline", body: frames(f3, []byte("9 0 0"))},
+		{name: "overlong header", body: frames(f3, []byte("9 0 "), bytes.Repeat([]byte{'0'}, 8192), []byte("\n"))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.status == 0 {
+				tc.status = http.StatusOK
+			}
+			if tc.ctype == "" {
+				tc.ctype = batchContentType
+			}
+			c := NewSourceClient("http://origin", &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+				if got := r.URL.RequestURI(); got != "/objects?ids=3,9" {
+					t.Errorf("request %q", got)
+				}
+				return &http.Response{
+					StatusCode:    tc.status,
+					Status:        http.StatusText(tc.status),
+					Header:        http.Header{"Content-Type": {tc.ctype}},
+					ContentLength: int64(len(tc.body)),
+					Body:          io.NopCloser(bytes.NewReader(tc.body)),
+					Request:       r,
+				}, nil
+			})})
+			c.SetRetryPolicy(fastRetry(3))
+			bodies, versions, err := c.FetchBatch(context.Background(), []int{3, 9})
+			switch {
+			case tc.unsupp:
+				if !errors.Is(err, ErrBatchUnsupported) || c.Failures() != 0 {
+					t.Errorf("FetchBatch = %v with %d failures, want ErrBatchUnsupported and none", err, c.Failures())
+				}
+			case tc.want == nil:
+				if err == nil || c.Retries() != 0 {
+					t.Errorf("FetchBatch = %v after %d retries, want a permanent error", err, c.Retries())
+				}
+			default:
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(versions, []int{1, 0}) {
+					t.Errorf("versions %v, want [1 0]", versions)
+				}
+				for k, b := range bodies {
+					if !bytes.Equal(b, tc.want[k]) || cap(b) != len(b) {
+						t.Errorf("body %d: %d bytes (cap %d), want %d", k, len(b), cap(b), len(tc.want[k]))
+					}
+				}
+			}
+		})
 	}
 }

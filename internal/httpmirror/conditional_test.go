@@ -2,6 +2,7 @@ package httpmirror
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -71,13 +72,19 @@ func TestConditionalRefreshTransfersChanges(t *testing.T) {
 // that advertises nothing conditional and answers every conditional
 // GET with a full 200 of the version the mirror already holds. The
 // first such answer must permanently revert the mirror to
-// HEAD-then-GET — otherwise every poll pays a full transfer.
+// HEAD-then-GET — otherwise every poll pays a full transfer. The
+// origin answers GET /objects like any other path, so the seed's one
+// batch probe gets a 200 that is not a batch and seeds per object.
 func TestConditionalFallbackOnIgnoringOrigin(t *testing.T) {
-	var heads, gets int
+	var heads, gets, batches int
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case r.URL.Path == "/catalog":
 			io.WriteString(w, `[{"id":0,"size":1}]`)
+		case r.URL.Path == "/objects":
+			batches++
+			w.Header().Set("X-Version", "7")
+			io.WriteString(w, "payload v7")
 		default:
 			// Ignores X-If-Version entirely: always a full 200.
 			w.Header().Set("X-Version", "7")
@@ -121,12 +128,16 @@ func TestConditionalFallbackOnIgnoringOrigin(t *testing.T) {
 	if gets > 2 {
 		t.Errorf("%d full GETs; the conditional probe should burn at most one beyond seeding", gets)
 	}
+	if batches != 1 {
+		t.Errorf("%d GET /objects requests, want the seed's one probe", batches)
+	}
 }
 
 // TestMirrorServesSourceProtocol stands a SourceClient downstream of a
 // mirror's own Handler — the composition hierarchy chains on — and
-// exercises the full source protocol against it: catalog, HEAD
-// version, conditional 304, and conditional miss.
+// exercises the per-object source protocol against it: catalog, HEAD
+// version, conditional 304, and conditional miss. A mirror does not
+// serve GET /objects.
 func TestMirrorServesSourceProtocol(t *testing.T) {
 	_, m := newTestPair(t, []float64{2, 1, 0.5}, 3)
 	srv := httptest.NewServer(m.Handler())
@@ -140,6 +151,9 @@ func TestMirrorServesSourceProtocol(t *testing.T) {
 	}
 	if len(catalog) != 3 || catalog[2].ID != 2 {
 		t.Fatalf("catalog = %+v", catalog)
+	}
+	if _, _, err := down.FetchBatch(ctx, []int{0, 1}); !errors.Is(err, ErrBatchUnsupported) {
+		t.Errorf("FetchBatch from a mirror = %v, want ErrBatchUnsupported", err)
 	}
 	ver, err := down.Version(ctx, 0)
 	if err != nil {

@@ -14,6 +14,12 @@
 //	GET  /object/{id}  -> body with X-Version header
 //	HEAD /object/{id}  -> X-Version header only (cheap change check)
 //
-// SimulatedSource implements it with Poisson-updating objects and
+// An origin may also serve one optional route, which speeds up a
+// mirror's boot (see BatchSource):
+//
+//	GET  /objects?ids=a,b,... -> one "{id} {version} {len}\n" frame
+//	                             and len body bytes per id
+//
+// SimulatedSource implements it all with Poisson-updating objects and
 // backs both the mocksource command and the package tests.
 package httpmirror

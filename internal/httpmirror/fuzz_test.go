@@ -1,7 +1,9 @@
 package httpmirror
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path"
@@ -112,6 +114,76 @@ func FuzzHTTPHandler(f *testing.F) {
 					t.Fatalf("GET %q: 200 without X-Version header", rawPath)
 				}
 			}
+		}
+	})
+}
+
+// FuzzFetchBatch runs arbitrary response bytes and id lists (one id
+// per byte of ids) through FetchBatch over an in-memory transport.
+// Every run returns an error or exactly one body and version per id,
+// each body exactly its frame's length, allocated at that length and
+// never longer than what arrived; no input panics. A frame declaring
+// more than maxPresizedBody is read as it arrives, not presized
+// (TestHugeContentLengthAllocatesNothingUpFront).
+func FuzzFetchBatch(f *testing.F) {
+	f3 := appendFrame(nil, 3, 1, []byte("object 3 version 1"))
+	f9 := appendFrame(nil, 9, 0, nil)
+	two := append(append([]byte(nil), f3...), f9...)
+	f.Add(two, []byte{3, 9})
+	f.Add(two, []byte{9, 3})
+	f.Add(two, []byte{3})
+	f.Add(two, []byte{3, 9, 9})
+	f.Add(two[:len(two)-2], []byte{3, 9})
+	f.Add(append(two, '\n'), []byte{3, 9})
+	f.Add([]byte("3 1 99999999999999999999\nab"), []byte{3})
+	f.Add([]byte("3 1 2097152\nab"), []byte{3})
+	f.Add([]byte("3 -1 0\n"), []byte{3})
+	f.Add([]byte("3 1 -1\n"), []byte{3})
+	f.Add([]byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, resp, rawIDs []byte) {
+		ids := make([]int, len(rawIDs))
+		for k, b := range rawIDs {
+			ids[k] = int(b)
+		}
+		c := NewSourceClient("http://origin", &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			return &http.Response{
+				StatusCode:    http.StatusOK,
+				Status:        "200 OK",
+				Header:        http.Header{"Content-Type": {batchContentType}},
+				ContentLength: int64(len(resp)),
+				Body:          io.NopCloser(bytes.NewReader(resp)),
+				Request:       r,
+			}, nil
+		})})
+		c.SetRetryPolicy(RetryPolicy{MaxAttempts: 1})
+		bodies, versions, err := c.FetchBatch(context.Background(), ids)
+		if err != nil {
+			return
+		}
+		if len(bodies) != len(ids) || len(versions) != len(ids) {
+			t.Fatalf("%d ids: %d bodies and %d versions", len(ids), len(bodies), len(versions))
+		}
+		// Walk the frames again and hold each body to its own.
+		rest := resp
+		for k, b := range bodies {
+			line, after, ok := bytes.Cut(rest, []byte{'\n'})
+			fields := strings.Split(string(line), " ")
+			if !ok || len(fields) != 3 {
+				t.Fatalf("frame %d accepted with header %q", k, line)
+			}
+			id, _ := strconv.Atoi(fields[0])
+			ver, _ := strconv.Atoi(fields[1])
+			size, err := strconv.Atoi(fields[2])
+			if err != nil || size < 0 || size > len(after) || id != ids[k] || ver != versions[k] {
+				t.Fatalf("frame %d accepted with header %q for id %d, version %d", k, line, ids[k], versions[k])
+			}
+			if len(b) != size || cap(b) != size || !bytes.Equal(b, after[:size]) {
+				t.Fatalf("frame %d: body of %d bytes (cap %d), frame says %d", k, len(b), cap(b), size)
+			}
+			rest = after[size:]
+		}
+		if len(rest) != 0 {
+			t.Fatalf("%d bytes after the last frame accepted", len(rest))
 		}
 	})
 }

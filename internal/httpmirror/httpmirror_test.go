@@ -1,6 +1,7 @@
 package httpmirror
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -355,6 +356,67 @@ func TestSourceHandlerMethodNotAllowed(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /object returned %s", resp.Status)
+	}
+	resp, err = srv.Client().Post(srv.URL+"/objects?ids=0", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /objects returned %s", resp.Status)
+	}
+}
+
+// TestSourceBatchRoute: GET /objects answers every named object in
+// request order, and refuses an id list that is empty, malformed, out
+// of the catalog or over the cap.
+func TestSourceBatchRoute(t *testing.T) {
+	src, err := NewSimulatedSource([]float64{5, 0, 1}, nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Advance(2)
+	srv := httptest.NewServer(src.Handler())
+	defer srv.Close()
+	var want []byte
+	for _, id := range []int{2, 0, 2} {
+		v, _ := src.Version(id)
+		want = appendFrame(want, id, v, appendBody(nil, id, v))
+	}
+	overCap := strings.Repeat("0,", maxBatchIDs) + "0"
+	for _, tc := range []struct {
+		query string
+		code  int
+	}{
+		{"ids=2,0,2", http.StatusOK},
+		{"ids=2%2C0%2C2", http.StatusOK},
+		{"", http.StatusBadRequest},
+		{"ids=", http.StatusBadRequest},
+		{"ids=1,", http.StatusBadRequest},
+		{"ids=1,x", http.StatusBadRequest},
+		{"ids=3", http.StatusBadRequest},
+		{"ids=-1", http.StatusBadRequest},
+		{"ids=" + overCap, http.StatusBadRequest},
+	} {
+		resp, err := srv.Client().Get(srv.URL + "/objects?" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Errorf("?%.40s: %s, want %d", tc.query, resp.Status, tc.code)
+			continue
+		}
+		if tc.code != http.StatusOK {
+			continue
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != batchContentType {
+			t.Errorf("?%s: Content-Type %q", tc.query, ct)
+		}
+		if !bytes.Equal(body, want) {
+			t.Errorf("?%s: body %q, want %q", tc.query, body, want)
+		}
 	}
 }
 

@@ -329,6 +329,13 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 		return nil, err
 	}
 	m.clockBits.Store(math.Float64bits(m.now))
+	if m.upHealth != nil {
+		// The seed's fetches read the upstream tier's degradation, so a
+		// mirror booting below a source-degraded tier serves degraded,
+		// with the compounded staleness, from its first read.
+		m.machine.SetUpstreamDegraded(m.upHealth.UpstreamDegraded())
+		m.publishModeLocked()
+	}
 	if m.recovered {
 		// Fold the replayed observations into the element knowledge so
 		// the first cadence replan starts from everything on disk.
@@ -372,8 +379,24 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 // without latency.
 const seedWorkers = 4
 
+// seedBatch is how many ids a seeding worker claims at a time from a
+// BatchSource, and so how many objects one GET /objects names. It
+// stays at or below the server's cap, maxBatchIDs. A sweep on 2
+// vCPUs, batches of 16, 64, 128, 256, 512 and 1024:
+//
+//	catalog-50k set-up, s (bench/run.sh --seconds 2, seed 1, 3 runs):
+//	  0.19–0.24, 0.14–0.24, 0.15–0.16, 0.12–0.16, 0.14–0.15, 0.13–0.14
+//	BenchmarkSeed/batch, ms (N=50,000, 3 interleaved rounds × 10 ops):
+//	  137–153,   106–115,   96–101,    92–96,     91–95,     90–94
+//
+// From 256 on the per-request cost no longer shows. 256 keeps the URL
+// under 2 KB at N=500,000 and leaves 4 workers ~200 claims to share
+// at N=50,000, so the last claims end close together.
+const seedBatch = 256
+
 // seed gives every copy its first view over seedWorkers goroutines.
-// Each worker claims ids from a shared counter and writes only the
+// Each worker claims ids from a shared counter, seedBatch at a time
+// from a BatchSource and one at a time otherwise, and writes only the
 // copies[i], views[i] and verified[i] of the ids it claimed, so the
 // workers share no other state and take no lock; m.now is settled
 // before they start. The boot fetch is not a poll: verified[i] starts
@@ -384,41 +407,61 @@ func (m *Mirror) seed(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	n := len(m.copies)
+	batch, _ := m.cfg.Upstream.(BatchSource)
+	claim, start := 1, 0
+	if batch != nil {
+		// The first batch goes out alone. Its answer says whether the
+		// upstream serves batches at all, so one that does not costs a
+		// single probe rather than one per worker, and the seed goes on
+		// one object at a time. A later batch the upstream refuses
+		// fails the seed like any other error.
+		ids := seedIDs(make([]int, 0, seedBatch), 0, n)
+		switch err := m.seedMany(ctx, batch, ids); {
+		case errors.Is(err, ErrBatchUnsupported):
+			batch = nil
+		case err != nil:
+			return fmt.Errorf("httpmirror: seeding copy 0: %w", err)
+		default:
+			claim, start = seedBatch, len(ids)
+		}
+	}
 	var (
 		next  atomic.Int64
 		wg    sync.WaitGroup
 		once  sync.Once
 		first error
 	)
+	next.Store(int64(start))
 	fail := func(i int, err error) {
 		once.Do(func() {
 			first = fmt.Errorf("httpmirror: seeding copy %d: %w", i, err)
 			cancel()
 		})
 	}
-	for range min(seedWorkers, n) {
+	for range min(seedWorkers, (n-start+claim-1)/claim) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ids := make([]int, 0, claim)
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				lo := int(next.Add(int64(claim))) - claim
+				if lo >= n {
 					return
 				}
-				// A claimed id is either seeded or reported, so a nil
-				// first error after Wait means every copy is in place.
-				if err := ctx.Err(); err != nil {
-					fail(i, err)
-					return
+				// A claim is either seeded or reported, so a nil first
+				// error after Wait means every copy is in place.
+				err := ctx.Err()
+				if err == nil {
+					if batch != nil {
+						err = m.seedMany(ctx, batch, seedIDs(ids, lo, n))
+					} else {
+						err = m.seedOne(ctx, lo)
+					}
 				}
-				body, ver, err := m.cfg.Upstream.Fetch(ctx, i)
 				if err != nil {
-					fail(i, err)
+					fail(lo, err)
 					return
 				}
-				m.views[i].Store(&copyView{body: body, version: ver})
-				m.copies[i].fetches++
-				m.verified[i].Store(math.Float64bits(m.now))
 			}
 		}()
 	}
@@ -428,6 +471,48 @@ func (m *Mirror) seed(ctx context.Context) error {
 	}
 	m.fetches += n
 	return nil
+}
+
+// seedIDs fills ids, up to its capacity, with the ids from lo on that
+// are below n.
+func seedIDs(ids []int, lo, n int) []int {
+	ids = ids[:0]
+	for i := lo; i < n && len(ids) < cap(ids); i++ {
+		ids = append(ids, i)
+	}
+	return ids
+}
+
+// seedOne gives copy i its first view with one fetch.
+func (m *Mirror) seedOne(ctx context.Context, i int) error {
+	body, ver, err := m.cfg.Upstream.Fetch(ctx, i)
+	if err != nil {
+		return err
+	}
+	m.seedCopy(i, body, ver)
+	return nil
+}
+
+// seedMany gives every copy ids names its first view with one batch.
+func (m *Mirror) seedMany(ctx context.Context, batch BatchSource, ids []int) error {
+	bodies, versions, err := batch.FetchBatch(ctx, ids)
+	if err != nil {
+		return err
+	}
+	if len(bodies) != len(ids) || len(versions) != len(ids) {
+		return fmt.Errorf("httpmirror: batch of %d ids returned %d bodies and %d versions", len(ids), len(bodies), len(versions))
+	}
+	for k, i := range ids {
+		m.seedCopy(i, bodies[k], versions[k])
+	}
+	return nil
+}
+
+// seedCopy installs copy i's first view.
+func (m *Mirror) seedCopy(i int, body []byte, version int) {
+	m.views[i].Store(&copyView{body: body, version: version})
+	m.copies[i].fetches++
+	m.verified[i].Store(math.Float64bits(m.now))
 }
 
 // replan solves at budget under stepMu alone, then installs the plan,
@@ -1209,8 +1294,10 @@ func wantsPlainText(r *http.Request) bool {
 }
 
 // Handler serves the mirror API: GET/HEAD /object/{id} (conditional
-// via X-If-Version), GET /catalog (the source protocol — what lets a
-// mirror stand upstream of another mirror), GET /status, GET /healthz
+// via X-If-Version), GET /catalog (the source's per-object protocol —
+// what lets a mirror stand upstream of another mirror; it does not
+// serve the batch GET /objects, whose frames would carry no
+// degradation headers), GET /status, GET /healthz
 // (liveness), GET /readyz (readiness; 503 until the first recovery or
 // snapshot completes), POST /replan, and — when the mirror was built
 // with a metrics registry — GET /metrics.

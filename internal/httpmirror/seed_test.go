@@ -1,13 +1,17 @@
 package httpmirror
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -202,22 +206,312 @@ func TestSeedRecoveredSetsLastPoll(t *testing.T) {
 
 // TestSeedConnectionsBoundedByWorkers counts the TCP connections the
 // origin accepts while a nil-client SourceClient seeds N ≫ seedWorkers
-// copies.
+// copies, in batches and, from an origin that 404s GET /objects, one
+// object at a time.
 func TestSeedConnectionsBoundedByWorkers(t *testing.T) {
 	src := newSimSource(t, 2000)
-	var opened atomic.Int32
-	srv := httptest.NewUnstartedServer(src.s.Handler())
-	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
-		if s == http.StateNew {
-			opened.Add(1)
+	for _, noBatch := range []bool{false, true} {
+		var opened atomic.Int32
+		h := src.s.Handler()
+		if noBatch {
+			h = noBatchOrigin(h)
+		}
+		srv := httptest.NewUnstartedServer(h)
+		srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				opened.Add(1)
+			}
+		}
+		srv.Start()
+		if _, err := New(context.Background(), seedConfig(NewSourceClient(srv.URL, nil))); err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		if n := opened.Load(); n < 1 || n > seedWorkers {
+			t.Errorf("noBatch=%v: seeding 2000 copies opened %d connections, want 1..%d", noBatch, n, seedWorkers)
 		}
 	}
-	srv.Start()
+}
+
+// countingOrigin serves h over HTTP and counts GET /objects and
+// GET|HEAD /object/{id} requests.
+type countingOrigin struct {
+	*httptest.Server
+	batches, objects atomic.Int64
+}
+
+func newCountingOrigin(t *testing.T, h http.Handler) *countingOrigin {
+	t.Helper()
+	o := &countingOrigin{}
+	o.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/objects":
+			o.batches.Add(1)
+		case strings.HasPrefix(r.URL.Path, "/object/"):
+			o.objects.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(o.Close)
+	return o
+}
+
+// noBatchOrigin is an origin that predates GET /objects: it 404s the
+// route and serves everything else from h.
+func noBatchOrigin(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/objects" {
+			http.NotFound(w, r)
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// TestSeedBatchMatchesPerObject seeds one advanced origin twice, in
+// batches and one object at a time, and compares every copy.
+func TestSeedBatchMatchesPerObject(t *testing.T) {
+	const n = 2000
+	src := newSimSource(t, n).s
+	src.Advance(3)
+	seed := func(h http.Handler) (*Mirror, *countingOrigin) {
+		o := newCountingOrigin(t, h)
+		m, err := New(context.Background(), seedConfig(NewSourceClient(o.URL, o.Client())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := m.Status(); st.Fetches != n {
+			t.Errorf("Fetches after seeding = %d, want %d", st.Fetches, n)
+		}
+		return m, o
+	}
+	batched, bo := seed(src.Handler())
+	single, so := seed(noBatchOrigin(src.Handler()))
+	if got, want := bo.batches.Load(), int64((n+seedBatch-1)/seedBatch); got != want || bo.objects.Load() != 0 {
+		t.Errorf("batch seed: %d GET /objects and %d object requests, want %d and 0", got, bo.objects.Load(), want)
+	}
+	if so.batches.Load() != 1 || so.objects.Load() != n {
+		t.Errorf("per-object seed: %d GET /objects and %d object requests, want 1 and %d", so.batches.Load(), so.objects.Load(), n)
+	}
+	advanced := 0
+	for i := 0; i < n; i++ {
+		b1, v1, err1 := batched.Access(i)
+		b2, v2, err2 := single.Access(i)
+		if err1 != nil || err2 != nil || v1 != v2 || !bytes.Equal(b1, b2) {
+			t.Fatalf("copy %d: batch %q v%d (%v), per object %q v%d (%v)", i, b1, v1, err1, b2, v2, err2)
+		}
+		if cap(b1) != len(b1) {
+			t.Errorf("copy %d: batch body kept cap %d for %d bytes", i, cap(b1), len(b1))
+		}
+		if v1 > 0 {
+			advanced++
+		}
+	}
+	if advanced < n/2 {
+		t.Errorf("only %d of %d copies past version 0; the parity check needs advanced versions", advanced, n)
+	}
+}
+
+// TestSeedBatchFallsBack: an origin without GET /objects, whether it
+// answers 404 or a catch-all 200, costs the seed one probe, and the
+// seed goes on one object at a time.
+func TestSeedBatchFallsBack(t *testing.T) {
+	const n = 600
+	src := newSimSource(t, n).s
+	h := src.Handler()
+	for _, tc := range []struct {
+		name    string
+		objects func(http.ResponseWriter, *http.Request)
+	}{
+		{"404", http.NotFound},
+		{"catch-all 200", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "text/html")
+			io.WriteString(w, "<html>welcome</html>")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := newCountingOrigin(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/objects" {
+					tc.objects(w, r)
+					return
+				}
+				h.ServeHTTP(w, r)
+			}))
+			up := NewSourceClient(o.URL, o.Client())
+			m, err := New(context.Background(), seedConfig(up))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b, got := o.batches.Load(), o.objects.Load(); b != 1 || got != n {
+				t.Errorf("%d GET /objects and %d object requests, want 1 and %d", b, got, n)
+			}
+			if f := up.Failures(); f != 0 {
+				t.Errorf("the probe counted %d source failures, want 0", f)
+			}
+			if st := m.Status(); st.Fetches != n {
+				t.Errorf("Fetches = %d, want %d", st.Fetches, n)
+			}
+		})
+	}
+}
+
+// TestSeedBatchRetriesServerError: a batch answered 500 is retried as
+// one call and then served.
+func TestSeedBatchRetriesServerError(t *testing.T) {
+	const n = 1000
+	src := newSimSource(t, n).s
+	h := src.Handler()
+	var batches atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/objects" && batches.Add(1) == 2 {
+			http.Error(w, "busy", http.StatusInternalServerError)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
 	defer srv.Close()
-	if _, err := New(context.Background(), seedConfig(NewSourceClient(srv.URL, nil))); err != nil {
+	up := NewSourceClient(srv.URL, srv.Client())
+	up.SetRetryPolicy(RetryPolicy{BaseBackoff: time.Millisecond})
+	m, err := New(context.Background(), seedConfig(up))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := opened.Load(); n < 1 || n > seedWorkers {
-		t.Errorf("seeding 2000 copies opened %d connections, want 1..%d", n, seedWorkers)
+	if r, f := up.Retries(), up.Failures(); r != 1 || f != 0 {
+		t.Errorf("Retries = %d, Failures = %d; want 1 and 0", r, f)
+	}
+	if got, want := batches.Load(), int64((n+seedBatch-1)/seedBatch+1); got != want {
+		t.Errorf("%d GET /objects, want %d (one batch twice)", got, want)
+	}
+	for i := 0; i < n; i++ {
+		body, ver, err := m.Access(i)
+		if want := fmt.Sprintf("object %d version %d", i, ver); err != nil || string(body) != want {
+			t.Fatalf("copy %d = %q, %v; want %q", i, body, err, want)
+		}
+	}
+}
+
+// TestSeedBatchFailureNamesCopy: a batch the origin rejects fails New
+// with an error naming a copy in that batch, and nothing is retried.
+func TestSeedBatchFailureNamesCopy(t *testing.T) {
+	const n, bad = 2000, 700
+	src := newSimSource(t, n).s
+	h := src.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/objects" && slices.Contains(strings.Split(r.URL.Query().Get("ids"), ","), strconv.Itoa(bad)) {
+			http.Error(w, "object withdrawn", http.StatusGone)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	up := NewSourceClient(srv.URL, srv.Client())
+	_, err := New(context.Background(), seedConfig(up))
+	if err == nil {
+		t.Fatal("New succeeded with a batch the origin rejects")
+	}
+	var lo int
+	if _, serr := fmt.Sscanf(err.Error(), "httpmirror: seeding copy %d:", &lo); serr != nil {
+		t.Fatalf("error %q names no copy", err)
+	}
+	if lo > bad || bad >= lo+seedBatch {
+		t.Errorf("error %q names copy %d, outside the batch holding %d", err, lo, bad)
+	}
+	if !strings.Contains(err.Error(), "410") {
+		t.Errorf("error %q does not carry the origin's status", err)
+	}
+	if r := up.Retries(); r != 0 {
+		t.Errorf("%d retries of a permanent failure", r)
+	}
+}
+
+// TestSeedBatchCancelEndsNewPromptly cancels New while batches are in
+// flight against an origin that takes 200 ms per batch.
+func TestSeedBatchCancelEndsNewPromptly(t *testing.T) {
+	src := newSimSource(t, 20000).s
+	h := src.Handler()
+	second := make(chan struct{})
+	var batches atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/objects" {
+			if batches.Add(1) == 2 {
+				close(second)
+			}
+			select {
+			case <-time.After(200 * time.Millisecond):
+			case <-r.Context().Done():
+				return
+			}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		<-second
+		cancel()
+	}()
+	start := time.Now()
+	_, err := New(ctx, seedConfig(NewSourceClient(srv.URL, srv.Client())))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("New after cancel = %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("New took %v to notice the cancelled ctx", d)
+	}
+}
+
+// TestSeedBatchWithinServerCap: a seed batch is one the server
+// accepts, and one id past the server's cap is refused.
+func TestSeedBatchWithinServerCap(t *testing.T) {
+	if seedBatch > maxBatchIDs {
+		t.Fatalf("seedBatch %d exceeds the server's cap of %d ids", seedBatch, maxBatchIDs)
+	}
+	src := newSimSource(t, maxBatchIDs+1).s
+	srv := httptest.NewServer(src.Handler())
+	defer srv.Close()
+	up := NewSourceClient(srv.URL, srv.Client())
+	ids := seedIDs(make([]int, 0, maxBatchIDs+1), 0, maxBatchIDs+1)
+	if bodies, _, err := up.FetchBatch(context.Background(), ids[:maxBatchIDs]); err != nil || len(bodies) != maxBatchIDs {
+		t.Fatalf("a batch at the cap: %d bodies, %v", len(bodies), err)
+	}
+	if _, _, err := up.FetchBatch(context.Background(), ids); err == nil || !strings.Contains(err.Error(), "400") {
+		t.Errorf("a batch past the cap = %v, want a 400", err)
+	}
+}
+
+// BenchmarkSeed times New at N=50,000 against a loopback
+// SimulatedSource: per-object behind an origin that 404s GET /objects,
+// and batch against the origin as it is. One op is one New, the
+// catalog fetch and the first plan included.
+func BenchmarkSeed(b *testing.B) {
+	const n = 50000
+	lambdas := make([]float64, n)
+	for i := range lambdas {
+		lambdas[i] = 1
+	}
+	src, err := NewSimulatedSource(lambdas, nil, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		h    http.Handler
+	}{
+		{"per-object", noBatchOrigin(src.Handler())},
+		{"batch", src.Handler()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			srv := httptest.NewServer(bc.h)
+			defer srv.Close()
+			cfg := Config{Plan: core.Config{Bandwidth: 500}, Seed: 1}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg.Upstream = NewSourceClient(srv.URL, nil)
+				if _, err := New(context.Background(), cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

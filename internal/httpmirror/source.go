@@ -3,6 +3,7 @@ package httpmirror
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -48,6 +49,64 @@ type Source interface {
 // does not implement it or demonstrably ignores the condition.
 type ConditionalSource interface {
 	FetchIfNewer(ctx context.Context, id, have int) (body []byte, version int, notModified bool, err error)
+}
+
+// BatchSource is an optional Source extension for origins that serve
+// GET /objects, many objects in one response. Seeding claims ids in
+// batches and fetches each batch with one call, so a 50,000-object
+// boot makes ~200 round trips instead of 50,000. FetchBatch returns
+// one body and version per id, in the order of ids, and must not
+// retain ids. An upstream that does not serve batches answers
+// ErrBatchUnsupported, and the caller fetches one object at a time.
+type BatchSource interface {
+	FetchBatch(ctx context.Context, ids []int) (bodies [][]byte, versions []int, err error)
+}
+
+// ErrBatchUnsupported is a BatchSource's answer when its upstream does
+// not serve GET /objects.
+var ErrBatchUnsupported = errors.New("httpmirror: upstream does not serve GET /objects")
+
+// maxBatchIDs caps the ids one GET /objects may name, and so the
+// response one request can ask for. seedBatch stays at or below it.
+const maxBatchIDs = 1024
+
+// batchContentType marks a GET /objects response. A 200 of any other
+// type comes from a catch-all origin that does not serve batches.
+const batchContentType = "application/x-freshen-objects"
+
+// appendFrame appends one GET /objects frame: the line
+// "{id} {version} {len}\n", then the body's len bytes.
+func appendFrame(dst []byte, id, version int, body []byte) []byte {
+	dst = strconv.AppendInt(dst, int64(id), 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(version), 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(len(body)), 10)
+	dst = append(dst, '\n')
+	return append(dst, body...)
+}
+
+// parseBatchIDs parses GET /objects's ids parameter: 1 to maxBatchIDs
+// comma-separated ids, each in [0, n).
+func parseBatchIDs(list string, n int) ([]int, error) {
+	if list == "" {
+		return nil, errors.New("empty id list")
+	}
+	k := strings.Count(list, ",") + 1
+	if k > maxBatchIDs {
+		return nil, fmt.Errorf("%d ids, at most %d per request", k, maxBatchIDs)
+	}
+	ids := make([]int, 0, k)
+	for rest, more := list, true; more; {
+		var f string
+		f, rest, more = strings.Cut(rest, ",")
+		id, err := strconv.Atoi(f)
+		if err != nil || id < 0 || id >= n {
+			return nil, fmt.Errorf("bad object id %q", f)
+		}
+		ids = append(ids, id)
+	}
+	return ids, nil
 }
 
 // UpstreamHealth is an optional Source extension for sources that are
@@ -158,6 +217,26 @@ func (s *SimulatedSource) Version(id int) (int, error) {
 	return s.version[id], nil
 }
 
+// versions returns each id's current version, all read under one
+// lock. Every id must be in range.
+func (s *SimulatedSource) versions(ids []int) []int {
+	out := make([]int, len(ids))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, id := range ids {
+		out[k] = s.version[id]
+	}
+	return out
+}
+
+// appendBody appends object id's body at version ver.
+func appendBody(dst []byte, id, ver int) []byte {
+	dst = append(dst, "object "...)
+	dst = strconv.AppendInt(dst, int64(id), 10)
+	dst = append(dst, " version "...)
+	return strconv.AppendInt(dst, int64(ver), 10)
+}
+
 // Catalog lists the source's objects.
 func (s *SimulatedSource) Catalog() []CatalogEntry {
 	s.mu.Lock()
@@ -169,7 +248,9 @@ func (s *SimulatedSource) Catalog() []CatalogEntry {
 	return out
 }
 
-// Handler serves the source protocol over HTTP.
+// Handler serves the source protocol over HTTP, GET /objects included.
+// A batch frame's body is built from the version it carries, so no
+// frame pairs a body with another version.
 func (s *SimulatedSource) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/catalog", func(w http.ResponseWriter, r *http.Request) {
@@ -207,10 +288,29 @@ func (s *SimulatedSource) Handler() http.Handler {
 					return
 				}
 			}
-			fmt.Fprintf(w, "object %d version %d", id, ver)
+			w.Write(appendBody(nil, id, ver))
 		default:
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		}
+	})
+	mux.HandleFunc("/objects", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			return
+		}
+		ids, err := parseBatchIDs(r.URL.Query().Get("ids"), len(s.lambdas))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		out, body := make([]byte, 0, 48*len(ids)), []byte(nil)
+		for k, ver := range s.versions(ids) {
+			body = appendBody(body[:0], ids[k], ver)
+			out = appendFrame(out, ids[k], ver, body)
+		}
+		w.Header().Set("Content-Type", batchContentType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+		w.Write(out)
 	})
 	return mux
 }
