@@ -114,14 +114,15 @@ metrics-contract:
 # pool, the clustering buffers, the mirror's lock-free serving path
 # (the per-object view stress test lives in internal/httpmirror, and
 # runs five more times on its own) and its seeding workers (ten more
-# times, batch and per-object, a fleet shard's batches included), the
+# times, batch and per-object, a fleet shard's batches and the fleet's
+# concurrent shard starts included), the
 # admission limiter / mode machine atomics, the fleet router, a
 # lock-free reader of the shard and health state that Kill, Start and
 # the supervisor mutate, and the hierarchy source's observer, which
 # wraps the transport a nil client builds.
 race:
 	$(GO) test -race ./internal/solver/... ./internal/cluster/... ./internal/httpmirror/... ./internal/resilience/... ./internal/fleet/... ./internal/hierarchy/...
-	$(GO) test -race -count=10 -run 'TestSeed|TestNilClientSourceClientsShareNoConnection' ./internal/httpmirror/ ./internal/fleet/
+	$(GO) test -race -count=10 -run 'TestSeed|TestNilClientSourceClientsShareNoConnection|TestFleetBoot' ./internal/httpmirror/ ./internal/fleet/
 	$(GO) test -race -count=5 -run 'TestServeSnapshotNotTorn|TestAccessLockFree' ./internal/httpmirror/
 	$(GO) test -race -count=5 -run 'TestSolveRunsOffStateLock|TestHealthReplansKeepLearning|TestShardSolveKeepsShardHealthy' ./internal/httpmirror/ ./internal/fleet/
 

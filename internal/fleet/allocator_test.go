@@ -22,7 +22,7 @@ func newShardMirrors(t *testing.T, n, k int) ([]*httpmirror.Mirror, *Placement) 
 	mirrors := make([]*httpmirror.Mirror, k)
 	for s := 0; s < k; s++ {
 		m, err := httpmirror.New(context.Background(), httpmirror.Config{
-			Upstream: newShardSource(src, place, s),
+			Upstream: newShardSource(src, place, s, nil),
 			Plan: core.Config{
 				Strategy:  core.StrategyExact,
 				Bandwidth: 1,
@@ -179,7 +179,7 @@ func TestShardSourceMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := 0; s < 3; s++ {
-		ss := newShardSource(src, place, s)
+		ss := newShardSource(src, place, s, nil)
 		catalog, err := ss.Catalog(context.Background())
 		if err != nil {
 			t.Fatal(err)

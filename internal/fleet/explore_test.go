@@ -27,7 +27,7 @@ func TestExploreFundedFromLocalSlice(t *testing.T) {
 	mirrors := make([]*httpmirror.Mirror, k)
 	for s := 0; s < k; s++ {
 		m, err := httpmirror.New(context.Background(), httpmirror.Config{
-			Upstream:    newShardSource(src, place, s),
+			Upstream:    newShardSource(src, place, s, nil),
 			Plan:        core.Config{Strategy: core.StrategyExact, Bandwidth: 1},
 			ReplanEvery: 1,
 			ExploreFrac: exploreFrac,

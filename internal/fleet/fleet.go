@@ -139,9 +139,13 @@ type Fleet struct {
 	lastAcc    []int
 }
 
-// New builds and starts the fleet: placement, K shards (each booted
-// and seeded via ctx), and one initial budget leveling so no shard
-// runs on a made-up budget for longer than the boot takes.
+// New builds and starts the fleet: placement, K shards, and one
+// initial budget leveling so no shard runs on a made-up budget for
+// longer than the boot takes. A boot fetches the global catalog once
+// and hands each shard its slice of it; the shards then start
+// together, each booted and seeded via ctx. If one fails to start, New
+// cancels the others' starts, stops every shard that did start, and
+// returns that failure.
 func New(ctx context.Context, cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Shards <= 0 {
@@ -161,6 +165,9 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 	catalog, err := cfg.Upstream.Catalog(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: global catalog: %w", err)
+	}
+	if err := checkDense(catalog); err != nil {
+		return nil, err
 	}
 	if place == nil {
 		place, err = HashPlacement(len(catalog), cfg.Shards)
@@ -230,19 +237,56 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 			Logger:    cfg.Logger,
 		})
 		if err != nil {
-			f.closeShards()
 			return nil, err
 		}
 		f.shards = append(f.shards, sh)
-		if err := sh.Start(ctx); err != nil {
-			f.closeShards()
-			return nil, err
-		}
-		f.healthy[i].Store(true)
+	}
+	if err := f.startShards(ctx, catalog); err != nil {
+		return nil, err
 	}
 
 	f.reallocate("boot")
 	return f, nil
+}
+
+// startShards starts every shard at once, each on its slice of the
+// global catalog, so a boot costs the slowest shard's start rather
+// than the sum of them. The first failure cancels the other starts;
+// once every start has returned, the shards that did start are
+// stopped and that failure is returned.
+func (f *Fleet) startShards(ctx context.Context, catalog []httpmirror.CatalogEntry) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
+	)
+	for i, sh := range f.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			boot, err := localCatalog(catalog, f.place.Globals(i))
+			if err == nil {
+				err = sh.start(ctx, boot)
+			}
+			if err != nil {
+				once.Do(func() {
+					first = err
+					cancel()
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	if first != nil {
+		f.closeShards()
+		return first
+	}
+	for i := range f.shards {
+		f.healthy[i].Store(true)
+	}
+	return nil
 }
 
 // closeShards hard-stops whatever started during a failed New.

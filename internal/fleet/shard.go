@@ -93,9 +93,15 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 }
 
 // Start boots the shard: open (and recover from) its persist
-// directory, build the mirror — seeding fetches ride ctx — and serve
-// it. Idempotent-safe: starting a running shard is an error.
-func (s *Shard) Start(ctx context.Context) error {
+// directory, build the mirror — the catalog and seeding fetches ride
+// ctx — and serve it. Idempotent-safe: starting a running shard is an
+// error.
+func (s *Shard) Start(ctx context.Context) error { return s.start(ctx, nil) }
+
+// start is Start with the shard's catalog in hand: a non-nil boot
+// (the fleet's first start, from its own catalog fetch) stands in for
+// the mirror's catalog fetch.
+func (s *Shard) start(ctx context.Context, boot []httpmirror.CatalogEntry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.mirror != nil {
@@ -104,7 +110,7 @@ func (s *Shard) Start(ctx context.Context) error {
 	lg := obs.Component(s.cfg.Logger, fmt.Sprintf("shard-%d", s.cfg.Index))
 
 	mcfg := s.cfg.Mirror
-	mcfg.Upstream = newShardSource(s.cfg.Upstream, s.cfg.Placement, s.cfg.Index)
+	mcfg.Upstream = newShardSource(s.cfg.Upstream, s.cfg.Placement, s.cfg.Index, boot)
 	mcfg.Logger = lg
 
 	// Every shard gets its own registry: per-shard series live on the

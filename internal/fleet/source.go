@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"freshen/internal/httpmirror"
 )
@@ -15,15 +16,22 @@ import (
 type shardSource struct {
 	inner httpmirror.Source
 	gids  []int
+	// boot is the shard's catalog from the fleet's boot fetch, if any.
+	// The first Catalog call takes it, so the view does not keep it.
+	boot atomic.Pointer[[]httpmirror.CatalogEntry]
 }
 
 // newShardSource builds shard s's view of the global source. The view
 // answers conditional fetches exactly when inner does, so a shard's
 // mirror polls with one conditional GET, as a single mirror does,
 // instead of falling back to HEAD-then-GET. Both variants fetch
-// batches when inner does.
-func newShardSource(inner httpmirror.Source, p *Placement, s int) httpmirror.Source {
+// batches when inner does. A non-nil boot answers the view's first
+// Catalog call in place of a fetch.
+func newShardSource(inner httpmirror.Source, p *Placement, s int, boot []httpmirror.CatalogEntry) httpmirror.Source {
 	base := &shardSource{inner: inner, gids: p.Globals(s)}
+	if boot != nil {
+		base.boot.Store(&boot)
+	}
 	if cond, ok := inner.(httpmirror.ConditionalSource); ok {
 		return &condShardSource{shardSource: base, cond: cond}
 	}
@@ -47,21 +55,40 @@ func (s *condShardSource) FetchIfNewer(ctx context.Context, id, have int) ([]byt
 // Catalog lists the shard's objects under their dense local ids,
 // keeping each object's global size.
 func (s *shardSource) Catalog(ctx context.Context) ([]httpmirror.CatalogEntry, error) {
+	if boot := s.boot.Swap(nil); boot != nil {
+		return *boot, nil
+	}
 	global, err := s.inner.Catalog(ctx)
 	if err != nil {
 		return nil, err
 	}
-	sizes := make(map[int]float64, len(global))
-	for _, e := range global {
-		sizes[e.ID] = e.Size
+	if err := checkDense(global); err != nil {
+		return nil, err
 	}
-	local := make([]httpmirror.CatalogEntry, len(s.gids))
-	for l, gid := range s.gids {
-		size, ok := sizes[gid]
-		if !ok {
+	return localCatalog(global, s.gids)
+}
+
+// checkDense holds a global catalog to the rule httpmirror.New applies
+// to its own, since shards look their objects up in it by id: entry i
+// has id i.
+func checkDense(catalog []httpmirror.CatalogEntry) error {
+	for i, e := range catalog {
+		if e.ID != i {
+			return fmt.Errorf("fleet: global catalog ids must be dense, got %d at position %d", e.ID, i)
+		}
+	}
+	return nil
+}
+
+// localCatalog lists the objects gids names under their dense local
+// ids, keeping each object's size in the dense global catalog.
+func localCatalog(global []httpmirror.CatalogEntry, gids []int) ([]httpmirror.CatalogEntry, error) {
+	local := make([]httpmirror.CatalogEntry, len(gids))
+	for l, gid := range gids {
+		if gid >= len(global) {
 			return nil, fmt.Errorf("fleet: global catalog is missing object %d owned by this shard", gid)
 		}
-		local[l] = httpmirror.CatalogEntry{ID: l, Size: size}
+		local[l] = httpmirror.CatalogEntry{ID: l, Size: global[gid].Size}
 	}
 	return local, nil
 }

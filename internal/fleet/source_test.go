@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -45,11 +46,11 @@ func TestShardPollsWithConditionalFetches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	up := newShardSource(httpmirror.NewSourceClient(srv.URL, srv.Client()), place, 1)
+	up := newShardSource(httpmirror.NewSourceClient(srv.URL, srv.Client()), place, 1, nil)
 	if _, ok := up.(httpmirror.ConditionalSource); !ok {
 		t.Fatal("the shard view of a conditional source is not conditional")
 	}
-	if _, ok := newShardSource(newMemSource(n), place, 1).(httpmirror.ConditionalSource); ok {
+	if _, ok := newShardSource(newMemSource(n), place, 1, nil).(httpmirror.ConditionalSource); ok {
 		t.Error("the shard view of a plain source claims conditional fetches")
 	}
 	if _, _, _, err := up.(httpmirror.ConditionalSource).FetchIfNewer(context.Background(), len(place.Globals(1)), 0); err == nil {
@@ -123,7 +124,7 @@ func TestSeedBatchShardOwnIDs(t *testing.T) {
 		inner.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
-	up := newShardSource(httpmirror.NewSourceClient(srv.URL, srv.Client()), place, shard)
+	up := newShardSource(httpmirror.NewSourceClient(srv.URL, srv.Client()), place, shard, nil)
 	batch, ok := up.(httpmirror.BatchSource)
 	if !ok {
 		t.Fatal("the shard view of a batch source fetches no batches")
@@ -134,7 +135,7 @@ func TestSeedBatchShardOwnIDs(t *testing.T) {
 	if batches != 0 {
 		t.Errorf("an out-of-range batch sent %d requests", batches)
 	}
-	plain := newShardSource(newMemSource(n), place, shard).(httpmirror.BatchSource)
+	plain := newShardSource(newMemSource(n), place, shard, nil).(httpmirror.BatchSource)
 	if _, _, err := plain.FetchBatch(context.Background(), []int{0}); !errors.Is(err, httpmirror.ErrBatchUnsupported) {
 		t.Errorf("the shard view of a per-object source: FetchBatch = %v, want ErrBatchUnsupported", err)
 	}
@@ -157,5 +158,62 @@ func TestSeedBatchShardOwnIDs(t *testing.T) {
 		if want := fmt.Sprintf("object %d version 0", gid); err != nil || string(body) != want {
 			t.Fatalf("local copy %d = %q, %v; want %q", l, body, err, want)
 		}
+	}
+}
+
+// catalogSource is a memSource that lists catalog, whatever it holds,
+// and counts the fetches of it.
+type catalogSource struct {
+	*memSource
+	catalog []httpmirror.CatalogEntry
+	fetches int
+}
+
+func (s *catalogSource) Catalog(context.Context) ([]httpmirror.CatalogEntry, error) {
+	s.fetches++
+	return s.catalog, nil
+}
+
+// TestShardSourceCatalog: a boot catalog answers the view's first
+// Catalog call without a fetch, once; later calls fetch the global
+// catalog and refuse one that is not dense or lacks an owned object.
+func TestShardSourceCatalog(t *testing.T) {
+	const n, shard = 20, 1
+	place, err := HashPlacement(n, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := make([]httpmirror.CatalogEntry, n)
+	for i := range dense {
+		dense[i] = httpmirror.CatalogEntry{ID: i, Size: float64(i + 1)}
+	}
+	src := &catalogSource{memSource: newMemSource(n), catalog: dense}
+	boot := []httpmirror.CatalogEntry{{ID: 0, Size: 99}}
+	ss := newShardSource(src, place, shard, boot)
+	ctx := context.Background()
+	if got, err := ss.Catalog(ctx); err != nil || len(got) != 1 || got[0].Size != 99 || src.fetches != 0 {
+		t.Fatalf("first Catalog = %v, %v after %d fetches; want the boot catalog and no fetch", got, err, src.fetches)
+	}
+	gids := place.Globals(shard)
+	got, err := ss.Catalog(ctx)
+	if err != nil || len(got) != len(gids) || src.fetches != 1 {
+		t.Fatalf("second Catalog = %d entries, %v after %d fetches; want %d entries from one fetch", len(got), err, src.fetches, len(gids))
+	}
+	for l, e := range got {
+		if e.ID != l || e.Size != dense[gids[l]].Size {
+			t.Errorf("local entry %d = %+v, want id %d size %v", l, e, l, dense[gids[l]].Size)
+		}
+	}
+
+	permuted := append([]httpmirror.CatalogEntry(nil), dense...)
+	permuted[3].ID, permuted[4].ID = 4, 3
+	src.catalog = permuted
+	if _, err := ss.Catalog(ctx); err == nil || !strings.Contains(err.Error(), "got 4 at position 3") {
+		t.Errorf("permuted global catalog: %v", err)
+	}
+	last := slices.Max(gids)
+	src.catalog = dense[:last]
+	if _, err := ss.Catalog(ctx); err == nil || !strings.Contains(err.Error(), "missing object") {
+		t.Errorf("global catalog without owned object %d: %v", last, err)
 	}
 }

@@ -13,20 +13,26 @@ import (
 // The engine is the shared water-filling core behind WaterFill,
 // SolveGF, MinimizeAge, Blend, BandwidthForTarget and the partition
 // heuristics. It makes the multiplier search's inner loop cheap in
-// four ways:
+// five ways:
 //
 //   - Funding-cutoff pruning: per-element invariants (the cutoff
 //     μᵢ* = pᵢ·M(0,λᵢ)/sᵢ above which element i earns nothing) are
 //     computed once per solve and sorted descending, so each candidate
 //     μ binary-searches the funded prefix and never touches unfunded
 //     elements.
+//   - Tied classes: each run of sorted elements tied on (pᵢ, λᵢ, sᵢ)
+//     shares one marginal curve, so a sweep inverts it once per class
+//     and adds the class's usage once per member, in element order —
+//     exactly the per-element sweep's rounding. A cold uniform-prior
+//     catalog is one class, so its sweeps cost O(1) inversions at any
+//     N; with no ties every class has one member.
 //   - A superlinear root finder: usage(μ) is close to a power law, so
 //     a log-log secant with an Illinois safeguard replaces bisection —
 //     a median 18 usage sweeps on learned catalogs (12–55 in
 //     TestEngineLearnedCatalogSweeps' recipe) to a 1e-15-relative
 //     multiplier instead of ~60 — and probes a lone funding cutoff, or
 //     a cold catalog's one tied group, directly (see solveCurve).
-//   - Warm starts: each element carries the root of its previous
+//   - Warm starts: each class carries the root of its previous
 //     marginal inversion across iterations. μ moves little per step
 //     once the root localizes, so policies implementing
 //     freshness.WarmStartInverter re-converge in 1–2 exp evaluations
@@ -42,22 +48,34 @@ import (
 // extra sweeps are cheap once warm-started, and the tight root makes
 // results reproducible to ~1e-12 against a from-scratch solve.
 
-// engineParallelThreshold is the active-element count below which a
-// solve stays on the calling goroutine.
+// engineParallelThreshold is the tied-class count below which a solve
+// stays on the calling goroutine.
 const engineParallelThreshold = 16384
 
 // bracketHalvings caps the μ-bracketing fallback loops.
 const bracketHalvings = 4096
 
-// activeElem is one schedulable element's solve-time state.
+// activeElem is one schedulable element, as the solve sorts it.
 type activeElem struct {
 	idx    int     // position in Problem.Elements
 	lambda float64 // change rate
 	weight float64 // access probability (objective weight)
 	size   float64 // bandwidth cost per refresh
 	cutoff float64 // funding cutoff μ*: marginal value of the first sliver
+}
+
+// tiedClass is a maximal run act[lo:hi] of sorted active elements
+// tied on (weight, λ, size). Its members share one cutoff and one
+// marginal curve, so they hold one frequency at every μ and the solve
+// inverts that curve once for all of them.
+type tiedClass struct {
+	lo, hi int     // members: Engine.act[lo:hi]
+	lambda float64 // shared change rate
+	weight float64 // shared access probability
+	size   float64 // shared bandwidth cost per refresh
+	cutoff float64 // shared funding cutoff
 	hint   float64 // warm-start hint carried across inversions
-	freq   float64 // frequency at the most recently evaluated μ
+	freq   float64 // member frequency at the most recently evaluated μ
 	gain   float64 // residual top-up scratch: fill cap minus current freq
 }
 
@@ -159,8 +177,13 @@ func invertDecreasingMarginal(m func(float64) float64, target, hint float64) flo
 // never share one.
 type Engine struct {
 	act     []activeElem
+	cls     []tiedClass
 	partial []float64
 	heap    []int
+
+	// inversions counts the most recent solve's marginal inversions,
+	// one per funded class per sweep plus the top-up's fill caps.
+	inversions int
 
 	// Worker pool state, live only while a solve runs. Each worker has
 	// its own wake channel: a shared channel would let one worker absorb
@@ -206,6 +229,7 @@ func (e *Engine) solveCurve(p Problem, curve marginalCurve, topUp bool) (Solutio
 	}
 	n := len(p.Elements)
 	sol := Solution{Freqs: make([]float64, n)}
+	e.inversions = 0
 
 	// Per-element invariants, computed once per solve. Elements with
 	// zero weight or zero change rate never earn bandwidth and stay at
@@ -254,6 +278,20 @@ func (e *Engine) solveCurve(p Problem, curve marginalCurve, topUp bool) (Solutio
 			return a.idx - b.idx
 		}
 	})
+	// Ties on (p, λ, s) imply a tie on the cutoff, so each run of them
+	// is consecutive unless an element of another triple shares the
+	// cutoff and falls between them by index; such a run splits into
+	// more classes, which stays exact.
+	e.cls = e.cls[:0]
+	for j, a := range e.act {
+		if c := len(e.cls) - 1; c >= 0 && e.cls[c].weight == a.weight && e.cls[c].lambda == a.lambda && e.cls[c].size == a.size {
+			e.cls[c].hi = j + 1
+			continue
+		}
+		e.cls = append(e.cls, tiedClass{
+			lo: j, hi: j + 1, lambda: a.lambda, weight: a.weight, size: a.size, cutoff: a.cutoff,
+		})
+	}
 
 	e.curve = curve
 	e.startWorkers()
@@ -319,17 +357,20 @@ func (e *Engine) solveCurve(p Problem, curve marginalCurve, topUp bool) (Solutio
 		// only logarithmically (f ≈ λ/log(1/δ) for a relative distance
 		// δ below the cutoff), so usage looks like a step: the root can
 		// sit within an ulp of the cutoff and interpolation would creep
-		// toward it one halving at a time. Once a single cutoff remains
-		// inside the bracket, probe it and its float neighbour directly
-		// — at most two evaluations pin the bracket to one ulp. Elements
-		// tied on (p, λ, s) share one cutoff and enter together, so a
-		// bracket holding one tied group is probed the same way while
-		// nothing is funded at muHi (a uniform-prior catalog is one such
-		// group). Once something is funded the secant has a finite
-		// ordinate and is left to it.
+		// toward it one halving at a time. Once a single element's
+		// cutoff remains inside the bracket (one class of one member),
+		// probe it and its float neighbour directly — at most two
+		// evaluations pin the bracket to one ulp. Elements tied on
+		// (p, λ, s) share one cutoff and enter together, so a bracket
+		// holding one tied group is probed the same way while nothing is
+		// funded at muHi (a uniform-prior catalog is one such group).
+		// Once something is funded the secant has a finite ordinate and
+		// is left to it: probing any lone class there made some learned
+		// catalogs slower (TestEngineLearnedCatalogSweeps).
 		kLo, kHi := e.fundedTo(muLo), e.fundedTo(muHi)
-		if kLo == kHi+1 || (math.IsInf(hHi, -1) && kLo > kHi && e.act[kLo-1].cutoff == e.act[kHi].cutoff) {
-			cand := e.act[kLo-1].cutoff
+		lone := kLo == kHi+1 && e.cls[kHi].hi-e.cls[kHi].lo == 1
+		if lone || (math.IsInf(hHi, -1) && kLo > kHi && e.cls[kLo-1].cutoff == e.cls[kHi].cutoff) {
+			cand := e.cls[kLo-1].cutoff
 			if cm := math.Nextafter(cand, 0); cm > muLo {
 				cand = cm
 			} else if cand >= muHi {
@@ -385,8 +426,10 @@ func (e *Engine) solveCurve(p Problem, curve marginalCurve, topUp bool) (Solutio
 	mu := muHi
 	k := e.fundedTo(mu)
 	used := e.usage(mu)
-	for j := 0; j < k; j++ {
-		sol.Freqs[e.act[j].idx] = e.act[j].freq
+	for _, c := range e.cls[:k] {
+		for _, a := range e.act[c.lo:c.hi] {
+			sol.Freqs[a.idx] = c.freq
+		}
 	}
 	if topUp {
 		e.topUpResidual(p, &sol, mu, used, k)
@@ -395,18 +438,22 @@ func (e *Engine) solveCurve(p Problem, curve marginalCurve, topUp bool) (Solutio
 	sol.Iterations = iters
 	err := sol.evaluate(p)
 	if obsm != nil {
-		obsm.record(time.Since(obsStart), iters, k)
+		funded := 0 // elements, not classes
+		if k > 0 {
+			funded = e.cls[k-1].hi
+		}
+		obsm.record(time.Since(obsStart), iters, funded)
 	}
 	return sol, err
 }
 
 // fundedTo returns the funded prefix length at multiplier mu: the
-// number of active elements whose cutoff exceeds mu.
+// number of tied classes whose cutoff exceeds mu.
 func (e *Engine) fundedTo(mu float64) int {
-	lo, hi := 0, len(e.act)
+	lo, hi := 0, len(e.cls)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if e.act[mid].cutoff > mu {
+		if e.cls[mid].cutoff > mu {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -416,11 +463,12 @@ func (e *Engine) fundedTo(mu float64) int {
 }
 
 // usage evaluates Σ sᵢ·fᵢ(μ) over the funded prefix, recording each
-// element's frequency and warm hint in place. Large prefixes are
-// sharded across the solve's worker pool; partial sums reduce in
+// class's frequency and warm hint in place. Large prefixes are sharded
+// by class across the solve's worker pool; partial sums reduce in
 // worker order so the result is deterministic.
 func (e *Engine) usage(mu float64) float64 {
 	k := e.fundedTo(mu)
+	e.inversions += k
 	if e.workers <= 1 || k < engineParallelThreshold {
 		return e.invertRange(mu, 0, k)
 	}
@@ -439,15 +487,22 @@ func (e *Engine) usage(mu float64) float64 {
 	return total
 }
 
-// invertRange inverts the marginal for active elements [lo, hi) at
-// multiplier mu and returns their bandwidth usage.
+// invertRange inverts the marginal once for each class in [lo, hi) at
+// multiplier mu and returns their members' bandwidth usage. A class's
+// usage is added once per member rather than multiplied out, so the
+// sum rounds exactly as a per-element sweep's does: the search's last
+// sweeps run at the float noise floor, where a one-ulp difference in
+// usage changes its path.
 func (e *Engine) invertRange(mu float64, lo, hi int) float64 {
 	var total float64
 	for j := lo; j < hi; j++ {
-		a := &e.act[j]
-		f, h := e.curve.invert(mu*a.size/a.weight, a.lambda, a.hint)
-		a.freq, a.hint = f, h
-		total += a.size * f
+		c := &e.cls[j]
+		f, h := e.curve.invert(mu*c.size/c.weight, c.lambda, c.hint)
+		c.freq, c.hint = f, h
+		u := c.size * f
+		for range c.hi - c.lo {
+			total += u
+		}
 	}
 	return total
 }
@@ -460,7 +515,7 @@ func (e *Engine) startWorkers() {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if len(e.act) < engineParallelThreshold || w < 2 {
+	if len(e.cls) < engineParallelThreshold || w < 2 {
 		e.workers = 1
 		return
 	}
@@ -508,12 +563,14 @@ func (e *Engine) stopWorkers() {
 // only resolvable to ~1e-15 relative, and an element whose funding
 // cutoff coincides with μ to that precision absorbs its bandwidth
 // discontinuously in float arithmetic, which can leave part of the
-// budget unused. Each funded element's fill cap — the frequency it
-// would hold at μ·(1−1e-9) — is computed once, and the residual drains
-// through a max-heap of gains: every funded marginal stays within
-// 1e-9 of the multiplier (optimality to the precision μ itself
-// carries) while budget tightness is restored in O(m log m) instead
-// of the previous O(n²) rescan-per-round.
+// budget unused. Each funded class's fill cap — the frequency its
+// members would hold at μ·(1−1e-9) — is computed once, and the
+// residual drains through a max-heap of gains: every funded marginal
+// stays within 1e-9 of the multiplier (optimality to the precision μ
+// itself carries) while budget tightness is restored in O(m log m)
+// instead of the previous O(n²) rescan-per-round. A class takes its
+// share as a whole, split evenly across its members, so tied elements
+// keep one frequency.
 func (e *Engine) topUpResidual(p Problem, sol *Solution, mu, used float64, k int) {
 	residual := p.Bandwidth - used
 	if residual <= p.Bandwidth*1e-14 {
@@ -521,20 +578,21 @@ func (e *Engine) topUpResidual(p Problem, sol *Solution, mu, used float64, k int
 	}
 	muFill := mu * (1 - 1e-9)
 	kFill := e.fundedTo(muFill)
+	e.inversions += kFill
 	if cap(e.heap) < kFill {
 		e.heap = make([]int, 0, kFill)
 	}
 	h := e.heap[:0]
 	for j := 0; j < kFill; j++ {
-		a := &e.act[j]
-		fillCap, hint := e.curve.invert(muFill*a.size/a.weight, a.lambda, a.hint)
-		a.hint = hint
+		c := &e.cls[j]
+		fillCap, hint := e.curve.invert(muFill*c.size/c.weight, c.lambda, c.hint)
+		c.hint = hint
 		cur := 0.0
 		if j < k {
-			cur = a.freq
+			cur = c.freq
 		}
 		if g := fillCap - cur; g > 0 {
-			a.gain = g
+			c.gain = g
 			h = append(h, j)
 		}
 	}
@@ -543,18 +601,21 @@ func (e *Engine) topUpResidual(p Problem, sol *Solution, mu, used float64, k int
 		e.siftDown(h, i)
 	}
 	for len(h) > 0 && residual > p.Bandwidth*1e-14 {
-		a := &e.act[h[0]]
-		df := residual / a.size
-		if df >= a.gain {
-			df = a.gain
+		c := &e.cls[h[0]]
+		members := float64(c.hi - c.lo)
+		df := residual / (members * c.size)
+		if df >= c.gain {
+			df = c.gain
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
 			if len(h) > 0 {
 				e.siftDown(h, 0)
 			}
 		}
-		sol.Freqs[a.idx] += df
-		residual -= df * a.size
+		for _, a := range e.act[c.lo:c.hi] {
+			sol.Freqs[a.idx] += df
+		}
+		residual -= df * c.size * members
 	}
 	e.heap = h[:0]
 }
@@ -563,10 +624,10 @@ func (e *Engine) siftDown(h []int, i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		big := i
-		if l < len(h) && e.act[h[l]].gain > e.act[h[big]].gain {
+		if l < len(h) && e.cls[h[l]].gain > e.cls[h[big]].gain {
 			big = l
 		}
-		if r < len(h) && e.act[h[r]].gain > e.act[h[big]].gain {
+		if r < len(h) && e.cls[h[r]].gain > e.cls[h[big]].gain {
 			big = r
 		}
 		if big == i {

@@ -329,3 +329,93 @@ func TestEngineLearnedCatalogSweeps(t *testing.T) {
 	}
 	testkit.MustCertify(t, nil, elems, sol.Freqs, 500, 1e-6)
 }
+
+// learnedSweeps is each learnedCatalog(50k, periods, seed)'s sweep
+// count at one worker, indexed [periods−1][seed−1]: 1,449 in all, 155
+// at worst. The search's last sweeps run at the float noise floor, so
+// any change to how a sweep sums usage moves these counts.
+var learnedSweeps = [12][5]int{
+	{155, 92, 15, 13, 15},
+	{16, 19, 17, 17, 20},
+	{23, 41, 23, 41, 43},
+	{16, 12, 12, 12, 14},
+	{16, 17, 13, 15, 40},
+	{43, 21, 42, 54, 55},
+	{14, 15, 16, 15, 14},
+	{18, 18, 19, 16, 19},
+	{19, 14, 12, 20, 20},
+	{15, 20, 14, 19, 20},
+	{21, 21, 16, 23, 18},
+	{21, 14, 12, 16, 18},
+}
+
+// TestEngineLearnedCatalogSweepTable pins the search path on all 60
+// learned catalogs: solving each tied class once must leave every
+// sweep count where the per-element sweep had it.
+func TestEngineLearnedCatalogSweepTable(t *testing.T) {
+	e := NewEngine()
+	e.maxWorkers = 1
+	for periods := 1; periods <= len(learnedSweeps); periods++ {
+		for seed := int64(1); seed <= 5; seed++ {
+			elems := learnedCatalog(50_000, periods, seed)
+			sol, err := e.WaterFill(Problem{Elements: elems, Bandwidth: 500})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := learnedSweeps[periods-1][seed-1]; sol.Iterations != want {
+				t.Errorf("learnedCatalog(50k, %d, %d) took %d sweeps, want %d", periods, seed, sol.Iterations, want)
+			}
+		}
+	}
+}
+
+// TestEngineTiedCatalogEqualSplit: the cold N=50k, B=500 plan's root
+// sits within an ulp of its one tied cutoff, so the whole budget is
+// the residual top-up's. The top-up pays the tied class as a whole,
+// so every element gets B/N; paying elements one at a time funded
+// 11,970 of them and left the rest at zero.
+func TestEngineTiedCatalogEqualSplit(t *testing.T) {
+	const n, budget = 50_000, 500.0
+	elems := tiedCatalog(n)
+	sol, err := NewEngine().WaterFill(Problem{Elements: elems, Bandwidth: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := budget / n
+	for i, f := range sol.Freqs {
+		if f != sol.Freqs[0] || math.Abs(f-want) > 1e-12*want {
+			t.Fatalf("element %d has frequency %v, element 0 %v; want every element at %v", i, f, sol.Freqs[0], want)
+		}
+	}
+	if math.Abs(sol.BandwidthUsed-budget) > 1e-12*budget {
+		t.Errorf("used %v of budget %v", sol.BandwidthUsed, budget)
+	}
+	testkit.MustCertify(t, nil, elems, sol.Freqs, budget, 1e-6)
+}
+
+// TestEngineTiedCatalogInversions: a tied catalog is one class, so its
+// marginal inversions per solve do not grow with N. B/N = 0.05 puts
+// the root inside the bracket (a secant search); B/N = 0.01 puts it
+// within an ulp of the cutoff (one probe, then the top-up).
+func TestEngineTiedCatalogInversions(t *testing.T) {
+	for _, perElem := range []float64{0.05, 0.01} {
+		counts := make([]int, 0, 2)
+		for _, n := range []int{5_000, 50_000} {
+			e := NewEngine()
+			e.maxWorkers = 1
+			sol, err := e.WaterFill(Problem{Elements: tiedCatalog(n), Bandwidth: perElem * float64(n)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One bracketing sweep, one per search sweep, the final
+			// sweep and the top-up's fill cap.
+			if e.inversions > sol.Iterations+3 {
+				t.Errorf("N=%d, B/N=%v: %d inversions over %d sweeps", n, perElem, e.inversions, sol.Iterations)
+			}
+			counts = append(counts, e.inversions)
+		}
+		if counts[0] != counts[1] {
+			t.Errorf("B/N=%v: %d inversions at N=5,000 but %d at N=50,000", perElem, counts[0], counts[1])
+		}
+	}
+}

@@ -61,6 +61,18 @@ func FuzzWaterFill(f *testing.F) {
 			t.Fatalf("perceived freshness %v", sol.Perceived)
 		}
 		testkit.MustCertify(t, p.Policy, p.Elements, sol.Freqs, p.Bandwidth, 1e-5)
+		// Elements tied on (p, λ, s) are interchangeable, so the optimum
+		// gives them one frequency.
+		type triple struct{ p, lambda, s float64 }
+		first := make(map[triple]int)
+		for i, el := range p.Elements {
+			k := triple{el.AccessProb, el.Lambda, el.Size}
+			if j, ok := first[k]; !ok {
+				first[k] = i
+			} else if sol.Freqs[i] != sol.Freqs[j] {
+				t.Fatalf("tied elements %d and %d got frequencies %v and %v", j, i, sol.Freqs[j], sol.Freqs[i])
+			}
+		}
 	})
 }
 

@@ -52,4 +52,21 @@ func TestInstrumentRecordsSolves(t *testing.T) {
 	if v, ok := e.Value("freshen_solver_bisection_iterations_count"); !ok || v < 2 {
 		t.Errorf("iteration histogram count = %v, %v", v, ok)
 	}
+
+	// A tied catalog solves as one class, but the gauge counts the
+	// elements that class funds.
+	const n = 5_000
+	if _, err := WaterFill(Problem{Elements: tiedCatalog(n), Bandwidth: 250}); err != nil {
+		t.Fatal(err)
+	}
+	b.Reset()
+	if _, err := reg.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	if e, err = obs.ParseExposition(strings.NewReader(b.String())); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := e.Value("freshen_solver_funded_elements"); !ok || v != n {
+		t.Errorf("freshen_solver_funded_elements = %v, %v after a tied solve; want %d", v, ok, n)
+	}
 }
