@@ -40,6 +40,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExploreAllocation$$' -fuzztime 30s ./internal/schedule/
 	$(GO) test -run '^$$' -fuzz '^FuzzHTTPHandler$$' -fuzztime 30s ./internal/httpmirror/
 	$(GO) test -run '^$$' -fuzz '^FuzzFetchBatch$$' -fuzztime 30s ./internal/httpmirror/
+	$(GO) test -run '^$$' -fuzz '^FuzzCatalog$$' -fuzztime 30s ./internal/httpmirror/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoverSnapshot$$' -fuzztime 30s ./internal/persist/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayJournal$$' -fuzztime 30s ./internal/persist/
 	$(GO) test -run '^$$' -fuzz '^FuzzModeMachine$$' -fuzztime 30s ./internal/resilience/

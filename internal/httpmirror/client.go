@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -227,7 +226,22 @@ func readBody(r io.Reader, n int64) ([]byte, error) {
 	return exact, nil
 }
 
-// Catalog fetches the upstream object list.
+// readAll reads r to its end into a buffer presized, as readBody
+// presizes, for a declared length n (-1 when unknown). The catalog it
+// reads is parsed and dropped, so it needs no exact-size copy.
+func readAll(r io.Reader, n int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if n >= 0 && n <= maxPresizedBody {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead free to meet EOF
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// Catalog fetches the upstream object list (see decodeCatalog). The
+// body is read whole before it is decoded: a transfer that breaks off
+// is retried like any connection error, and a body that does not
+// decode is permanent.
 func (c *SourceClient) Catalog(ctx context.Context) ([]CatalogEntry, error) {
 	var entries []CatalogEntry
 	err := c.do(ctx, func(ctx context.Context) error {
@@ -236,14 +250,13 @@ func (c *SourceClient) Catalog(ctx context.Context) ([]CatalogEntry, error) {
 			return err
 		}
 		defer resp.Body.Close()
-		entries = entries[:0]
-		if err := json.NewDecoder(resp.Body).Decode(&entries); err != nil {
+		body, err := readAll(resp.Body, resp.ContentLength)
+		if err != nil {
+			return err // truncated body: transient
+		}
+		if entries, err = decodeCatalog(body); err != nil {
 			return &permanentError{err}
 		}
-		// The decoder stops at the end of the value. Reading on to EOF
-		// (a trailing newline) returns the connection to the pool for
-		// seeding; closing a body short of it closes the connection.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil
 	})
 	if err != nil {

@@ -14,6 +14,10 @@
 //	GET  /object/{id}  -> body with X-Version header
 //	HEAD /object/{id}  -> X-Version header only (cheap change check)
 //
+// A catalog in the compact form json.Marshal writes, the form every
+// server here answers, is parsed by hand; any other JSON of the same
+// shape goes to encoding/json (see catalog.go).
+//
 // An origin may also serve one optional route, which speeds up a
 // mirror's boot (see BatchSource):
 //

@@ -1325,14 +1325,7 @@ func (m *Mirror) Handler() http.Handler {
 		m.metrics.countObject(code)
 	})
 	handle("/catalog", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(m.Catalog()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		serveCatalog(w, r, m.Catalog)
 	})
 	handle("/status", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {

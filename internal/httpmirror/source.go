@@ -2,7 +2,6 @@ package httpmirror
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -12,12 +11,6 @@ import (
 
 	"freshen/internal/stats"
 )
-
-// CatalogEntry describes one object a source offers.
-type CatalogEntry struct {
-	ID   int     `json:"id"`
-	Size float64 `json:"size"`
-}
 
 // Source is the upstream a mirror refreshes from. *SourceClient is the
 // HTTP implementation; the fleet layer wraps one to expose a shard's
@@ -254,14 +247,7 @@ func (s *SimulatedSource) Catalog() []CatalogEntry {
 func (s *SimulatedSource) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/catalog", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(s.Catalog()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		serveCatalog(w, r, s.Catalog)
 	})
 	mux.HandleFunc("/object/", func(w http.ResponseWriter, r *http.Request) {
 		idStr := strings.TrimPrefix(r.URL.Path, "/object/")

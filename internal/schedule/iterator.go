@@ -4,8 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-
-	"freshen/internal/stats"
 )
 
 // Iterator yields a plan's refresh operations one at a time, forever —
@@ -24,40 +22,24 @@ type Iterator struct {
 // refreshes within each element's interval using seed; otherwise every
 // element starts at its half-interval point.
 func NewIterator(freqs []float64, randomPhase bool, seed int64) (*Iterator, error) {
-	it := &Iterator{freqs: append([]float64(nil), freqs...)}
-	var r *stats.RNG
-	if randomPhase {
-		r = stats.NewRNG(seed)
+	h, err := firstEvents(freqs, randomPhase, seed, math.Inf(1))
+	if err != nil {
+		return nil, err
 	}
-	for i, f := range freqs {
-		if f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
-			return nil, fmt.Errorf("schedule: element %d has invalid frequency %v", i, f)
-		}
-		if f == 0 {
-			continue
-		}
-		interval := 1 / f
-		phase := 0.5 * interval
-		if r != nil {
-			phase = r.Float64() * interval
-		}
-		heap.Push(&it.h, SyncEvent{Time: phase, Element: i})
-	}
-	return it, nil
+	return &Iterator{freqs: append([]float64(nil), freqs...), h: h}, nil
 }
 
 // Next returns the next due refresh and schedules the element's
 // subsequent one. ok is false when the iterator is empty (every
-// frequency was zero).
+// frequency was zero). The root event advances in place and sifts
+// down once, so Next allocates nothing.
 func (it *Iterator) Next() (ev SyncEvent, ok bool) {
 	if it.h.Len() == 0 {
 		return SyncEvent{}, false
 	}
-	ev = heap.Pop(&it.h).(SyncEvent)
-	heap.Push(&it.h, SyncEvent{
-		Time:    ev.Time + 1/it.freqs[ev.Element],
-		Element: ev.Element,
-	})
+	ev = it.h[0]
+	it.h[0].Time = ev.Time + 1/it.freqs[ev.Element]
+	heap.Fix(&it.h, 0)
 	return ev, true
 }
 

@@ -37,16 +37,51 @@ func Timeline(freqs []float64, opts Options) ([]SyncEvent, error) {
 	if !(opts.Horizon > 0) || math.IsInf(opts.Horizon, 0) {
 		return nil, fmt.Errorf("schedule: horizon must be positive and finite, got %v", opts.Horizon)
 	}
-	var r *stats.RNG
-	if opts.RandomPhase {
-		r = stats.NewRNG(opts.Seed)
+	h, err := firstEvents(freqs, opts.RandomPhase, opts.Seed, opts.Horizon)
+	if err != nil {
+		return nil, err
 	}
-	h := &eventHeap{}
 	expected := 0.0
+	for _, ev := range h {
+		expected += (opts.Horizon - ev.Time) * freqs[ev.Element]
+	}
+	events := make([]SyncEvent, 0, int(expected)+len(freqs))
+	for h.Len() > 0 {
+		ev := h[0]
+		events = append(events, ev)
+		if next := ev.Time + 1/freqs[ev.Element]; next < opts.Horizon {
+			h[0].Time = next
+			heap.Fix(&h, 0)
+		} else {
+			heap.Pop(&h)
+		}
+	}
+	return events, nil
+}
+
+// firstEvents validates freqs and returns the heap of each funded
+// element's first refresh before horizon: at the middle of its
+// interval 1/f, or with randomPhase at a uniform point of it (one draw
+// from seed per funded element, in index order). The events go into a
+// slice sized to the funded count and heap.Init orders them in O(N);
+// Less is a strict total order on (Time, Element), so every later pop
+// sequence is the one N pushes would give.
+func firstEvents(freqs []float64, randomPhase bool, seed int64, horizon float64) (eventHeap, error) {
+	funded := 0
 	for i, f := range freqs {
 		if f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
 			return nil, fmt.Errorf("schedule: element %d has invalid frequency %v", i, f)
 		}
+		if f > 0 {
+			funded++
+		}
+	}
+	var r *stats.RNG
+	if randomPhase {
+		r = stats.NewRNG(seed)
+	}
+	h := make(eventHeap, 0, funded)
+	for i, f := range freqs {
 		if f == 0 {
 			continue
 		}
@@ -55,21 +90,12 @@ func Timeline(freqs []float64, opts Options) ([]SyncEvent, error) {
 		if r != nil {
 			phase = r.Float64() * interval
 		}
-		if phase < opts.Horizon {
-			heap.Push(h, SyncEvent{Time: phase, Element: i})
-			expected += (opts.Horizon - phase) * f
+		if phase < horizon {
+			h = append(h, SyncEvent{Time: phase, Element: i})
 		}
 	}
-	events := make([]SyncEvent, 0, int(expected)+len(freqs))
-	for h.Len() > 0 {
-		ev := heap.Pop(h).(SyncEvent)
-		events = append(events, ev)
-		next := ev.Time + 1/freqs[ev.Element]
-		if next < opts.Horizon {
-			heap.Push(h, SyncEvent{Time: next, Element: ev.Element})
-		}
-	}
-	return events, nil
+	heap.Init(&h)
+	return h, nil
 }
 
 // Order returns just the element sequence of a timeline — the paper's

@@ -233,8 +233,9 @@ func (e *Engine) solveCurve(p Problem, curve marginalCurve, topUp bool) (Solutio
 
 	// Per-element invariants, computed once per solve. Elements with
 	// zero weight or zero change rate never earn bandwidth and stay at
-	// frequency 0.
-	e.act = e.act[:0]
+	// frequency 0. The active set is sized for all n up front, so a
+	// fresh engine does not regrow it element by element.
+	e.act = slices.Grow(e.act[:0], n)
 	muHi := 0.0             // largest finite cutoff
 	muLoSeed := math.Inf(1) // smallest cutoff
 	unbounded := false      // some element's first sliver has unbounded value
