@@ -125,7 +125,7 @@ race:
 	$(GO) test -race ./internal/solver/... ./internal/cluster/... ./internal/httpmirror/... ./internal/resilience/... ./internal/fleet/... ./internal/hierarchy/...
 	$(GO) test -race -count=10 -run 'TestSeed|TestNilClientSourceClientsShareNoConnection|TestFleetBoot' ./internal/httpmirror/ ./internal/fleet/
 	$(GO) test -race -count=5 -run 'TestServeSnapshotNotTorn|TestAccessLockFree' ./internal/httpmirror/
-	$(GO) test -race -count=5 -run 'TestSolveRunsOffStateLock|TestHealthReplansKeepLearning|TestShardSolveKeepsShardHealthy' ./internal/httpmirror/ ./internal/fleet/
+	$(GO) test -race -count=5 -run 'TestSolveRunsOffStateLock|TestHealthReplansKeepLearning|TestShardSolveKeepsShardHealthy|TestFaultStateSparse' ./internal/httpmirror/ ./internal/fleet/
 
 ci: build fmt vet test race
 

@@ -203,6 +203,10 @@ func (c *SourceClient) get(ctx context.Context, method, url string) (*http.Respo
 // read as it arrives and then copied to its exact size.
 const maxPresizedBody = 1 << 20
 
+// maxPresizedCatalog is maxPresizedBody for a catalog: at about 24
+// bytes per object, a catalog of 10⁶ objects fits.
+const maxPresizedCatalog = 32 << 20
+
 // readBody reads a whole object body of declared length n (-1 when
 // unknown) into a slice of exactly its length. The mirror holds each
 // body for the copy's whole life, and io.ReadAll's buffer starts at
@@ -226,12 +230,12 @@ func readBody(r io.Reader, n int64) ([]byte, error) {
 	return exact, nil
 }
 
-// readAll reads r to its end into a buffer presized, as readBody
-// presizes, for a declared length n (-1 when unknown). The catalog it
-// reads is parsed and dropped, so it needs no exact-size copy.
+// readAll reads a catalog body r to its end into a buffer presized for
+// its declared length n (-1 when unknown), up to maxPresizedCatalog.
+// The catalog is parsed and dropped, so it needs no exact-size copy.
 func readAll(r io.Reader, n int64) ([]byte, error) {
 	var buf bytes.Buffer
-	if n >= 0 && n <= maxPresizedBody {
+	if n >= 0 && n <= maxPresizedCatalog {
 		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead free to meet EOF
 	}
 	_, err := buf.ReadFrom(r)
@@ -363,9 +367,11 @@ func (r *readErr) Read(p []byte) (int, error) {
 
 // readFrames reads a GET /objects body: for each id, in order, the
 // line "{id} {version} {len}\n" and then len body bytes, each read as
-// readBody reads one; then the end of the body.
+// readBody reads one, through one LimitedReader for the whole batch;
+// then the end of the body.
 func readFrames(r io.Reader, ids []int) ([][]byte, []int, error) {
 	br := bufio.NewReader(r)
+	frame := &io.LimitedReader{R: br}
 	bodies := make([][]byte, len(ids))
 	versions := make([]int, len(ids))
 	for k, want := range ids {
@@ -380,7 +386,8 @@ func readFrames(r io.Reader, ids []int) ([][]byte, []int, error) {
 		if id != want {
 			return nil, nil, fmt.Errorf("frame %d names object %d, want %d", k, id, want)
 		}
-		b, err := readBody(io.LimitReader(br, int64(size)), int64(size))
+		frame.N = int64(size)
+		b, err := readBody(frame, int64(size))
 		if err == nil && len(b) != size {
 			err = io.ErrUnexpectedEOF
 		}

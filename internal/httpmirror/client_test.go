@@ -56,10 +56,21 @@ func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { retu
 
 // TestHugeContentLengthAllocatesNothingUpFront: a declared length
 // above the presizing cap, a response's or a batch frame's, is never
-// allocated before the body arrives.
+// allocated before the body arrives. A catalog's cap is larger, and a
+// catalog declared past it allocates no more than the cap.
 func TestHugeContentLengthAllocatesNothingUpFront(t *testing.T) {
 	const declared = 64 << 20
+	const catalog = `[{"id":0,"size":1}]`
 	client := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if r.URL.Path == "/catalog" {
+			return &http.Response{
+				StatusCode:    http.StatusOK,
+				Status:        "200 OK",
+				ContentLength: 2 * maxPresizedCatalog,
+				Body:          io.NopCloser(strings.NewReader(catalog)),
+				Request:       r,
+			}, nil
+		}
 		if r.URL.Path == "/objects" {
 			frame := "0 1 " + strconv.Itoa(declared) + "\nshort body"
 			return &http.Response{
@@ -97,6 +108,16 @@ func TestHugeContentLengthAllocatesNothingUpFront(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > declared/8 {
 		t.Errorf("three fetches allocated %d bytes for a declared %d-byte body", got, declared)
+	}
+
+	runtime.ReadMemStats(&before)
+	entries, err := c.Catalog(context.Background())
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("Catalog = %v, %v", entries, err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > maxPresizedCatalog {
+		t.Errorf("a catalog declared at %d bytes allocated %d, above the %d-byte cap", 2*maxPresizedCatalog, got, maxPresizedCatalog)
 	}
 }
 

@@ -120,7 +120,7 @@ func (b *breaker) record(ok bool, now float64) {
 	}
 }
 
-// elemHealth is one element's fault-tracking state.
+// elemHealth is a failing element's fault-tracking state (see Mirror.health).
 type elemHealth struct {
 	consecFails   int
 	quarantined   bool

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -123,15 +124,6 @@ func (c Config) withDefaults() Config {
 // log.
 const profileSmoothing = 1
 
-// copyState is the bookkeeping for one locally held object. Its body
-// and version live in views and its last-poll time in verified, both
-// readable without m.mu.
-type copyState struct {
-	fetchedAt float64
-	fetches   int
-	accesses  int
-}
-
 // Mirror is the running service: local copies, the planner (live plan,
 // refresh iterator, learned element knowledge), and the fault-tracking
 // state (circuit breaker + per-element quarantine). Methods are safe
@@ -145,16 +137,16 @@ type copyState struct {
 //     I/O or a solve, so Status, Readiness, Health, Plan, Budget and
 //     the /metrics gauges never wait on either.
 //
-// The two-lock rule: the planner's state, and the copies, health, est,
-// cfg.Plan and clock it is computed from, are written only with both
-// stepMu and mu held, so a holder of either lock may read them. Every
-// writer of them already holds stepMu. The expensive passes therefore
-// run under stepMu alone: the solve and iterator build, the per-period
-// PF gauges, and the snapshot's per-element records. Only installing a
-// plan and its iterator, learn's in-place write pass, draining the
-// access counters and reading scalar counters take mu. The read path
-// serves each object's immutable view from views and records into the
-// striped counters in acc (see serve.go and DESIGN.md §11).
+// The two-lock rule: the planner's state, and the health map, the
+// quarantined count, est, cfg.Plan and clock it is computed from, are
+// written only with both stepMu and mu held, so a holder of either lock
+// may read them. Every writer of them already holds stepMu. The
+// expensive passes therefore run under stepMu alone: the solve and
+// iterator build, the per-period PF gauges, and the snapshot's
+// per-element records. Only installing a plan and its iterator, learn's
+// in-place write pass and reading scalar counters take mu. The read
+// path serves each object's immutable view from views and counts into
+// the cumulative counters in acc (see serve.go and DESIGN.md §11).
 type Mirror struct {
 	stepMu sync.Mutex
 	mu     sync.Mutex
@@ -162,7 +154,8 @@ type Mirror struct {
 	// Lock-free serving state: one view per object, which readers
 	// load, and the access accounting they write. views[i] is stored by
 	// seeding and replaced under m.mu by a refresh that transferred a
-	// new body; acc is drained under m.mu at period boundaries.
+	// new body; acc's counters only grow, and learn and the snapshot
+	// load them.
 	views []atomic.Pointer[copyView]
 	acc   *accessCounters
 
@@ -171,8 +164,7 @@ type Mirror struct {
 	condOff    bool              // sticky: the origin demonstrably ignores the condition
 	upHealth   UpstreamHealth    // non-nil when the upstream is itself a mirror tier
 	pl         *planner
-	copies     []copyState
-	health     []elemHealth
+	health     map[int]elemHealth // failing objects only: in on a first failure, out on the next success
 	brk        breaker
 	est        estimate.Estimator // the online MLE
 	estParams  estimate.Params
@@ -226,9 +218,9 @@ type Mirror struct {
 
 // New creates a mirror: it pulls the upstream catalog, seeds every
 // local copy with an initial fetch (seedWorkers fetches in flight at
-// a time; the first failure fails New), and computes the first plan
-// under a uniform profile and the prior change rate. ctx bounds the
-// seeding round-trips.
+// a time), and, while the seed runs, computes the first plan under a
+// uniform profile and the prior change rate. The first failure of
+// either fails New. ctx bounds the seeding round-trips.
 //
 // With Config.Persist set, New first recovers: the snapshot restores
 // the estimator state, learned rates and profile, quarantine and
@@ -257,9 +249,8 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 	m := &Mirror{
 		cfg:    cfg,
 		pl:     newPlanner(n, cfg),
-		copies: make([]copyState, n),
 		views:  make([]atomic.Pointer[copyView], n),
-		health: make([]elemHealth, n),
+		health: make(map[int]elemHealth),
 		acc:    newAccessCounters(n),
 		brk: breaker{
 			threshold: cfg.Fault.BreakerThreshold,
@@ -325,7 +316,7 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 		}
 		m.publishModeLocked()
 	}
-	if err := m.seed(ctx); err != nil {
+	if err := m.seedAndPlan(ctx, restoredPlan); err != nil {
 		return nil, err
 	}
 	m.clockBits.Store(math.Float64bits(m.now))
@@ -335,16 +326,6 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 		// with the compounded staleness, from its first read.
 		m.machine.SetUpstreamDegraded(m.upHealth.UpstreamDegraded())
 		m.publishModeLocked()
-	}
-	if m.recovered {
-		// Fold the replayed observations into the element knowledge so
-		// the first cadence replan starts from everything on disk.
-		m.learn()
-	}
-	if restoredPlan == nil || m.pl.restore(*restoredPlan, cfg.Plan, m.now) != nil {
-		if err := m.replan(cfg.Plan.Bandwidth); err != nil {
-			return nil, err
-		}
 	}
 	m.lastSnapshot = m.now
 	// Readiness: immediately without persistence or after a recovery;
@@ -394,19 +375,62 @@ const seedWorkers = 4
 // at N=50,000, so the last claims end close together.
 const seedBatch = 256
 
+// seedAndPlan runs the seed and the first plan side by side: the plan
+// reads only the catalog and the recovered knowledge (a recovered
+// mirror learns from it, then warm-starts from the restored plan if it
+// fits), and the seed writes only views and verified and never takes
+// m.mu. The first error from either side cancels the seed and is
+// returned once both have finished.
+func (m *Mirror) seedAndPlan(ctx context.Context, restored *persist.PlanState) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		once  sync.Once
+		first error
+	)
+	fail := func(err error) {
+		once.Do(func() {
+			first = err
+			cancel()
+		})
+	}
+	planned := make(chan struct{})
+	go func() {
+		defer close(planned)
+		if m.recovered {
+			m.learn()
+		}
+		if restored != nil && m.pl.restore(*restored, m.cfg.Plan, m.now) == nil {
+			return
+		}
+		if err := m.replan(m.cfg.Plan.Bandwidth); err != nil {
+			fail(err)
+		}
+	}()
+	if err := m.seed(ctx); err != nil {
+		fail(err)
+	}
+	<-planned
+	if first != nil {
+		return first
+	}
+	m.fetches += len(m.views)
+	return nil
+}
+
 // seed gives every copy its first view over seedWorkers goroutines.
 // Each worker claims ids from a shared counter, seedBatch at a time
 // from a BatchSource and one at a time otherwise, and writes only the
-// copies[i], views[i] and verified[i] of the ids it claimed, so the
-// workers share no other state and take no lock; m.now is settled
-// before they start. The boot fetch is not a poll: verified[i] starts
-// at the (restored) clock, so the downtime gap never reaches the
-// estimator. The first failure cancels the rest and is returned once
-// every worker has exited. New runs it before the mirror is shared.
+// views[i] and verified[i] of the ids it claimed, so the workers share
+// no other state and take no lock; m.now is settled before they start.
+// The boot fetch is not a poll: verified[i] starts at the (restored)
+// clock, so the downtime gap never reaches the estimator. The first
+// failure cancels the rest and is returned once every worker has
+// exited.
 func (m *Mirror) seed(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	n := len(m.copies)
+	n := len(m.views)
 	batch, _ := m.cfg.Upstream.(BatchSource)
 	claim, start := 1, 0
 	if batch != nil {
@@ -466,11 +490,7 @@ func (m *Mirror) seed(ctx context.Context) error {
 		}()
 	}
 	wg.Wait()
-	if first != nil {
-		return first
-	}
-	m.fetches += n
-	return nil
+	return first
 }
 
 // seedIDs fills ids, up to its capacity, with the ids from lo on that
@@ -511,7 +531,6 @@ func (m *Mirror) seedMany(ctx context.Context, batch BatchSource, ids []int) err
 // seedCopy installs copy i's first view.
 func (m *Mirror) seedCopy(i int, body []byte, version int) {
 	m.views[i].Store(&copyView{body: body, version: version})
-	m.copies[i].fetches++
 	m.verified[i].Store(math.Float64bits(m.now))
 }
 
@@ -521,7 +540,7 @@ func (m *Mirror) seedCopy(i int, body []byte, version int) {
 func (m *Mirror) replan(budget float64) error {
 	cfg := m.cfg.Plan
 	cfg.Bandwidth = budget
-	s, err := m.pl.solve(cfg, m.health)
+	s, err := m.pl.solve(cfg, m.quarantinedIDs())
 	if err != nil {
 		return err
 	}
@@ -536,7 +555,7 @@ func (m *Mirror) replan(budget float64) error {
 	m.log.Debug("replanned",
 		"planned_pf", s.plan.Perceived,
 		"bandwidth_used", s.plan.BandwidthUsed,
-		"active", len(m.copies)-m.quarantined,
+		"active", len(m.views)-m.quarantined,
 		"now", m.now)
 	return nil
 }
@@ -580,7 +599,7 @@ func (m *Mirror) Step(now float64) (int, error) {
 	healthChanged := false
 	for _, ev := range due {
 		m.mu.Lock()
-		if m.health[ev.element].quarantined {
+		if m.quarantined > 0 && m.health[ev.element].quarantined {
 			// Replanning already zeroed its frequency; a leftover
 			// event from the pre-quarantine iterator is dropped.
 			m.mu.Unlock()
@@ -734,7 +753,6 @@ func (m *Mirror) refresh(id int, at float64) error {
 		m.log.Warn("upstream ignores conditional fetches; reverting to HEAD-then-GET",
 			"element", id, "version", ver)
 	}
-	c := &m.copies[id]
 	elapsed := at - math.Float64frombits(m.verified[id].Load())
 	if elapsed > 0 {
 		if err := m.recordPollLocked(id, elapsed, changed); err != nil {
@@ -745,14 +763,12 @@ func (m *Mirror) refresh(id int, at float64) error {
 		elapsed = 0 // no observation: first poll of this copy
 	}
 	m.verified[id].Store(math.Float64bits(at))
-	c.fetches++
 	m.fetches++
 	if changed {
 		// Commit the new body/version pair to readers: one pointer
 		// store for this object alone. A reader holding the previous
 		// view finishes on it, internally consistent.
 		m.views[id].Store(&copyView{body: body, version: ver})
-		c.fetchedAt = at
 		m.transfers++
 		m.metrics.countTransfer()
 	}
@@ -788,7 +804,7 @@ func (m *Mirror) noteOutcome(id int, at float64, err error) bool {
 func (m *Mirror) noteOutcomeLocked(id int, at float64, err error) bool {
 	changed := m.recordOutcomeLocked(id, at, err)
 	m.machine.SetBreakerOpen(m.brk.state != BreakerClosed)
-	m.machine.SetQuarantineFrac(float64(m.quarantined) / float64(len(m.copies)))
+	m.machine.SetQuarantineFrac(float64(m.quarantined) / float64(len(m.views)))
 	if m.upHealth != nil {
 		// In a hierarchical chain the upstream tier's own degradation
 		// compounds into ours: serving from a source-degraded regional
@@ -806,11 +822,11 @@ func (m *Mirror) recordOutcomeLocked(id int, at float64, err error) bool {
 		m.metrics.countBreakerTrip()
 		m.log.Warn("breaker opened", "at", at, "trips", m.brk.trips)
 	}
-	h := &m.health[id]
+	h := m.health[id]
 	if err == nil {
-		h.consecFails = 0
+		// A success ends the failure run and the fault state with it.
+		delete(m.health, id)
 		if h.quarantined {
-			h.quarantined = false
 			m.quarantined--
 			m.recoveries++
 			m.metrics.countRecovery()
@@ -822,6 +838,7 @@ func (m *Mirror) recordOutcomeLocked(id int, at float64, err error) bool {
 	}
 	m.refreshFailures++
 	h.consecFails++
+	quarantine := false
 	if q := m.cfg.Fault.QuarantineAfter; q > 0 && !h.quarantined && h.consecFails >= q {
 		h.quarantined = true
 		h.quarantinedAt = at
@@ -831,31 +848,45 @@ func (m *Mirror) recordOutcomeLocked(id int, at float64, err error) bool {
 		m.metrics.countQuarantine()
 		m.log.Info("element quarantined", "element", id, "at", at,
 			"consecutive_failures", h.consecFails, "error", err)
-		return true
+		quarantine = true
 	}
-	return false
+	m.health[id] = h
+	return quarantine
 }
 
-// probeQuarantined attempts a recovery refresh for each quarantined
-// element whose probe cadence has elapsed (and only while the breaker
-// admits traffic). It reports whether any element recovered.
-func (m *Mirror) probeQuarantined(now float64) bool {
-	m.mu.Lock()
-	var probe []int
-	for i := range m.health {
-		h := &m.health[i]
-		if h.quarantined && now-h.lastProbe >= m.cfg.Fault.ProbeEvery {
-			probe = append(probe, i)
+// quarantinedIDs lists the quarantined objects in ascending id order.
+// It walks the fault state only while something is quarantined. The
+// caller holds either lock (see Mirror).
+func (m *Mirror) quarantinedIDs() []int {
+	ids := make([]int, 0, m.quarantined)
+	if m.quarantined > 0 {
+		for id, h := range m.health {
+			if h.quarantined {
+				ids = append(ids, id)
+			}
 		}
+		slices.Sort(ids)
 	}
-	m.mu.Unlock()
+	return ids
+}
+
+// probeQuarantined attempts a recovery refresh, in ascending id order,
+// for each quarantined element whose probe cadence has elapsed (and
+// only while the breaker admits traffic). It reports whether any
+// element recovered. The caller holds stepMu (see Mirror).
+func (m *Mirror) probeQuarantined(now float64) bool {
+	probe := slices.DeleteFunc(m.quarantinedIDs(), func(id int) bool {
+		return now-m.health[id].lastProbe < m.cfg.Fault.ProbeEvery
+	})
 
 	changed := false
 	for _, id := range probe {
 		m.mu.Lock()
 		allowed := m.brk.allow(now)
 		if allowed {
-			m.health[id].lastProbe = now
+			h := m.health[id]
+			h.lastProbe = now
+			m.health[id] = h
 		}
 		m.mu.Unlock()
 		if !allowed {
@@ -882,10 +913,10 @@ func (m *Mirror) recordPollLocked(id int, elapsed float64, changed bool) error {
 	return nil
 }
 
-// learn folds the access log and the estimator's change rates into
+// learn folds the access counts and the estimator's change rates into
 // the element knowledge the next solve reads. The caller holds stepMu
-// and not m.mu (or is New): m.mu is taken for the drain and the
-// planner's in-place write pass, an O(n) loop of stores.
+// and not m.mu (or is New): m.mu is taken for the planner's in-place
+// write pass, an O(n) loop of stores.
 func (m *Mirror) learn() {
 	// Change rates from the estimator: prior where unpolled, floored
 	// so no element is starved (see Config.FloorLambda). Skipped and
@@ -896,11 +927,7 @@ func (m *Mirror) learn() {
 		rates = nil
 	}
 	m.mu.Lock()
-	// Drain the striped per-object access counters into the copies at
-	// this period boundary; the learner then sees exactly the counts
-	// the read path recorded since the last drain.
-	m.acc.drainInto(m.copies)
-	m.pl.learn(m.copies, rates, m.est, m.now)
+	m.pl.learn(m.acc.elems, rates, m.est, m.now)
 	m.mu.Unlock()
 	if m.cfg.ExploreFrac > 0 {
 		m.metrics.observeConfidence(m.pl.uncertainty)
@@ -1025,7 +1052,7 @@ func (m *Mirror) Status() Status {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := Status{
-		Objects:          len(m.copies),
+		Objects:          len(m.views),
 		Now:              m.now,
 		Accesses:         m.totalAccessesLocked(),
 		Fetches:          m.fetches,
@@ -1090,29 +1117,19 @@ type Health struct {
 func (m *Mirror) Health() Health {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	h := Health{
+	return Health{
 		Serving:          true,
 		BreakerState:     m.brk.state.String(),
 		BreakerTrips:     m.brk.trips,
-		Quarantined:      []int{},
+		Quarantined:      m.quarantinedIDs(),
 		SkippedRefreshes: m.skippedRefreshes,
 		RefreshFailures:  m.refreshFailures,
 		Retries:          m.cfg.Upstream.Retries(),
 	}
-	// Only the id list costs a scan, and only while something is
-	// actually quarantined — the healthy steady state stays O(1).
-	if m.quarantined > 0 {
-		h.Quarantined = make([]int, 0, m.quarantined)
-		for i := range m.health {
-			if m.health[i].quarantined {
-				h.Quarantined = append(h.Quarantined, i)
-			}
-		}
-	}
-	return h
 }
 
-// Plan returns the current plan.
+// Plan returns the current plan. Its Freqs is the vector the live
+// refresh iterator reads: callers must not modify it.
 func (m *Mirror) Plan() core.Plan {
 	m.mu.Lock()
 	defer m.mu.Unlock()

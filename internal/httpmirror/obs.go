@@ -119,7 +119,7 @@ func instrumentMirror(m *Mirror, reg *obs.Registry) *mirrorMetrics {
 		"Objects in the mirrored catalog.", func() float64 {
 			m.mu.Lock()
 			defer m.mu.Unlock()
-			return float64(len(m.copies))
+			return float64(len(m.views))
 		})
 	reg.GaugeFunc("freshen_clock_periods",
 		"The mirror's period clock.", func() float64 {

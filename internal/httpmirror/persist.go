@@ -17,7 +17,7 @@ import (
 // (to warm-start the schedule) or nil when none was usable. Called
 // from New, before seeding, with no concurrency yet.
 func (m *Mirror) applyRecovery(rec persist.RecoveryResult) *persist.PlanState {
-	n := len(m.copies)
+	n := len(m.views)
 	m.recoveryStatus = "cold-start"
 	if rec.SnapshotErr != nil {
 		m.recoveryStatus = fmt.Sprintf("cold-start (snapshot discarded: %v)", rec.SnapshotErr)
@@ -40,15 +40,15 @@ func (m *Mirror) applyRecovery(rec persist.RecoveryResult) *persist.PlanState {
 			m.pl.elems[i].AccessProb = e.AccessProb
 			// StoredVersion and LastPoll are not restored: seeding
 			// overwrites both before anything reads them.
-			c := &m.copies[i]
-			c.fetchedAt = e.FetchedAt
-			c.fetches = e.Fetches
-			c.accesses = e.Accesses
-			h := &m.health[i]
-			h.consecFails = e.ConsecFails
-			h.quarantined = e.Quarantined
-			h.quarantinedAt = e.QuarantinedAt
-			h.lastProbe = e.LastProbe
+			m.acc.elems[i].Store(uint64(e.Accesses))
+			if e.ConsecFails > 0 || e.Quarantined {
+				m.health[i] = elemHealth{
+					consecFails:   e.ConsecFails,
+					quarantined:   e.Quarantined,
+					quarantinedAt: e.QuarantinedAt,
+					lastProbe:     e.LastProbe,
+				}
+			}
 			if e.Quarantined {
 				m.quarantined++
 			}
@@ -143,28 +143,22 @@ func (m *Mirror) replayJournalRecord(r persist.Record) {
 		m.noteOutcomeLocked(r.Element, r.At, fmt.Errorf("replayed failure"))
 		return
 	}
-	c := &m.copies[r.Element]
 	if r.Elapsed > 0 {
 		m.recordPollLocked(r.Element, r.Elapsed, r.Changed)
 	}
-	c.fetches++
 	m.fetches++
 	if r.Changed {
-		c.fetchedAt = r.At
 		m.transfers++
 	}
 	m.noteOutcomeLocked(r.Element, r.At, nil)
 }
 
 // exportState builds the durable image of the mirror's current state.
-// The caller holds stepMu and not m.mu: m.mu is taken only to drain
-// the access counters and read the scalar state, and the per-element
-// records are built off it under the two-lock rule (see Mirror).
+// The caller holds stepMu and not m.mu: m.mu is taken only to read the
+// scalar state, and the per-element records are built off it under the
+// two-lock rule (see Mirror).
 func (m *Mirror) exportState() *persist.Snapshot {
 	m.mu.Lock()
-	// Fold live access counts in first so the persisted per-element
-	// profile matches what the read path has recorded so far.
-	m.acc.drainInto(m.copies)
 	m.lastSnapshot = m.now
 	s := &persist.Snapshot{
 		Version: persist.FormatVersion,
@@ -197,21 +191,15 @@ func (m *Mirror) exportState() *persist.Snapshot {
 	s.Elements = make([]persist.ElementState, len(m.pl.elems))
 	est := m.est.ExportState()
 	for i := range m.pl.elems {
-		e, c, h := &m.pl.elems[i], &m.copies[i], &m.health[i]
+		e := &m.pl.elems[i]
 		es := persist.ElementState{
 			ID:            e.ID,
 			Lambda:        e.Lambda,
 			AccessProb:    e.AccessProb,
 			Size:          e.Size,
 			StoredVersion: m.views[i].Load().version,
-			FetchedAt:     c.fetchedAt,
 			LastPoll:      math.Float64frombits(m.verified[i].Load()),
-			Fetches:       c.fetches,
-			Accesses:      c.accesses,
-			Quarantined:   h.quarantined,
-			QuarantinedAt: h.quarantinedAt,
-			LastProbe:     h.lastProbe,
-			ConsecFails:   h.consecFails,
+			Accesses:      int(m.acc.elems[i].Load()),
 		}
 		if ee := est.Elements[i]; ee.Polls > 0 {
 			// Unpolled elements carry no estimator state (and cost the
@@ -223,6 +211,10 @@ func (m *Mirror) exportState() *persist.Snapshot {
 			es.SumElapsed = ee.SumElapsed
 		}
 		s.Elements[i] = es
+	}
+	for id, h := range m.health {
+		es := &s.Elements[id]
+		es.ConsecFails, es.Quarantined, es.QuarantinedAt, es.LastProbe = h.consecFails, h.quarantined, h.quarantinedAt, h.lastProbe
 	}
 	return s
 }

@@ -6,16 +6,19 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"freshen/internal/core"
+	"freshen/internal/estimate"
 	"freshen/internal/freshness"
 	"freshen/internal/persist"
 )
@@ -619,5 +622,96 @@ func TestRecoveryRefusesFormatV1Snapshot(t *testing.T) {
 	f.src.Advance(8)
 	if _, err := m2.Step(8); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// parentFormat2Payload is a format-2 snapshot payload as mirrors wrote
+// it while every element still carried fetched_at and fetches: four
+// objects, two of them polled, one failing below the quarantine
+// threshold and one quarantined.
+const parentFormat2Payload = `{"format_version":2,"last_seq":0,"now_periods":6,` +
+	`"plan":{"freqs":[2,1,0,1],"perceived":0.5,"avg_freshness":0.4,"bandwidth_used":4},` +
+	`"breaker":{"state":0,"fails":1,"opened_at":0,"trips":0},"elements":[` +
+	`{"id":0,"lambda":1.5,"access_prob":0.6,"size":1,"stored_version":3,"fetched_at":5.5,"last_poll":5.75,"fetches":9,"accesses":30,` +
+	`"est_lambda":1.5,"est_info":4,"polls":8,"changes":5,"sum_elapsed":4},` +
+	`{"id":1,"lambda":0.5,"access_prob":0.2,"size":1,"stored_version":1,"fetched_at":2,"last_poll":5.5,"fetches":5,"accesses":10,` +
+	`"consec_fails":1,"est_lambda":0.5,"est_info":6,"polls":4,"changes":1,"sum_elapsed":3},` +
+	`{"id":2,"lambda":1,"access_prob":0.1,"size":1,"stored_version":0,"fetched_at":0,"last_poll":4,"fetches":3,"accesses":4,` +
+	`"quarantined":true,"quarantined_at":4.5,"last_probe":5.5,"consec_fails":4},` +
+	`{"id":3,"lambda":1,"access_prob":0.1,"size":1,"stored_version":2,"fetched_at":3,"last_poll":5,"fetches":4,"accesses":5}],` +
+	`"counters":{"accesses":49,"fetches":21,"transfers":8,"replans":2,"refresh_failures":5,"skipped_refreshes":0,"quarantine_events":1,"recoveries":0}}`
+
+// TestRecoveryReadsParentFormat2Snapshot: a format-2 snapshot whose
+// elements carry the retired fetched_at and fetches keys still
+// recovers. The per-object access counts, the estimator's state and
+// the fault state come back as written, and the next snapshot writes
+// them back without the retired keys.
+func TestRecoveryReadsParentFormat2Snapshot(t *testing.T) {
+	dir := t.TempDir()
+	writeSnapshotPayload(t, dir, []byte(parentFormat2Payload))
+	store, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	cfg := seedConfig(newSimSource(t, 4))
+	cfg.Persist = store
+	m, err := New(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd := m.Readiness(); !rd.Recovered || rd.RecoveryStatus != "recovered" {
+		t.Fatalf("readiness after recovery = %+v", rd)
+	}
+
+	accesses := []int{30, 10, 4, 5}
+	for i, want := range accesses {
+		if got := m.acc.elems[i].Load(); got != uint64(want) {
+			t.Errorf("object %d: %d accesses, want %d", i, got, want)
+		}
+	}
+	if st := m.Status(); st.Accesses != 49 || st.Quarantined != 1 {
+		t.Errorf("Status: %d accesses and %d quarantined, want 49 and 1", st.Accesses, st.Quarantined)
+	}
+	est := m.est.ExportState().Elements
+	for i, want := range []estimate.ElementState{
+		{Lambda: 1.5, Info: 4, Polls: 8, Changes: 5, SumElapsed: 4},
+		{Lambda: 0.5, Info: 6, Polls: 4, Changes: 1, SumElapsed: 3},
+	} {
+		if est[i] != want {
+			t.Errorf("object %d: estimator state %+v, want %+v", i, est[i], want)
+		}
+	}
+	if est[2].Polls != 0 || est[3].Polls != 0 {
+		t.Errorf("unpolled objects restored with polls: %+v, %+v", est[2], est[3])
+	}
+	wantFaults := map[int]elemHealth{
+		1: {consecFails: 1},
+		2: {consecFails: 4, quarantined: true, quarantinedAt: 4.5, lastProbe: 5.5},
+	}
+	m.mu.Lock()
+	faults := maps.Clone(m.health)
+	m.mu.Unlock()
+	if !maps.Equal(faults, wantFaults) {
+		t.Errorf("fault state %v, want %v", faults, wantFaults)
+	}
+	if h := m.Health(); !slices.Equal(h.Quarantined, []int{2}) {
+		t.Errorf("Health().Quarantined = %v, want [2]", h.Quarantined)
+	}
+
+	snap := m.exportState()
+	for i, e := range snap.Elements {
+		h := wantFaults[i]
+		if e.Accesses != accesses[i] || e.ConsecFails != h.consecFails || e.Quarantined != h.quarantined ||
+			e.QuarantinedAt != h.quarantinedAt || e.LastProbe != h.lastProbe {
+			t.Errorf("object %d exported as %+v", i, e)
+		}
+	}
+	data, err := persist.EncodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"fetched_at"`)) {
+		t.Error("the next snapshot still writes fetched_at")
 	}
 }

@@ -3,6 +3,7 @@ package httpmirror
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"freshen/internal/core"
 	"freshen/internal/estimate"
@@ -29,10 +30,10 @@ type planner struct {
 	replans    int
 
 	// Explore/exploit state: uncertainty holds each element's estimator
-	// uncertainty as of the last learn pass (refreshed only when
-	// ExploreFrac > 0); exploreOnly marks elements funded only by the
-	// explore slice, whose refreshes count as uncertainty probes (nil
-	// when the plan has no explore slice).
+	// uncertainty as of the last learn pass (nil when ExploreFrac is 0);
+	// exploreOnly marks elements funded only by the explore slice, whose
+	// refreshes count as uncertainty probes (nil when the plan has no
+	// explore slice).
 	uncertainty []float64
 	exploreOnly []bool
 	exploreBW   float64 // bandwidth the last plan's explore slice used
@@ -46,13 +47,15 @@ type planner struct {
 func newPlanner(n int, cfg Config) *planner {
 	p := &planner{
 		elems:       make([]freshness.Element, n),
-		uncertainty: make([]float64, n),
 		prior:       cfg.PriorLambda,
 		exploreFrac: cfg.ExploreFrac,
 		seed:        cfg.Seed,
 	}
-	for i := range p.uncertainty {
-		p.uncertainty[i] = 1
+	if p.exploreFrac > 0 {
+		p.uncertainty = make([]float64, n)
+		for i := range p.uncertainty {
+			p.uncertainty[i] = 1
+		}
 	}
 	return p
 }
@@ -66,17 +69,21 @@ type solved struct {
 	exploreBW   float64
 }
 
-// learn folds the drained access counts and the estimator's change
+// learn folds the cumulative access counts and the estimator's change
 // rates (nil leaves them untouched) into the element knowledge the
 // next solve reads. The caller holds both locks.
-func (p *planner) learn(copies []copyState, rates []float64, est estimate.Estimator, now float64) {
-	// Profile: Laplace-smoothed access counts.
+func (p *planner) learn(accesses []atomic.Uint64, rates []float64, est estimate.Estimator, now float64) {
+	// Profile: Laplace-smoothed access counts. Reads keep counting
+	// during the pass, so each counter is loaded once, into AccessProb,
+	// and the profile sums to one over the counts loaded.
 	total := profileSmoothing * float64(len(p.elems))
-	for i := range copies {
-		total += float64(copies[i].accesses)
+	for i := range p.elems {
+		c := float64(accesses[i].Load())
+		p.elems[i].AccessProb = c
+		total += c
 	}
 	for i := range p.elems {
-		p.elems[i].AccessProb = (float64(copies[i].accesses) + profileSmoothing) / total
+		p.elems[i].AccessProb = (p.elems[i].AccessProb + profileSmoothing) / total
 	}
 	for i, l := range rates {
 		p.elems[i].Lambda = l
@@ -95,40 +102,43 @@ func (p *planner) learn(copies []copyState, rates []float64, est estimate.Estima
 }
 
 // solve computes a plan and its refresh iterator from the element
-// knowledge under the plan config cfg. Quarantined elements are
-// excluded from the optimization — their budget share water-fills back
-// across the healthy elements — and re-enter on the solve after
-// recovery. With ExploreFrac > 0 the budget splits: f·ū·B is
-// water-filled on estimator uncertainty (explore, see
-// schedule.AllocateExplore), where ū is the catalog's mean
-// uncertainty, and the rest is water-filled on the learned rates as
-// usual (exploit); both frequency vectors merge into one iterator.
-// solve only reads shared state, so the caller needs just one of the
-// two locks; the mirror holds stepMu alone.
-func (p *planner) solve(cfg core.Config, health []elemHealth) (solved, error) {
-	active := make([]freshness.Element, 0, len(p.elems))
-	for i := range p.elems {
-		if !health[i].quarantined {
+// knowledge under the plan config cfg. The quarantined elements, whose
+// ids quarantined lists in ascending order, are excluded from the
+// optimization — their budget share water-fills back across the
+// healthy elements — and re-enter on the solve after recovery. With
+// ExploreFrac > 0 the budget splits: f·ū·B is water-filled on
+// estimator uncertainty (explore, see schedule.AllocateExplore), where
+// ū is the catalog's mean uncertainty, and the rest is water-filled on
+// the learned rates as usual (exploit); both frequency vectors merge
+// into one iterator. solve only reads shared state, so the caller
+// needs just one of the two locks; the mirror holds stepMu alone.
+func (p *planner) solve(cfg core.Config, quarantined []int) (solved, error) {
+	active := p.elems
+	if len(quarantined) > 0 {
+		active = make([]freshness.Element, 0, len(p.elems)-len(quarantined))
+		forActive(len(p.elems), quarantined, func(i, _ int) {
 			active = append(active, p.elems[i])
+		})
+	}
+	var exploreBudget float64
+	if p.exploreFrac > 0 {
+		// The explore slice anneals with mean uncertainty: a cold mirror
+		// (all uncertainty 1) spends the full configured fraction
+		// probing; as the estimator converges the slice shrinks and its
+		// bandwidth flows back to exploitation, so a warm mirror pays
+		// almost no probe tax.
+		var meanU float64
+		for _, u := range p.uncertainty {
+			meanU += u
 		}
+		meanU /= float64(len(p.uncertainty))
+		exploreBudget = cfg.Bandwidth * p.exploreFrac * meanU
 	}
-	// The explore slice anneals with mean uncertainty: a cold mirror
-	// (all uncertainty 1) spends the full configured fraction probing;
-	// as the estimator converges the slice shrinks and its bandwidth
-	// flows back to exploitation, so a warm mirror pays almost no
-	// probe tax.
-	var meanU float64
-	for _, u := range p.uncertainty {
-		meanU += u
-	}
-	meanU /= float64(len(p.uncertainty))
-	exploreBudget := cfg.Bandwidth * p.exploreFrac * meanU
-	full := make([]float64, len(p.elems))
 	var s solved
 	if len(active) == 0 {
 		// Everything is quarantined: an empty plan; the mirror keeps
 		// serving stale copies and probing for recovery.
-		s.plan = core.Plan{Freqs: full, Strategy: cfg.Strategy}
+		s.plan = core.Plan{Freqs: make([]float64, len(p.elems)), Strategy: cfg.Strategy}
 	} else {
 		exploit := cfg
 		exploit.Bandwidth -= exploreBudget
@@ -139,19 +149,16 @@ func (p *planner) solve(cfg core.Config, health []elemHealth) (solved, error) {
 		if err != nil {
 			return solved{}, err
 		}
-		// Expand the active-subset frequencies back over the full
-		// index space (zero for quarantined elements).
-		j := 0
-		for i := range p.elems {
-			if !health[i].quarantined {
-				full[i] = plan.Freqs[j]
-				j++
-			}
+		if len(quarantined) > 0 {
+			// Expand the active-subset frequencies back over the full
+			// index space (zero for quarantined elements).
+			full := make([]float64, len(p.elems))
+			forActive(len(p.elems), quarantined, func(i, j int) { full[i] = plan.Freqs[j] })
+			plan.Freqs = full
 		}
-		plan.Freqs = full
 		s.plan = plan
 		if exploreBudget > 0 {
-			if err := p.mergeExplore(&s, cfg.Policy, active, health, exploreBudget); err != nil {
+			if err := p.mergeExplore(&s, cfg.Policy, active, quarantined, exploreBudget); err != nil {
 				return solved{}, err
 			}
 		}
@@ -170,29 +177,22 @@ func (p *planner) solve(cfg core.Config, health []elemHealth) (solved, error) {
 // recomputed at the combined allocation over the full catalog.
 // Elements funded only by the explore slice are marked so their
 // refreshes count as uncertainty probes.
-func (p *planner) mergeExplore(s *solved, pol freshness.Policy, active []freshness.Element, health []elemHealth, budget float64) error {
+func (p *planner) mergeExplore(s *solved, pol freshness.Policy, active []freshness.Element, quarantined []int, budget float64) error {
 	activeU := make([]float64, 0, len(active))
-	for i := range p.elems {
-		if !health[i].quarantined {
-			activeU = append(activeU, p.uncertainty[i])
-		}
-	}
+	forActive(len(p.elems), quarantined, func(i, _ int) {
+		activeU = append(activeU, p.uncertainty[i])
+	})
 	exFreqs, exUsed, err := schedule.AllocateExplore(active, activeU, p.prior, budget)
 	if err != nil {
 		return err
 	}
 	s.exploreOnly = make([]bool, len(p.elems))
-	j := 0
-	for i := range p.elems {
-		if health[i].quarantined {
-			continue
-		}
+	forActive(len(p.elems), quarantined, func(i, j int) {
 		if exFreqs[j] > 0 && s.plan.Freqs[i] == 0 {
 			s.exploreOnly[i] = true
 		}
 		s.plan.Freqs[i] += exFreqs[j]
-		j++
-	}
+	})
 	s.plan.BandwidthUsed += exUsed
 	s.exploreBW = exUsed
 	if pol == nil {
@@ -207,6 +207,20 @@ func (p *planner) mergeExplore(s *solved, pol freshness.Policy, active []freshne
 		s.plan.AvgFreshness = af
 	}
 	return nil
+}
+
+// forActive calls f(i, j) for the j-th of the elements 0..n-1 not in
+// the ascending list skip, i being its index.
+func forActive(n int, skip []int, f func(i, j int)) {
+	j := 0
+	for i := 0; i < n; i++ {
+		if len(skip) > 0 && skip[0] == i {
+			skip = skip[1:]
+			continue
+		}
+		f(i, j)
+		j++
+	}
 }
 
 // install makes a solve's output the live plan; its iterator's clock
@@ -231,13 +245,16 @@ func (p *planner) restore(ps persist.PlanState, cfg core.Config, now float64) er
 	if len(ps.Freqs) != len(p.elems) {
 		return fmt.Errorf("httpmirror: restored plan has %d frequencies for %d elements", len(ps.Freqs), len(p.elems))
 	}
-	iter, err := schedule.NewIterator(ps.Freqs, true, p.seed+int64(p.replans))
+	// The iterator keeps the vector it is built on, so it is built on
+	// the plan's own copy, not on the recovered snapshot's.
+	freqs := append([]float64(nil), ps.Freqs...)
+	iter, err := schedule.NewIterator(freqs, true, p.seed+int64(p.replans))
 	if err != nil {
 		return err
 	}
 	p.install(solved{
 		plan: core.Plan{
-			Freqs:         append([]float64(nil), ps.Freqs...),
+			Freqs:         freqs,
 			Perceived:     ps.Perceived,
 			AvgFreshness:  ps.AvgFreshness,
 			BandwidthUsed: ps.BandwidthUsed,

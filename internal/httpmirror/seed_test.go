@@ -20,6 +20,7 @@ import (
 
 	"freshen/internal/core"
 	"freshen/internal/persist"
+	"freshen/internal/testkit"
 )
 
 // newSimSource is an in-process simSource over n objects of rate 1.
@@ -79,6 +80,59 @@ func TestSeedFetchesConcurrently(t *testing.T) {
 		if err != nil || string(body) != want {
 			t.Fatalf("copy %d = %q, %v; want %q", i, body, err, want)
 		}
+	}
+}
+
+// parkedSolveSource answers batches in-process. Its first batch waits,
+// for at most 5 s, until the boot solve has parked in its policy, then
+// releases the solve and records whether the two overlapped.
+type parkedSolveSource struct {
+	simSource
+	pol        *testkit.ParkingPolicy
+	once       sync.Once
+	overlapped atomic.Bool
+}
+
+func (s *parkedSolveSource) FetchBatch(ctx context.Context, ids []int) ([][]byte, []int, error) {
+	s.once.Do(func() {
+		select {
+		case <-s.pol.Parked():
+			s.overlapped.Store(true)
+		case <-time.After(5 * time.Second):
+		case <-ctx.Done():
+		}
+		s.pol.Release()
+	})
+	bodies, versions := make([][]byte, len(ids)), make([]int, len(ids))
+	for k, id := range ids {
+		b, v, err := s.simSource.Fetch(ctx, id)
+		if err != nil {
+			return nil, nil, err
+		}
+		bodies[k], versions[k] = b, v
+	}
+	return bodies, versions, nil
+}
+
+// TestSeedOverlapsBootSolve: New solves its first plan while the seed
+// runs. The seed's first batch holds until the solve has parked inside
+// its policy, which happens only if the solve started before the seed
+// ended.
+func TestSeedOverlapsBootSolve(t *testing.T) {
+	pol := testkit.NewParkingPolicy()
+	pol.Arm()
+	src := &parkedSolveSource{simSource: newSimSource(t, 600), pol: pol}
+	cfg := seedConfig(src)
+	cfg.Plan.Policy = pol
+	m, err := New(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !src.overlapped.Load() {
+		t.Error("the seed's first batch waited 5 s for the boot solve to start")
+	}
+	if st := m.Status(); st.Fetches != 600 || st.Replans != 1 {
+		t.Errorf("after New: %d fetches and %d replans, want 600 and 1", st.Fetches, st.Replans)
 	}
 }
 
@@ -197,7 +251,7 @@ func TestSeedRecoveredSetsLastPoll(t *testing.T) {
 	}
 	// verified is each copy's last-poll time: the next poll's elapsed
 	// time starts at the restored clock, not at the pre-crash poll.
-	for i := range m2.copies {
+	for i := range m2.verified {
 		if v := math.Float64frombits(m2.verified[i].Load()); v != m2.now {
 			t.Errorf("copy %d: verified at %v, want the restored clock %v", i, v, m2.now)
 		}

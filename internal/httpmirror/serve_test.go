@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -211,7 +212,8 @@ func TestQuarantinedCountTracksTransitions(t *testing.T) {
 // TestAccessCountsDrainExactly checks that the striped counters
 // preserve the access-learning and status semantics of the old locked
 // counters: Status sees every access immediately, and a replan's
-// profile learning sees exactly the drained per-object counts.
+// profile learning sees exactly the per-object counts, which are
+// cumulative: a second learn with no reads between sees the same.
 func TestAccessCountsDrainExactly(t *testing.T) {
 	src, m := newTestPair(t, []float64{1, 1, 1, 1}, 4)
 	before := m.Status().Accesses
@@ -226,26 +228,36 @@ func TestAccessCountsDrainExactly(t *testing.T) {
 		t.Fatalf("Status().Accesses grew by %d, want 60 (undrained stripes must still count)", got)
 	}
 
-	// Cross the replan cadence so Step drains and learns.
+	// Cross the replan cadence so Step learns; then learn once more
+	// with no reads between.
 	src.Advance(11)
 	if _, err := m.Step(11); err != nil {
 		t.Fatal(err)
 	}
-	m.mu.Lock()
-	drained := 0
-	for i := range m.copies {
-		drained += m.copies[i].accesses
+	counts := make([]uint64, len(m.acc.elems))
+	for i := range counts {
+		counts[i] = m.acc.elems[i].Load()
 	}
-	p0, p3 := m.pl.elems[0].AccessProb, m.pl.elems[3].AccessProb
-	m.mu.Unlock()
-	if drained != 60 {
-		t.Fatalf("drained per-object accesses = %d, want 60", drained)
+	if want := []uint64{40, 20, 0, 0}; !slices.Equal(counts, want) {
+		t.Fatalf("per-object accesses = %v, want %v", counts, want)
 	}
-	if p0 <= p3 {
-		t.Errorf("profile learning lost the skew: p0=%v <= p3=%v", p0, p3)
+	// Laplace smoothing: (count + 1) / (60 + 4).
+	want := []float64{41.0 / 64, 21.0 / 64, 1.0 / 64, 1.0 / 64}
+	checkProfile := func(learn string) {
+		t.Helper()
+		for i, e := range m.Elements() {
+			if e.AccessProb != want[i] {
+				t.Errorf("%s learn: object %d access probability %v, want %v", learn, i, e.AccessProb, want[i])
+			}
+		}
 	}
+	checkProfile("cadence")
+	if err := m.ForceReplan(); err != nil {
+		t.Fatal(err)
+	}
+	checkProfile("second")
 	if got := m.Status().Accesses - before; got != 60 {
-		t.Fatalf("Status().Accesses after drain = %d, want still 60", got)
+		t.Fatalf("Status().Accesses after learning = %d, want still 60", got)
 	}
 }
 
@@ -351,17 +363,15 @@ func TestServeSnapshotNotTorn(t *testing.T) {
 		t.Error(err)
 	}
 
-	// The access totals recorded under fire must survive a final drain.
+	// Every access recorded under fire is in both the per-object
+	// counters and the global total, once the readers have stopped.
 	st := m.Status()
-	m.mu.Lock()
-	m.acc.drainInto(m.copies)
 	perObj := 0
-	for i := range m.copies {
-		perObj += m.copies[i].accesses
+	for i := range m.acc.elems {
+		perObj += int(m.acc.elems[i].Load())
 	}
-	m.mu.Unlock()
-	if perObj > st.Accesses {
-		t.Errorf("per-object counts (%d) exceed the global total (%d)", perObj, st.Accesses)
+	if perObj != st.Accesses {
+		t.Errorf("per-object counts sum to %d, the global total is %d", perObj, st.Accesses)
 	}
 }
 

@@ -26,7 +26,7 @@ func testSnapshot(now float64) *Snapshot {
 		},
 		Breaker: BreakerSnap{State: 0, Fails: 1, Trips: 2},
 		Elements: []ElementState{
-			{ID: 0, Lambda: 1.5, AccessProb: 0.6, Size: 1, StoredVersion: 3, LastPoll: now, Fetches: 4,
+			{ID: 0, Lambda: 1.5, AccessProb: 0.6, Size: 1, StoredVersion: 3, LastPoll: now,
 				EstLambda: 1.5, EstInfo: 2, Polls: 4, Changes: 3, SumElapsed: 2},
 			{ID: 1, Lambda: 0.2, AccessProb: 0.4, Size: 2, Quarantined: true, QuarantinedAt: 1, ConsecFails: 3,
 				EstLambda: 0.2, EstInfo: 5, Polls: 1, SumElapsed: 2},
@@ -121,6 +121,7 @@ func TestSnapshotValidate(t *testing.T) {
 		{"sparse ids", func(s *Snapshot) { s.Elements[1].ID = 5 }},
 		{"negative lambda", func(s *Snapshot) { s.Elements[0].Lambda = -2 }},
 		{"access prob above one", func(s *Snapshot) { s.Elements[0].AccessProb = 1.5 }},
+		{"negative accesses", func(s *Snapshot) { s.Elements[2].Accesses = -1 }},
 		{"zero elapsed poll", func(s *Snapshot) { s.Elements[0].SumElapsed = 0 }},
 		{"estimator negative rate", func(s *Snapshot) { s.Elements[0].EstLambda = -1 }},
 		{"estimator NaN information", func(s *Snapshot) { s.Elements[1].EstInfo = math.NaN() }},

@@ -14,7 +14,9 @@ import (
 // FormatVersion is the current snapshot payload version. Decoders
 // accept only payloads whose embedded version they understand. Version
 // 2 folds the online estimator's O(1) state into each element; version
-// 1 carried full per-element poll histories and is refused.
+// 1 carried full per-element poll histories and is refused. Version 2
+// payloads written while elements still carried fetched_at and fetches
+// decode unchanged: encoding/json skips the retired keys.
 const FormatVersion = 2
 
 // snapshotMagic identifies a snapshot file and pins its framing
@@ -75,9 +77,7 @@ type ElementState struct {
 	Size       float64 `json:"size"`
 
 	StoredVersion int     `json:"stored_version"`
-	FetchedAt     float64 `json:"fetched_at"`
 	LastPoll      float64 `json:"last_poll"`
-	Fetches       int     `json:"fetches"`
 	Accesses      int     `json:"accesses"`
 
 	Quarantined   bool    `json:"quarantined,omitempty"`
@@ -144,8 +144,11 @@ func (s *Snapshot) Validate() error {
 		if !finite(e.Size) || e.Size < 0 {
 			return fmt.Errorf("persist: element %d has invalid size %v", i, e.Size)
 		}
-		if !finite(e.LastPoll) || !finite(e.FetchedAt) {
-			return fmt.Errorf("persist: element %d has non-finite poll times", i)
+		if !finite(e.LastPoll) {
+			return fmt.Errorf("persist: element %d has non-finite poll time %v", i, e.LastPoll)
+		}
+		if e.Accesses < 0 {
+			return fmt.Errorf("persist: element %d has negative access count %d", i, e.Accesses)
 		}
 		if !finite(e.EstLambda) || e.EstLambda < 0 {
 			return fmt.Errorf("persist: estimator element %d has invalid rate %v", i, e.EstLambda)

@@ -2,7 +2,6 @@ package schedule
 
 import (
 	"container/heap"
-	"fmt"
 	"math"
 )
 
@@ -20,13 +19,15 @@ type Iterator struct {
 // NewIterator builds an iterator over the frequency vector. Elements
 // with zero frequency never appear. randomPhase staggers first
 // refreshes within each element's interval using seed; otherwise every
-// element starts at its half-interval point.
+// element starts at its half-interval point. The iterator keeps freqs
+// rather than a copy of it, so the caller must not modify the slice
+// while the iterator is in use.
 func NewIterator(freqs []float64, randomPhase bool, seed int64) (*Iterator, error) {
 	h, err := firstEvents(freqs, randomPhase, seed, math.Inf(1))
 	if err != nil {
 		return nil, err
 	}
-	return &Iterator{freqs: append([]float64(nil), freqs...), h: h}, nil
+	return &Iterator{freqs: freqs, h: h}, nil
 }
 
 // Next returns the next due refresh and schedules the element's
@@ -49,33 +50,4 @@ func (it *Iterator) Peek() (ev SyncEvent, ok bool) {
 		return SyncEvent{}, false
 	}
 	return it.h[0], true
-}
-
-// Reschedule replaces the frequency of one element from now on: its
-// pending occurrence keeps its due time (or is inserted at now +
-// interval if the element was idle), and subsequent occurrences follow
-// the new interval. Setting freq to 0 removes the element after its
-// pending occurrence fires; Next skips retired elements lazily.
-func (it *Iterator) Reschedule(element int, freq, now float64) error {
-	if element < 0 || element >= len(it.freqs) {
-		return fmt.Errorf("schedule: element %d outside [0, %d)", element, len(it.freqs))
-	}
-	if freq < 0 || math.IsNaN(freq) || math.IsInf(freq, 0) {
-		return fmt.Errorf("schedule: invalid frequency %v", freq)
-	}
-	wasIdle := it.freqs[element] == 0
-	it.freqs[element] = freq
-	if wasIdle && freq > 0 {
-		heap.Push(&it.h, SyncEvent{Time: now + 1/freq, Element: element})
-	}
-	if freq == 0 && !wasIdle {
-		// Remove the pending occurrence so the element retires now.
-		for i := range it.h {
-			if it.h[i].Element == element {
-				heap.Remove(&it.h, i)
-				break
-			}
-		}
-	}
-	return nil
 }

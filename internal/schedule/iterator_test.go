@@ -42,22 +42,6 @@ func (it *pushPopIterator) next() SyncEvent {
 	return ev
 }
 
-func (it *pushPopIterator) reschedule(element int, freq, now float64) {
-	wasIdle := it.freqs[element] == 0
-	it.freqs[element] = freq
-	if wasIdle && freq > 0 {
-		heap.Push(&it.h, SyncEvent{Time: now + 1/freq, Element: element})
-	}
-	if freq == 0 && !wasIdle {
-		for i := range it.h {
-			if it.h[i].Element == element {
-				heap.Remove(&it.h, i)
-				break
-			}
-		}
-	}
-}
-
 // seededFreqs draws n frequencies: a fifth unfunded, a fifth tied at
 // 1 (same half-interval phase, so order falls to the element index),
 // the rest spread over [0.01, 5).
@@ -80,8 +64,7 @@ func seededFreqs(n int, seed int64) []float64 {
 // by heap.Init and advanced by heap.Fix yields exactly the events, bit
 // for bit, of one built by N pushes and advanced by Pop plus Push:
 // the first 10,000 of a seeded N=5,000 plan, with and without random
-// phases, with reschedules (speed-ups, retirements, revivals) between
-// them. Timeline, built the same way, matches the reference up to its
+// phases. Timeline, built the same way, matches the reference up to its
 // horizon.
 func TestIteratorMatchesPushPopReference(t *testing.T) {
 	const n, events = 5000, 10_000
@@ -92,22 +75,11 @@ func TestIteratorMatchesPushPopReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := newPushPopIterator(freqs, randomPhase, 11)
-		r := stats.NewRNG(3)
 		for k := 0; k < events; k++ {
 			got, ok := it.Next()
 			want := ref.next()
 			if !ok || got.Element != want.Element || math.Float64bits(got.Time) != math.Float64bits(want.Time) {
 				t.Fatalf("random phase %v, event %d: %+v, reference %+v", randomPhase, k, got, want)
-			}
-			if k%97 == 0 {
-				el, freq := int(r.Float64()*n), 0.0
-				if r.Float64() < 0.5 {
-					freq = 0.01 + 5*r.Float64()
-				}
-				if err := it.Reschedule(el, freq, got.Time); err != nil {
-					t.Fatal(err)
-				}
-				ref.reschedule(el, freq, got.Time)
 			}
 		}
 

@@ -142,86 +142,4 @@ func TestIteratorValidation(t *testing.T) {
 	if _, err := NewIterator([]float64{-1}, false, 0); err == nil {
 		t.Error("negative frequency must fail")
 	}
-	it, err := NewIterator([]float64{1}, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := it.Reschedule(5, 1, 0); err == nil {
-		t.Error("out-of-range element must fail")
-	}
-	if err := it.Reschedule(0, math.Inf(1), 0); err == nil {
-		t.Error("infinite frequency must fail")
-	}
-}
-
-func TestIteratorReschedule(t *testing.T) {
-	it, err := NewIterator([]float64{1, 1}, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Speed element 0 up to 4/period at t=0: its pending occurrence
-	// (t=0.5) stays, subsequent ones follow the 0.25 interval.
-	if err := it.Reschedule(0, 4, 0); err != nil {
-		t.Fatal(err)
-	}
-	var zeroTimes []float64
-	for i := 0; i < 12; i++ {
-		ev, ok := it.Next()
-		if !ok {
-			t.Fatal("iterator dried up")
-		}
-		if ev.Element == 0 {
-			zeroTimes = append(zeroTimes, ev.Time)
-		}
-	}
-	if len(zeroTimes) < 3 {
-		t.Fatalf("element 0 appeared %d times in 12 events after speed-up", len(zeroTimes))
-	}
-	if math.Abs(zeroTimes[0]-0.5) > 1e-9 {
-		t.Errorf("pending occurrence moved: %v", zeroTimes[0])
-	}
-	for i := 1; i < len(zeroTimes); i++ {
-		if math.Abs(zeroTimes[i]-zeroTimes[i-1]-0.25) > 1e-9 {
-			t.Errorf("interval after reschedule: %v", zeroTimes[i]-zeroTimes[i-1])
-		}
-	}
-}
-
-func TestIteratorRetireAndRevive(t *testing.T) {
-	it, err := NewIterator([]float64{2, 2}, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Retire element 1 immediately: it must never fire.
-	if err := it.Reschedule(1, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		ev, ok := it.Next()
-		if !ok {
-			t.Fatal("iterator dried up")
-		}
-		if ev.Element == 1 {
-			t.Fatal("retired element fired")
-		}
-	}
-	// Revive it at t=4 with frequency 1: first occurrence at 5.
-	if err := it.Reschedule(1, 1, 4); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		ev, ok := it.Next()
-		if !ok {
-			t.Fatal("iterator dried up")
-		}
-		if ev.Element == 1 {
-			if math.Abs(ev.Time-5) > 1e-9 {
-				t.Errorf("revived element first fires at %v, want 5", ev.Time)
-			}
-			break
-		}
-		if ev.Time > 20 {
-			t.Fatal("revived element never fired")
-		}
-	}
 }
