@@ -43,11 +43,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCatalog$$' -fuzztime 30s ./internal/httpmirror/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoverSnapshot$$' -fuzztime 30s ./internal/persist/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayJournal$$' -fuzztime 30s ./internal/persist/
+	$(GO) test -run '^$$' -fuzz '^FuzzRecoveryReplayMatchesLive$$' -fuzztime 30s ./internal/httpmirror/
 	$(GO) test -run '^$$' -fuzz '^FuzzModeMachine$$' -fuzztime 30s ./internal/resilience/
 	$(GO) test -run '^$$' -fuzz '^FuzzChainFreshness$$' -fuzztime 30s ./internal/freshness/
 
 # The crash-recovery suite under the race detector: kill-and-restart
-# chaos, shutdown persistence ordering, and the persistence layer.
+# chaos, replay equal to the live run (TestRecoveryReplayMatchesLive,
+# through the TestRecovery prefix), shutdown persistence ordering, and
+# the persistence layer.
 restart-chaos:
 	$(GO) test -race -count=1 -run 'TestKillRestartRecovery|TestMirrorSnapshotAndRecover|TestRecovery' ./internal/httpmirror/
 	$(GO) test -race -count=1 -run 'TestDaemonShutdownPersistsState|TestMetricsAcrossRestart' ./cmd/freshend/

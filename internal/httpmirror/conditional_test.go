@@ -112,7 +112,7 @@ func TestConditionalFallbackOnIgnoringOrigin(t *testing.T) {
 		}
 	}
 	m.mu.Lock()
-	off := m.condOff
+	off := m.condSrc == nil
 	m.mu.Unlock()
 	if !off {
 		t.Error("mirror did not detect that the origin ignores conditions")

@@ -23,7 +23,6 @@ func newExploreMirror(t *testing.T, lambdas []float64, bandwidth, exploreFrac fl
 		Plan:        core.Config{Bandwidth: bandwidth},
 		ReplanEvery: 2,
 		ExploreFrac: exploreFrac,
-		TruthLambda: lambdas,
 		Seed:        1,
 	})
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"freshen/internal/core"
+	"freshen/internal/persist"
 )
 
 // fuzzMirror lazily builds one shared mirror (4 objects, ids 0–3) for
@@ -185,5 +186,114 @@ func FuzzFetchBatch(f *testing.F) {
 		if len(rest) != 0 {
 			t.Fatalf("%d bytes after the last frame accepted", len(rest))
 		}
+	})
+}
+
+// memStore is an in-memory persist.Storer. Append validates a record
+// and assigns its Seq as persist.Store does, and Commit round-trips the
+// snapshot through its codec and empties the journal, so recovery sees
+// what a store on disk would give it, without an fsync per record.
+type memStore struct {
+	seq     uint64
+	snap    []byte
+	records []persist.Record
+}
+
+func (s *memStore) Append(r persist.Record) error {
+	if err := r.Validate(); err != nil {
+		return err
+	}
+	s.seq++
+	r.Seq = s.seq
+	s.records = append(s.records, r)
+	return nil
+}
+
+func (s *memStore) Commit(snap *persist.Snapshot) error {
+	snap.LastSeq = s.seq
+	data, err := persist.EncodeSnapshot(snap)
+	if err != nil {
+		return err
+	}
+	s.snap, s.records = data, nil
+	return nil
+}
+
+func (s *memStore) Recovery() persist.RecoveryResult {
+	rec := persist.RecoveryResult{Records: s.records}
+	if s.snap != nil {
+		rec.Snapshot, rec.SnapshotErr = persist.DecodeSnapshot(s.snap)
+	}
+	return rec
+}
+
+func (s *memStore) Sync() error { return nil }
+
+// FuzzRecoveryReplayMatchesLive runs a mirror through an arbitrary
+// schedule of origin outages, broken objects and snapshots, then
+// recovers a second mirror from what the first persisted. The
+// recovered breaker, fault map, journaled counters and estimator must
+// equal the live mirror's (see TestRecoveryReplayMatchesLive). Each
+// input byte is one step of 0.25 periods: bit 7 takes the origin down
+// for the step, bit 6 snapshots after it, and bits 0–2 name the broken
+// object, 6 and 7 meaning none.
+func FuzzRecoveryReplayMatchesLive(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{7}, 16))
+	f.Add(append(append(bytes.Repeat([]byte{7}, 8), bytes.Repeat([]byte{0}, 12)...),
+		append(append([]byte{0x40}, bytes.Repeat([]byte{0}, 8)...), bytes.Repeat([]byte{0x80}, 16)...)...))
+	f.Add([]byte{0x41, 0x81, 0xc2, 3, 0x84, 0x45, 6, 0x87, 0x80, 0x80, 2, 0x40, 0x80})
+	f.Fuzz(func(t *testing.T, schedule []byte) {
+		if len(schedule) > 200 {
+			schedule = schedule[:200]
+		}
+		src, err := NewSimulatedSource([]float64{3, 1, 0.5, 2, 1, 4}, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		up := &brokenSource{simSource: simSource{src}}
+		up.broken.Store(-1)
+		store := &memStore{}
+		cfg := Config{
+			Upstream:      up,
+			Plan:          core.Config{Bandwidth: 12},
+			ReplanEvery:   2,
+			Fault:         FaultPolicy{BreakerThreshold: 3, BreakerCooldown: 1, QuarantineAfter: 2, ProbeEvery: 1},
+			Persist:       store,
+			SnapshotEvery: 1000,
+			Seed:          5,
+		}
+		live, err := New(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, b := range schedule {
+			now := 0.25 * float64(k+1)
+			up.down.Store(b&0x80 != 0)
+			up.broken.Store(int64(b & 7))
+			src.Advance(now)
+			if _, err := live.Step(now); err != nil {
+				t.Fatal(err)
+			}
+			if b&0x40 != 0 {
+				if err := live.FlushSnapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		up.down.Store(false)
+		up.broken.Store(-1)
+		recovered, err := New(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := replayedState(recovered)
+		if store.snap != nil {
+			// The snapshot carries the live mirror's seed fetches, and
+			// the recovered mirror adds its own; the journal carries
+			// neither.
+			got.counters.Fetches -= len(recovered.views)
+		}
+		checkReplayed(t, got, replayedState(live))
 	})
 }

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -51,12 +50,6 @@ type Config struct {
 	// refresh budget forever (the cold-start bias fix). 0 means
 	// PriorLambda/10; negative disables the floor entirely.
 	FloorLambda float64
-	// TruthLambda, when non-nil, carries the workload's true change
-	// rates (test builds only: simulated sources know them). The mirror
-	// then exports freshen_estimator_lambda_rel_error, the mean
-	// relative λ̂ error against this truth; production mirrors leave it
-	// nil and the gauge reads -1.
-	TruthLambda []float64
 	// ReplanEvery is the replanning cadence in periods; 0 means 5.
 	ReplanEvery float64
 	// Fault tunes the circuit breaker and quarantine (zero value:
@@ -160,8 +153,7 @@ type Mirror struct {
 	acc   *accessCounters
 
 	cfg        Config
-	condSrc    ConditionalSource // non-nil when the upstream answers conditional fetches
-	condOff    bool              // sticky: the origin demonstrably ignores the condition
+	condSrc    ConditionalSource // non-nil while the upstream answers conditional fetches; nil for good once it ignores one
 	upHealth   UpstreamHealth    // non-nil when the upstream is itself a mirror tier
 	pl         *planner
 	health     map[int]elemHealth // failing objects only: in on a first failure, out on the next success
@@ -277,9 +269,6 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 	m.est, err = estimate.New(estimate.KindMLE, n, m.estParams)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.TruthLambda != nil && len(cfg.TruthLambda) != n {
-		return nil, fmt.Errorf("httpmirror: TruthLambda has %d rates for %d elements", len(cfg.TruthLambda), n)
 	}
 	if cfg.Metrics != nil {
 		// Registered before recovery so replayed journal polls land in
@@ -560,359 +549,6 @@ func (m *Mirror) replan(budget float64) error {
 	return nil
 }
 
-// Step advances the mirror clock to now (in periods), performing every
-// refresh that came due, probing quarantined elements, and learning
-// and re-planning on cadence. A quarantine or recovery also re-plans,
-// but never in place of the cadence's learning, and a Step solves at
-// most once. It returns the number of refreshes performed.
-//
-// Step aggregates per-element outcomes: a failing refresh feeds the
-// breaker and the element's quarantine counter but never aborts the
-// batch. The only errors Step returns are a clock moving backwards and
-// internal planning failures.
-func (m *Mirror) Step(now float64) (int, error) {
-	m.stepMu.Lock()
-	defer m.stepMu.Unlock()
-
-	m.mu.Lock()
-	if now < m.now {
-		m.mu.Unlock()
-		return 0, fmt.Errorf("httpmirror: clock moved backwards (%v < %v)", now, m.now)
-	}
-	// Drain every due event up front; network I/O happens unlocked.
-	type dueEvent struct {
-		element int
-		at      float64
-	}
-	var due []dueEvent
-	for {
-		ev, ok := m.pl.iter.Peek()
-		if !ok || m.pl.iterBase+ev.Time > now {
-			break
-		}
-		m.pl.iter.Next()
-		due = append(due, dueEvent{element: ev.Element, at: m.pl.iterBase + ev.Time})
-	}
-	m.mu.Unlock()
-
-	refreshes := 0
-	healthChanged := false
-	for _, ev := range due {
-		m.mu.Lock()
-		if m.quarantined > 0 && m.health[ev.element].quarantined {
-			// Replanning already zeroed its frequency; a leftover
-			// event from the pre-quarantine iterator is dropped.
-			m.mu.Unlock()
-			continue
-		}
-		if !m.brk.allow(ev.at) {
-			// Breaker open: skip the refresh, keep serving the stale
-			// copy. The skip is recorded — not fed to the estimator —
-			// so an outage is never mistaken for "no change observed".
-			m.skippedRefreshes++
-			m.metrics.countSkipped()
-			m.mu.Unlock()
-			continue
-		}
-		m.mu.Unlock()
-
-		err := m.timedRefresh(ev.element, ev.at)
-		if m.noteOutcome(ev.element, ev.at, err) {
-			healthChanged = true
-		}
-		if err == nil {
-			refreshes++
-			m.mu.Lock()
-			if m.pl.exploreProbe(ev.element) {
-				// This element is funded only by the explore slice: the
-				// refresh is an uncertainty probe, not an exploit poll.
-				m.exploreProbes++
-				m.metrics.countExploreProbe()
-			}
-			m.mu.Unlock()
-		} else {
-			m.journalFailure(ev.element, ev.at)
-		}
-	}
-
-	if m.probeQuarantined(now) {
-		healthChanged = true
-	}
-
-	m.mu.Lock()
-	if now > m.now {
-		m.now = now
-		// Publish the clock for the lock-free staleness computation in
-		// the degraded read path.
-		m.clockBits.Store(math.Float64bits(m.now))
-	}
-	// Snapshot on the period clock. While persist-degraded the
-	// machine's exponential backoff gates attempts — each one is the
-	// fsync probe that would clear the mode, but a dead disk must not
-	// eat a timeout every cadence tick.
-	snapshotDue := m.store != nil && now-m.lastSnapshot >= m.cfg.SnapshotEvery && m.machine.SnapshotDue(now)
-	m.mu.Unlock()
-
-	// From here on Step holds stepMu alone: the passes below only read
-	// state under the two-lock rule (see Mirror) and take m.mu just to
-	// install what they computed.
-	if m.metrics != nil && m.now-m.lastPFUpdate >= 1 {
-		// The live PF gauges cost one exp per element, so they follow
-		// the period clock, not the tick or scrape rate.
-		m.updatePFGauges()
-	}
-	// Learning runs on its own clock: a health replan must not reset
-	// the cadence, or steady quarantine and recovery traffic would keep
-	// the mirror from ever learning.
-	learnDue := now-m.pl.lastLearn >= m.cfg.ReplanEvery
-	if learnDue {
-		m.learn()
-	}
-	if learnDue || healthChanged {
-		if err := m.replan(m.cfg.Plan.Bandwidth); err != nil {
-			return refreshes, err
-		}
-	}
-	if snapshotDue {
-		// A failing state disk is counted (surfaced via /readyz), not
-		// allowed to stop the refresh pipeline.
-		m.commitSnapshot(m.exportState())
-	}
-	return refreshes, nil
-}
-
-// timedRefresh runs refresh under the duration histogram: every
-// attempt lands in freshen_refresh_duration_seconds{outcome} and
-// freshen_refreshes_total{outcome}.
-func (m *Mirror) timedRefresh(id int, at float64) error {
-	start := time.Now()
-	err := m.refresh(id, at)
-	m.metrics.observeRefresh(time.Since(start), err)
-	return err
-}
-
-// refresh refreshes one object conditionally. Against a plain source,
-// a HEAD reveals the upstream version and the body is transferred only
-// when it differs from the stored copy. Against a ConditionalSource
-// the two calls collapse into one version-conditional GET: an
-// unchanged object answers 304 with no body, a changed one arrives as
-// a full 200 with the body already in hand. Either way the refresh
-// always counts as a change poll, and an unchanged object costs no
-// body transfer. An origin that advertises the interface but answers a
-// conditional request with a 200 carrying the version we already hold
-// is ignoring the condition; that discovery permanently reverts the
-// mirror to the HEAD-then-GET protocol (paying per-poll transfers
-// against such an origin would silently double bandwidth). The network
-// calls run without holding m.mu; the outcome is committed under it. A
-// failed refresh commits nothing: the estimator only ever sees
-// successful polls, with elapsed measured from the last successful
-// one.
-func (m *Mirror) refresh(id int, at float64) error {
-	m.mu.Lock()
-	stored := m.views[id].Load().version
-	conditional := m.condSrc != nil && !m.condOff
-	m.mu.Unlock()
-
-	ctx := context.Background()
-	var (
-		changed     bool
-		notModified bool
-		condBroken  bool
-		body        []byte
-		ver         int
-		err         error
-	)
-	if conditional {
-		body, ver, notModified, err = m.condSrc.FetchIfNewer(ctx, id, stored)
-		if err != nil {
-			return fmt.Errorf("httpmirror: polling %d: %w", id, err)
-		}
-		changed = !notModified && ver != stored
-		condBroken = !notModified && ver == stored
-	} else {
-		ver, err = m.cfg.Upstream.Version(ctx, id)
-		if err != nil {
-			return fmt.Errorf("httpmirror: polling %d: %w", id, err)
-		}
-		changed = ver != stored
-		if changed {
-			body, ver, err = m.cfg.Upstream.Fetch(ctx, id)
-			if err != nil {
-				return fmt.Errorf("httpmirror: refreshing %d: %w", id, err)
-			}
-		}
-	}
-
-	m.mu.Lock()
-	if notModified {
-		m.notModified++
-		m.metrics.countNotModified()
-	}
-	if condBroken && !m.condOff {
-		m.condOff = true
-		m.log.Warn("upstream ignores conditional fetches; reverting to HEAD-then-GET",
-			"element", id, "version", ver)
-	}
-	elapsed := at - math.Float64frombits(m.verified[id].Load())
-	if elapsed > 0 {
-		if err := m.recordPollLocked(id, elapsed, changed); err != nil {
-			m.mu.Unlock()
-			return err
-		}
-	} else {
-		elapsed = 0 // no observation: first poll of this copy
-	}
-	m.verified[id].Store(math.Float64bits(at))
-	m.fetches++
-	if changed {
-		// Commit the new body/version pair to readers: one pointer
-		// store for this object alone. A reader holding the previous
-		// view finishes on it, internally consistent.
-		m.views[id].Store(&copyView{body: body, version: ver})
-		m.transfers++
-		m.metrics.countTransfer()
-	}
-	journaled := m.store != nil
-	m.mu.Unlock()
-	if journaled {
-		m.appendJournal(persist.Record{
-			Kind:    persist.KindRefresh,
-			Element: id,
-			At:      at,
-			Elapsed: elapsed,
-			Changed: changed,
-			Version: ver,
-		})
-	}
-	return nil
-}
-
-// noteOutcome feeds one refresh outcome into the breaker and the
-// element's quarantine counter. It reports whether the quarantine set
-// changed (the caller then replans so the freed budget water-fills
-// across the healthy elements).
-func (m *Mirror) noteOutcome(id int, at float64, err error) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.noteOutcomeLocked(id, at, err)
-}
-
-// noteOutcomeLocked is noteOutcome under an already-held m.mu; journal
-// replay uses it directly so recovery reproduces the live transitions.
-// Every outcome also re-derives the degradation mode: the breaker and
-// quarantine signals the mode machine consumes only ever move here.
-func (m *Mirror) noteOutcomeLocked(id int, at float64, err error) bool {
-	changed := m.recordOutcomeLocked(id, at, err)
-	m.machine.SetBreakerOpen(m.brk.state != BreakerClosed)
-	m.machine.SetQuarantineFrac(float64(m.quarantined) / float64(len(m.views)))
-	if m.upHealth != nil {
-		// In a hierarchical chain the upstream tier's own degradation
-		// compounds into ours: serving from a source-degraded regional
-		// mirror means serving stale, breaker state notwithstanding.
-		m.machine.SetUpstreamDegraded(m.upHealth.UpstreamDegraded())
-	}
-	m.publishModeLocked()
-	return changed
-}
-
-func (m *Mirror) recordOutcomeLocked(id int, at float64, err error) bool {
-	tripsBefore := m.brk.trips
-	m.brk.record(err == nil, at)
-	if m.brk.trips > tripsBefore {
-		m.metrics.countBreakerTrip()
-		m.log.Warn("breaker opened", "at", at, "trips", m.brk.trips)
-	}
-	h := m.health[id]
-	if err == nil {
-		// A success ends the failure run and the fault state with it.
-		delete(m.health, id)
-		if h.quarantined {
-			m.quarantined--
-			m.recoveries++
-			m.metrics.countRecovery()
-			m.log.Info("element recovered", "element", id, "at", at,
-				"quarantined_for", at-h.quarantinedAt)
-			return true
-		}
-		return false
-	}
-	m.refreshFailures++
-	h.consecFails++
-	quarantine := false
-	if q := m.cfg.Fault.QuarantineAfter; q > 0 && !h.quarantined && h.consecFails >= q {
-		h.quarantined = true
-		h.quarantinedAt = at
-		h.lastProbe = at
-		m.quarantined++
-		m.quarantineEvents++
-		m.metrics.countQuarantine()
-		m.log.Info("element quarantined", "element", id, "at", at,
-			"consecutive_failures", h.consecFails, "error", err)
-		quarantine = true
-	}
-	m.health[id] = h
-	return quarantine
-}
-
-// quarantinedIDs lists the quarantined objects in ascending id order.
-// It walks the fault state only while something is quarantined. The
-// caller holds either lock (see Mirror).
-func (m *Mirror) quarantinedIDs() []int {
-	ids := make([]int, 0, m.quarantined)
-	if m.quarantined > 0 {
-		for id, h := range m.health {
-			if h.quarantined {
-				ids = append(ids, id)
-			}
-		}
-		slices.Sort(ids)
-	}
-	return ids
-}
-
-// probeQuarantined attempts a recovery refresh, in ascending id order,
-// for each quarantined element whose probe cadence has elapsed (and
-// only while the breaker admits traffic). It reports whether any
-// element recovered. The caller holds stepMu (see Mirror).
-func (m *Mirror) probeQuarantined(now float64) bool {
-	probe := slices.DeleteFunc(m.quarantinedIDs(), func(id int) bool {
-		return now-m.health[id].lastProbe < m.cfg.Fault.ProbeEvery
-	})
-
-	changed := false
-	for _, id := range probe {
-		m.mu.Lock()
-		allowed := m.brk.allow(now)
-		if allowed {
-			h := m.health[id]
-			h.lastProbe = now
-			m.health[id] = h
-		}
-		m.mu.Unlock()
-		if !allowed {
-			break
-		}
-		err := m.timedRefresh(id, now)
-		if m.noteOutcome(id, now, err) {
-			changed = true
-		}
-		if err != nil {
-			m.journalFailure(id, now)
-		}
-	}
-	return changed
-}
-
-// recordPollLocked feeds one censored observation to the estimator and
-// counts it. Callers hold m.mu.
-func (m *Mirror) recordPollLocked(id int, elapsed float64, changed bool) error {
-	if err := m.est.Observe(id, elapsed, changed); err != nil {
-		return err
-	}
-	m.metrics.countPoll(changed)
-	return nil
-}
-
 // learn folds the access counts and the estimator's change rates into
 // the element knowledge the next solve reads. The caller holds stepMu
 // and not m.mu (or is New): m.mu is taken for the planner's in-place
@@ -932,7 +568,6 @@ func (m *Mirror) learn() {
 	if m.cfg.ExploreFrac > 0 {
 		m.metrics.observeConfidence(m.pl.uncertainty)
 	}
-	m.metrics.setLambdaError(m.pl.lambdaError(m.cfg.TruthLambda))
 }
 
 // Run drives the refresh loop against the wall clock, mapping one

@@ -42,7 +42,6 @@ type mirrorMetrics struct {
 	avgFreshness  *obs.Gauge
 	bandwidthUsed *obs.Gauge
 	lambdaMean    *obs.Gauge
-	lambdaError   *obs.Gauge
 	exploreBW     *obs.Gauge
 	confidence    *obs.Histogram
 }
@@ -91,8 +90,6 @@ func instrumentMirror(m *Mirror, reg *obs.Registry) *mirrorMetrics {
 			"Bandwidth Σ sᵢ·fᵢ the current plan consumes."),
 		lambdaMean: reg.Gauge("freshen_lambda_mean",
 			"Mean estimated change rate across the catalog."),
-		lambdaError: reg.Gauge("freshen_estimator_lambda_rel_error",
-			"Mean relative error of the change-rate estimates against the configured ground truth; -1 when no truth is known."),
 		exploreBW: reg.Gauge("freshen_explore_bandwidth",
 			"Bandwidth the current plan dedicates to uncertainty-driven probing."),
 		confidence: reg.Histogram("freshen_estimator_confidence",
@@ -100,8 +97,6 @@ func instrumentMirror(m *Mirror, reg *obs.Registry) *mirrorMetrics {
 			[]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99}),
 	}
 	mm.objectRequests = mm.serveRequests.Codes("/object", serveCodes...)
-	// No ground truth until the mirror reports one.
-	mm.lambdaError.Set(-1)
 	// The access total lives in the read path's striped counters; the
 	// scrape sums the stripes instead of forcing every Access through
 	// one shared counter cache line. Same family name and TYPE as the
@@ -296,14 +291,6 @@ func (mm *mirrorMetrics) seedPolls(polls, changes int) {
 	if mm != nil {
 		mm.estPolls.Add(float64(polls))
 		mm.estChanges.Add(float64(changes))
-	}
-}
-
-// setLambdaError publishes the estimator's mean relative error against
-// the configured ground truth; -1 means no truth is known.
-func (mm *mirrorMetrics) setLambdaError(v float64) {
-	if mm != nil {
-		mm.lambdaError.Set(v)
 	}
 }
 

@@ -176,18 +176,25 @@ func TestMetricsRouteAbsentWithoutRegistry(t *testing.T) {
 	}
 }
 
+// apply commits one refresh outcome through applyLocked, as a live
+// attempt and journal replay both do.
+func apply(m *Mirror, r persist.Record) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.applyLocked(r)
+}
+
 // TestFaultMetrics trips quarantine and the breaker through the
 // outcome path and checks the counters and gauges follow.
 func TestFaultMetrics(t *testing.T) {
 	_, m, reg := newInstrumentedMirror(t, []float64{1, 1}, 1)
-	failure := fmt.Errorf("synthetic upstream failure")
 	// Default policy: quarantine after 3 consecutive per-element
 	// failures, breaker opens after 5 consecutive failures overall.
 	for i := 0; i < 3; i++ {
-		m.noteOutcome(0, 1, failure)
+		apply(m, persist.Record{Kind: persist.KindFailure, Element: 0, At: 1})
 	}
 	for i := 0; i < 2; i++ {
-		m.noteOutcome(1, 1, failure)
+		apply(m, persist.Record{Kind: persist.KindFailure, Element: 1, At: 1})
 	}
 
 	var b strings.Builder
@@ -212,7 +219,7 @@ func TestFaultMetrics(t *testing.T) {
 	}
 
 	// A successful probe releases the element and closes the breaker.
-	m.noteOutcome(0, 5, nil)
+	apply(m, persist.Record{Kind: persist.KindRefresh, Element: 0, At: 5})
 	b.Reset()
 	if _, err := reg.WriteTo(&b); err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package httpmirror
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"freshen/internal/estimate"
@@ -11,11 +10,12 @@ import (
 
 // applyRecovery folds the store's salvaged state into a freshly built
 // mirror: the snapshot restores the estimator state, learned rates and
-// profile, breaker/quarantine state, clock, and counters;
-// the journal records observed after that snapshot replay through the
-// same commit path live refreshes use. It returns the restored plan
-// (to warm-start the schedule) or nil when none was usable. Called
-// from New, before seeding, with no concurrency yet.
+// profile, breaker/quarantine state, clock, and counters; each journal
+// record written after that snapshot advances the clock to its time
+// and goes through applyLocked, the commit live refreshes use. It
+// returns the restored plan (to warm-start the schedule) or nil when
+// none was usable. Called from New, before seeding, with no
+// concurrency yet.
 func (m *Mirror) applyRecovery(rec persist.RecoveryResult) *persist.PlanState {
 	n := len(m.views)
 	m.recoveryStatus = "cold-start"
@@ -38,8 +38,6 @@ func (m *Mirror) applyRecovery(rec persist.RecoveryResult) *persist.PlanState {
 			e := &s.Elements[i]
 			m.pl.elems[i].Lambda = e.Lambda
 			m.pl.elems[i].AccessProb = e.AccessProb
-			// StoredVersion and LastPoll are not restored: seeding
-			// overwrites both before anything reads them.
 			m.acc.elems[i].Store(uint64(e.Accesses))
 			if e.ConsecFails > 0 || e.Quarantined {
 				m.health[i] = elemHealth{
@@ -78,7 +76,8 @@ func (m *Mirror) applyRecovery(rec persist.RecoveryResult) *persist.PlanState {
 			m.recoveryStatus = fmt.Sprintf("%s (journal replay stopped: record targets element %d of %d)", m.recoveryStatus, r.Element, n)
 			break
 		}
-		m.replayJournalRecord(r)
+		m.now = max(m.now, r.At)
+		m.applyLocked(r)
 		m.replayed++
 	}
 	if rec.Snapshot == nil && m.replayed > 0 {
@@ -129,30 +128,6 @@ func (m *Mirror) restoreEstimatorLocked(s *persist.Snapshot) {
 	m.metrics.seedPolls(polls, changes)
 }
 
-// replayJournalRecord re-applies one journaled refresh outcome exactly
-// as the live pipeline would have: successful polls feed the
-// estimator and the poll and transfer bookkeeping, failures feed the
-// breaker and quarantine counters. The record's version and poll time
-// are not replayed: seeding, which runs next, stores every object's
-// view and last-poll time afresh.
-func (m *Mirror) replayJournalRecord(r persist.Record) {
-	if r.At > m.now {
-		m.now = r.At
-	}
-	if r.Kind == persist.KindFailure {
-		m.noteOutcomeLocked(r.Element, r.At, fmt.Errorf("replayed failure"))
-		return
-	}
-	if r.Elapsed > 0 {
-		m.recordPollLocked(r.Element, r.Elapsed, r.Changed)
-	}
-	m.fetches++
-	if r.Changed {
-		m.transfers++
-	}
-	m.noteOutcomeLocked(r.Element, r.At, nil)
-}
-
 // exportState builds the durable image of the mirror's current state.
 // The caller holds stepMu and not m.mu: m.mu is taken only to read the
 // scalar state, and the per-element records are built off it under the
@@ -193,13 +168,9 @@ func (m *Mirror) exportState() *persist.Snapshot {
 	for i := range m.pl.elems {
 		e := &m.pl.elems[i]
 		es := persist.ElementState{
-			ID:            e.ID,
-			Lambda:        e.Lambda,
-			AccessProb:    e.AccessProb,
-			Size:          e.Size,
-			StoredVersion: m.views[i].Load().version,
-			LastPoll:      math.Float64frombits(m.verified[i].Load()),
-			Accesses:      int(m.acc.elems[i].Load()),
+			Lambda:     e.Lambda,
+			AccessProb: e.AccessProb,
+			Accesses:   int(m.acc.elems[i].Load()),
 		}
 		if ee := est.Elements[i]; ee.Polls > 0 {
 			// Unpolled elements carry no estimator state (and cost the
@@ -259,27 +230,29 @@ func (m *Mirror) FlushSnapshot() error {
 	return m.commitSnapshot(m.exportState())
 }
 
-// appendJournal journals one record, counting (never propagating) the
-// failure: a sick state disk costs durability of recent observations,
-// not availability of the mirror. While persist-degraded, appends are
-// withheld entirely — every one would eat an fsync timeout against a
-// dead disk at refresh rate — and counted as skipped; the snapshot
-// backoff probes own re-entry into full mode. The per-record warn is
-// rate-limited to one line per interval with a suppressed count.
-func (m *Mirror) appendJournal(r persist.Record) {
+// journalAdmitsLocked reports whether a record committed now goes to
+// the journal. While persist-degraded, appends are withheld entirely —
+// every one would eat an fsync timeout against a dead disk at refresh
+// rate — and counted as skipped; the snapshot backoff probes own
+// re-entry into full mode. Callers hold m.mu.
+func (m *Mirror) journalAdmitsLocked() bool {
 	if m.store == nil {
-		return
+		return false
 	}
-	m.mu.Lock()
 	if !m.machine.JournalEnabled() {
 		m.journalSkipped++
-		m.mu.Unlock()
-		return
+		return false
 	}
-	m.mu.Unlock()
+	return true
+}
 
+// appendJournal journals one record journalAdmitsLocked admitted,
+// counting (never propagating) the failure: a sick state disk costs
+// durability of recent observations, not availability of the mirror.
+// The per-record warn is rate-limited to one line per interval with a
+// suppressed count. The caller holds stepMu and not m.mu.
+func (m *Mirror) appendJournal(r persist.Record) {
 	err := m.store.Append(r)
-
 	m.mu.Lock()
 	if err == nil {
 		// A successful fsynced append is disk-health evidence too: it
@@ -298,11 +271,6 @@ func (m *Mirror) appendJournal(r persist.Record) {
 		m.log.Warn("journal append failed",
 			"element", r.Element, "error", err, "suppressed_since_last", suppressed)
 	}
-}
-
-// journalFailure records one failed refresh attempt.
-func (m *Mirror) journalFailure(id int, at float64) {
-	m.appendJournal(persist.Record{Kind: persist.KindFailure, Element: id, At: at})
 }
 
 // Readiness is the mirror's readiness report, served by /readyz. A

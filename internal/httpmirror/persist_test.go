@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -626,9 +627,10 @@ func TestRecoveryRefusesFormatV1Snapshot(t *testing.T) {
 }
 
 // parentFormat2Payload is a format-2 snapshot payload as mirrors wrote
-// it while every element still carried fetched_at and fetches: four
-// objects, two of them polled, one failing below the quarantine
-// threshold and one quarantined.
+// it while every element still carried its id, size, stored version,
+// last poll time, fetch time and fetch count: four objects, two of them
+// polled, one failing below the quarantine threshold and one
+// quarantined.
 const parentFormat2Payload = `{"format_version":2,"last_seq":0,"now_periods":6,` +
 	`"plan":{"freqs":[2,1,0,1],"perceived":0.5,"avg_freshness":0.4,"bandwidth_used":4},` +
 	`"breaker":{"state":0,"fails":1,"opened_at":0,"trips":0},"elements":[` +
@@ -642,10 +644,11 @@ const parentFormat2Payload = `{"format_version":2,"last_seq":0,"now_periods":6,`
 	`"counters":{"accesses":49,"fetches":21,"transfers":8,"replans":2,"refresh_failures":5,"skipped_refreshes":0,"quarantine_events":1,"recoveries":0}}`
 
 // TestRecoveryReadsParentFormat2Snapshot: a format-2 snapshot whose
-// elements carry the retired fetched_at and fetches keys still
-// recovers. The per-object access counts, the estimator's state and
-// the fault state come back as written, and the next snapshot writes
-// them back without the retired keys.
+// elements carry the retired id, size, stored_version, last_poll,
+// fetched_at and fetches keys still recovers. The per-object access
+// counts, the estimator's state and the fault state come back as
+// written, and the next snapshot writes them back without the retired
+// keys.
 func TestRecoveryReadsParentFormat2Snapshot(t *testing.T) {
 	dir := t.TempDir()
 	writeSnapshotPayload(t, dir, []byte(parentFormat2Payload))
@@ -711,7 +714,106 @@ func TestRecoveryReadsParentFormat2Snapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(data, []byte(`"fetched_at"`)) {
-		t.Error("the next snapshot still writes fetched_at")
+	for _, key := range []string{`"id"`, `"size"`, `"stored_version"`, `"last_poll"`, `"fetched_at"`} {
+		if bytes.Contains(data, []byte(key)) {
+			t.Errorf("the next snapshot still writes %s", key)
+		}
 	}
+}
+
+// replayed is the state journal replay must rebuild exactly: the
+// breaker, the fault map, the counters the journal carries, and the
+// estimator. SkippedRefreshes and NotModified are left out: skips and
+// 304s are not journaled, so replay cannot restore them.
+type replayed struct {
+	breaker   breaker
+	faults    map[int]elemHealth
+	counters  replayedCounters
+	estimator estimate.State
+}
+
+type replayedCounters struct {
+	Fetches, Transfers, RefreshFailures, QuarantineEvents, Recoveries, BreakerTrips int
+}
+
+func replayedState(m *Mirror) replayed {
+	st := m.Status()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return replayed{
+		breaker: m.brk,
+		faults:  maps.Clone(m.health),
+		counters: replayedCounters{st.Fetches, st.Transfers, st.RefreshFailures,
+			st.QuarantineEvents, st.Recoveries, st.BreakerTrips},
+		estimator: m.est.ExportState(),
+	}
+}
+
+// checkReplayed fails t where a recovered mirror's state differs from
+// the live one's.
+func checkReplayed(t *testing.T, got, live replayed) {
+	t.Helper()
+	if got.breaker != live.breaker {
+		t.Errorf("breaker %+v, live %+v", got.breaker, live.breaker)
+	}
+	if !maps.Equal(got.faults, live.faults) {
+		t.Errorf("fault state %+v, live %+v", got.faults, live.faults)
+	}
+	if got.counters != live.counters {
+		t.Errorf("counters %+v, live %+v", got.counters, live.counters)
+	}
+	if !reflect.DeepEqual(got.estimator, live.estimator) {
+		t.Errorf("estimator state %+v, live %+v", got.estimator, live.estimator)
+	}
+}
+
+// TestRecoveryReplayMatchesLive: a mirror recovered from a snapshot and
+// the journal after it holds the state the live mirror built. After
+// the snapshot a broken object's probes fail, and then a full outage
+// fails the breaker's half-open probes, so replay must re-open the
+// breaker at each failed probe and move the object's last probe time,
+// as the live run did.
+func TestRecoveryReplayMatchesLive(t *testing.T) {
+	f := newFaultySource(t, []float64{3, 1, 0.5, 2, 1, 0.25, 4, 1.5})
+	dir := t.TempDir()
+	fault := func(c *Config) {
+		c.Fault = FaultPolicy{BreakerThreshold: 3, BreakerCooldown: 1, QuarantineAfter: 2, ProbeEvery: 1}
+	}
+	m1, _ := newPersistMirror(t, f.srv.URL, f.srv.Client(), dir, 1, 1000, fault)
+	now := 0.0
+	steps := func(k int) {
+		t.Helper()
+		for range k {
+			now += 0.25
+			f.src.Advance(now)
+			if _, err := m1.Step(now); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	steps(8)
+	f.brokenID.Store(0)
+	steps(12)
+	if err := m1.FlushSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	atSnapshot := replayedState(m1)
+	steps(8)
+	f.down.Store(true)
+	steps(16)
+	f.down.Store(false)
+	f.brokenID.Store(-1)
+
+	live := replayedState(m1)
+	if live.breaker.trips <= atSnapshot.breaker.trips || live.faults[0].lastProbe <= atSnapshot.faults[0].lastProbe {
+		t.Fatalf("setup: no breaker trip or probe of object 0 after the snapshot (trips %d → %d, last probe %v → %v)",
+			atSnapshot.breaker.trips, live.breaker.trips, atSnapshot.faults[0].lastProbe, live.faults[0].lastProbe)
+	}
+	m2, _ := newPersistMirror(t, f.srv.URL, f.srv.Client(), dir, 1, 1000, fault)
+	if rd := m2.Readiness(); rd.RecoveryStatus != "recovered" || rd.JournalReplayed == 0 {
+		t.Fatalf("readiness after recovery = %+v", rd)
+	}
+	got := replayedState(m2)
+	got.counters.Fetches -= len(m2.views) // the recovered mirror's own seed
+	checkReplayed(t, got, live)
 }

@@ -2,7 +2,6 @@ package httpmirror
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"freshen/internal/core"
@@ -270,25 +269,4 @@ func (p *planner) restore(ps persist.PlanState, cfg core.Config, now float64) er
 // uncertainty probe: the element is funded only by the explore slice.
 func (p *planner) exploreProbe(id int) bool {
 	return p.exploreOnly != nil && p.exploreOnly[id]
-}
-
-// lambdaError is the mean relative error of the learned rates against
-// the configured ground truth, or -1 when no truth is known
-// (production: the gauge stays at its sentinel).
-func (p *planner) lambdaError(truth []float64) float64 {
-	if truth == nil {
-		return -1
-	}
-	sum, count := 0.0, 0
-	for i, want := range truth {
-		if want <= 0 {
-			continue
-		}
-		sum += math.Abs(p.elems[i].Lambda-want) / want
-		count++
-	}
-	if count == 0 {
-		return -1
-	}
-	return sum / float64(count)
 }

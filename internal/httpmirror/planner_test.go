@@ -80,23 +80,24 @@ func TestSolveRunsOffStateLock(t *testing.T) {
 }
 
 // brokenSource is an in-process source whose one broken object fails
-// every call.
+// every call, as does every object while it is down.
 type brokenSource struct {
 	simSource
 	broken atomic.Int64
+	down   atomic.Bool
 }
 
 var errBroken = errors.New("broken object")
 
 func (b *brokenSource) Version(ctx context.Context, id int) (int, error) {
-	if int64(id) == b.broken.Load() {
+	if b.down.Load() || int64(id) == b.broken.Load() {
 		return 0, errBroken
 	}
 	return b.simSource.Version(ctx, id)
 }
 
 func (b *brokenSource) Fetch(ctx context.Context, id int) ([]byte, int, error) {
-	if int64(id) == b.broken.Load() {
+	if b.down.Load() || int64(id) == b.broken.Load() {
 		return nil, 0, errBroken
 	}
 	return b.simSource.Fetch(ctx, id)

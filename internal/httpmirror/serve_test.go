@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"freshen/internal/core"
+	"freshen/internal/persist"
 )
 
 // TestAccessNotFoundPreallocated pins the satellite fix for the miss
@@ -155,16 +156,12 @@ func TestObjectHandlerAllocs(t *testing.T) {
 func TestQuarantinedCountTracksTransitions(t *testing.T) {
 	_, m := newTestPair(t, []float64{1, 1, 1}, 3)
 	failAll := func(id int, times int) {
-		m.mu.Lock()
 		for i := 0; i < times; i++ {
-			m.noteOutcomeLocked(id, m.now, fmt.Errorf("induced failure"))
+			apply(m, persist.Record{Kind: persist.KindFailure, Element: id, At: m.now})
 		}
-		m.mu.Unlock()
 	}
 	recover := func(id int) {
-		m.mu.Lock()
-		m.noteOutcomeLocked(id, m.now, nil)
-		m.mu.Unlock()
+		apply(m, persist.Record{Kind: persist.KindRefresh, Element: id, At: m.now})
 	}
 	check := func(want int) {
 		t.Helper()
@@ -425,8 +422,8 @@ func TestTransferCommitAllocsFlat(t *testing.T) {
 			var start, end runtime.MemStats
 			runtime.ReadMemStats(&start)
 			for k := 0; k < refreshes; k++ {
-				if err := m.refresh(k, 1+float64(k)/refreshes); err != nil {
-					t.Fatal(err)
+				if res, _ := m.attempt(k, 1+float64(k)/refreshes, false); res != refreshed {
+					t.Fatalf("refresh %d came to %d", k, res)
 				}
 			}
 			runtime.ReadMemStats(&end)

@@ -4,8 +4,8 @@
 //   - A snapshot: a single versioned, CRC-checksummed file holding the
 //     full learned state of a mirror (the online estimator's O(1)
 //     per-element state, the water-filled schedule, breaker and
-//     quarantine state, element metadata, lifetime counters). Its size
-//     does not grow with uptime. Snapshots are written atomically —
+//     quarantine state, per-object access counts, lifetime counters).
+//     Its size does not grow with uptime. Snapshots are written atomically —
 //     temp file, fsync, rename, directory fsync — so a crash at any
 //     instant leaves either the previous snapshot or the new one,
 //     never a torn hybrid.

@@ -15,8 +15,9 @@ import (
 // accept only payloads whose embedded version they understand. Version
 // 2 folds the online estimator's O(1) state into each element; version
 // 1 carried full per-element poll histories and is refused. Version 2
-// payloads written while elements still carried fetched_at and fetches
-// decode unchanged: encoding/json skips the retired keys.
+// payloads written while elements still carried id, size,
+// stored_version, last_poll, fetched_at and fetches decode unchanged:
+// encoding/json skips the retired keys.
 const FormatVersion = 2
 
 // snapshotMagic identifies a snapshot file and pins its framing
@@ -43,7 +44,7 @@ type Snapshot struct {
 	Plan PlanState `json:"plan"`
 	// Breaker is the upstream circuit breaker's state.
 	Breaker BreakerSnap `json:"breaker"`
-	// Elements holds per-element learned state and metadata.
+	// Elements holds per-element learned state, indexed by element id.
 	Elements []ElementState `json:"elements"`
 	// Counters are the mirror's lifetime counters.
 	Counters Counters `json:"counters"`
@@ -67,18 +68,14 @@ type BreakerSnap struct {
 	Trips    int     `json:"trips"`
 }
 
-// ElementState is one element's durable state: identity and metadata,
-// the learned change rate and access probability, refresh bookkeeping,
-// quarantine state, and the change-rate estimator's state.
+// ElementState is one element's durable state: the learned change
+// rate and access probability, the access count, quarantine state, and
+// the change-rate estimator's state. An element's id is its position
+// in Snapshot.Elements, and its size is the catalog's.
 type ElementState struct {
-	ID         int     `json:"id"`
 	Lambda     float64 `json:"lambda"`
 	AccessProb float64 `json:"access_prob"`
-	Size       float64 `json:"size"`
-
-	StoredVersion int     `json:"stored_version"`
-	LastPoll      float64 `json:"last_poll"`
-	Accesses      int     `json:"accesses"`
+	Accesses   int     `json:"accesses"`
 
 	Quarantined   bool    `json:"quarantined,omitempty"`
 	QuarantinedAt float64 `json:"quarantined_at,omitempty"`
@@ -132,20 +129,11 @@ func (s *Snapshot) Validate() error {
 	}
 	for i := range s.Elements {
 		e := &s.Elements[i]
-		if e.ID != i {
-			return fmt.Errorf("persist: element ids must be dense, got %d at position %d", e.ID, i)
-		}
 		if !finite(e.Lambda) || e.Lambda < 0 {
 			return fmt.Errorf("persist: element %d has invalid change rate %v", i, e.Lambda)
 		}
 		if !finite(e.AccessProb) || e.AccessProb < 0 || e.AccessProb > 1 {
 			return fmt.Errorf("persist: element %d has invalid access probability %v", i, e.AccessProb)
-		}
-		if !finite(e.Size) || e.Size < 0 {
-			return fmt.Errorf("persist: element %d has invalid size %v", i, e.Size)
-		}
-		if !finite(e.LastPoll) {
-			return fmt.Errorf("persist: element %d has non-finite poll time %v", i, e.LastPoll)
 		}
 		if e.Accesses < 0 {
 			return fmt.Errorf("persist: element %d has negative access count %d", i, e.Accesses)
