@@ -49,10 +49,11 @@ fuzz-smoke:
 
 # The crash-recovery suite under the race detector: kill-and-restart
 # chaos, replay equal to the live run (TestRecoveryReplayMatchesLive,
-# through the TestRecovery prefix), shutdown persistence ordering, and
-# the persistence layer.
+# through the TestRecovery prefix), snapshots that write only what
+# recovery reads (TestSnapshotElementsSlim), shutdown persistence
+# ordering, and the persistence layer.
 restart-chaos:
-	$(GO) test -race -count=1 -run 'TestKillRestartRecovery|TestMirrorSnapshotAndRecover|TestRecovery' ./internal/httpmirror/
+	$(GO) test -race -count=1 -run 'TestKillRestartRecovery|TestMirrorSnapshotAndRecover|TestRecovery|TestSnapshotElementsSlim' ./internal/httpmirror/
 	$(GO) test -race -count=1 -run 'TestDaemonShutdownPersistsState|TestMetricsAcrossRestart' ./cmd/freshend/
 	$(GO) test -race -count=1 ./internal/persist/
 
@@ -128,7 +129,7 @@ race:
 	$(GO) test -race ./internal/solver/... ./internal/cluster/... ./internal/httpmirror/... ./internal/resilience/... ./internal/fleet/... ./internal/hierarchy/...
 	$(GO) test -race -count=10 -run 'TestSeed|TestNilClientSourceClientsShareNoConnection|TestFleetBoot' ./internal/httpmirror/ ./internal/fleet/
 	$(GO) test -race -count=5 -run 'TestServeSnapshotNotTorn|TestAccessLockFree' ./internal/httpmirror/
-	$(GO) test -race -count=5 -run 'TestSolveRunsOffStateLock|TestHealthReplansKeepLearning|TestShardSolveKeepsShardHealthy|TestFaultStateSparse' ./internal/httpmirror/ ./internal/fleet/
+	$(GO) test -race -count=5 -run 'TestSolveRunsOffStateLock|TestHealthReplansKeepLearning|TestSolveInputMatchesLearnFormula|TestShardSolveKeepsShardHealthy|TestFaultStateSparse' ./internal/httpmirror/ ./internal/fleet/
 
 ci: build fmt vet test race
 

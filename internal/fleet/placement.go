@@ -9,9 +9,11 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
+	"strconv"
 
 	"freshen/internal/freshness"
 	"freshen/internal/partition"
@@ -139,21 +141,33 @@ func HashPlacement(n, k int) (*Placement, error) {
 		pos   uint64
 		shard int
 	}
+	// Keys are built in one reused buffer: "shard-S-vnode-V" for the
+	// ring, "object-G" for each object.
+	key := make([]byte, 0, 64)
 	ring := make([]vnode, 0, k*vnodesPerShard)
 	for s := 0; s < k; s++ {
 		for v := 0; v < vnodesPerShard; v++ {
-			ring = append(ring, vnode{ringHash(fmt.Sprintf("shard-%d-vnode-%d", s, v)), s})
+			key = append(strconv.AppendInt(append(key[:0], "shard-"...), int64(s), 10), "-vnode-"...)
+			ring = append(ring, vnode{ringHash(strconv.AppendInt(key, int64(v), 10)), s})
 		}
 	}
-	sort.Slice(ring, func(i, j int) bool { return ring[i].pos < ring[j].pos })
-	globals := make([][]int, k)
-	for gid := 0; gid < n; gid++ {
-		h := ringHash(fmt.Sprintf("object-%d", gid))
-		i := sort.Search(len(ring), func(i int) bool { return ring[i].pos >= h })
+	slices.SortFunc(ring, func(a, b vnode) int { return cmp.Compare(a.pos, b.pos) })
+	shardOf := make([]int, n)
+	owned := make([]int, k)
+	for gid := range shardOf {
+		h := ringHash(strconv.AppendInt(append(key[:0], "object-"...), int64(gid), 10))
+		i, _ := slices.BinarySearchFunc(ring, h, func(v vnode, h uint64) int { return cmp.Compare(v.pos, h) })
 		if i == len(ring) {
 			i = 0
 		}
-		s := ring[i].shard
+		shardOf[gid] = ring[i].shard
+		owned[ring[i].shard]++
+	}
+	globals := make([][]int, k)
+	for s := range globals {
+		globals[s] = make([]int, 0, owned[s])
+	}
+	for gid, s := range shardOf {
 		globals[s] = append(globals[s], gid)
 	}
 	// Consistent hashing leaves a shard empty only in tiny catalogs;
@@ -182,11 +196,14 @@ func HashPlacement(n, k int) (*Placement, error) {
 // sequential "object-N" keys clustered on one arc of the ring (whole
 // shards end up empty); the finalizer's avalanche spreads them. Both
 // stages are fixed constants — the placement must be identical across
-// processes and releases.
-func ringHash(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	x := h.Sum64()
+// processes and releases. The FNV-64a loop is hash/fnv's, inlined so a
+// key costs no allocation.
+func ringHash(key []byte) uint64 {
+	x := uint64(14695981039346656037) // FNV-64 offset basis
+	for _, c := range key {
+		x ^= uint64(c)
+		x *= 1099511628211 // FNV-64 prime
+	}
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33

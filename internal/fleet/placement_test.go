@@ -2,6 +2,9 @@ package fleet
 
 import (
 	"fmt"
+	"hash/fnv"
+	"runtime/debug"
+	"sort"
 	"testing"
 
 	"freshen/internal/freshness"
@@ -63,6 +66,117 @@ func TestHashPlacementRoughlyBalanced(t *testing.T) {
 		if got < mean/4 || got > mean*4 {
 			t.Errorf("shard %d owns %d objects; mean is %d", s, got, mean)
 		}
+	}
+}
+
+// referencePlacement is HashPlacement's shard assignment as first
+// written, with fmt-built keys and hash/fnv: the map every persisted
+// shard's state was placed by.
+func referencePlacement(n, k int) [][]int {
+	hash := func(s string) uint64 {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		x := h.Sum64()
+		x ^= x >> 33
+		x *= 0xff51afd7ed558ccd
+		x ^= x >> 33
+		x *= 0xc4ceb9fe1a85ec53
+		x ^= x >> 33
+		return x
+	}
+	type vnode struct {
+		pos   uint64
+		shard int
+	}
+	var ring []vnode
+	for s := 0; s < k; s++ {
+		for v := 0; v < vnodesPerShard; v++ {
+			ring = append(ring, vnode{hash(fmt.Sprintf("shard-%d-vnode-%d", s, v)), s})
+		}
+	}
+	sort.Slice(ring, func(i, j int) bool { return ring[i].pos < ring[j].pos })
+	globals := make([][]int, k)
+	for gid := 0; gid < n; gid++ {
+		h := hash(fmt.Sprintf("object-%d", gid))
+		i := sort.Search(len(ring), func(i int) bool { return ring[i].pos >= h })
+		if i == len(ring) {
+			i = 0
+		}
+		globals[ring[i].shard] = append(globals[ring[i].shard], gid)
+	}
+	for s := range globals {
+		for len(globals[s]) == 0 {
+			big := 0
+			for t := range globals {
+				if len(globals[t]) > len(globals[big]) {
+					big = t
+				}
+			}
+			last := len(globals[big]) - 1
+			globals[s] = append(globals[s], globals[big][last])
+			globals[big] = globals[big][:last]
+		}
+	}
+	for _, g := range globals {
+		sort.Ints(g)
+	}
+	return globals
+}
+
+// TestHashPlacementMatchesReference pins the assignment to the
+// reference: a different map would scatter every persisted shard's
+// state across the wrong shards.
+func TestHashPlacementMatchesReference(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 4, 7, 16} {
+		for _, n := range []int{k, 2*k + 1, 1000, 100_003} {
+			p, err := HashPlacement(n, k)
+			if err != nil {
+				t.Fatalf("n=%d k=%d: %v", n, k, err)
+			}
+			for s, want := range referencePlacement(n, k) {
+				got := p.Globals(s)
+				if len(got) != len(want) {
+					t.Fatalf("n=%d k=%d: shard %d owns %d objects, reference %d", n, k, s, len(got), len(want))
+				}
+				for l := range want {
+					if got[l] != want[l] {
+						t.Fatalf("n=%d k=%d: shard %d's object %d is %d, reference %d", n, k, s, l, got[l], want[l])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHashPlacementAllocsFlat: a placement's allocations do not grow
+// with the catalog: every per-object array is sized once, and keys
+// are built in one reused buffer. The collector is off while it
+// counts, so the runtime's own allocations during a cycle stay out.
+func TestHashPlacementAllocsFlat(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := HashPlacement(n, 4); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1000), allocs(100_000); large != small {
+		t.Errorf("HashPlacement allocates %v times at n=1,000 and %v at n=100,000", small, large)
+	}
+}
+
+// BenchmarkHashPlacement times a four-shard placement.
+func BenchmarkHashPlacement(b *testing.B) {
+	for _, n := range []int{20_000, 500_000} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := HashPlacement(n, 4); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

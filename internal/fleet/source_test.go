@@ -73,7 +73,7 @@ func TestShardPollsWithConditionalFetches(t *testing.T) {
 		}
 	}
 	st := m.Status()
-	polls := int64(st.Fetches - st.Objects)
+	polls := int64(st.Fetches)
 	if polls == 0 {
 		t.Fatal("the shard never refreshed")
 	}

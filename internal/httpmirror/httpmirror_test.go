@@ -118,7 +118,7 @@ func TestMirrorSeedsAndServes(t *testing.T) {
 		t.Error("out-of-range access must fail")
 	}
 	st := m.Status()
-	if st.Objects != 3 || st.Fetches != 3 || st.Accesses != 1 {
+	if st.Objects != 3 || st.Fetches != 0 || st.Accesses != 1 {
 		t.Errorf("status = %+v", st)
 	}
 	if st.PlannedPF <= 0 {

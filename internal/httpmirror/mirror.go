@@ -134,12 +134,12 @@ const profileSmoothing = 1
 // quarantined count, est, cfg.Plan and clock it is computed from, are
 // written only with both stepMu and mu held, so a holder of either lock
 // may read them. Every writer of them already holds stepMu. The
-// expensive passes therefore run under stepMu alone: the solve and
-// iterator build, the per-period PF gauges, and the snapshot's
-// per-element records. Only installing a plan and its iterator, learn's
-// in-place write pass and reading scalar counters take mu. The read
-// path serves each object's immutable view from views and counts into
-// the cumulative counters in acc (see serve.go and DESIGN.md §11).
+// expensive passes therefore run under stepMu alone: building the
+// solver's input, the solve and iterator build, and the snapshot's
+// per-element records. Only installing a plan and its iterator and
+// reading scalar counters take mu. The read path serves each object's
+// immutable view from views and counts into the cumulative counters in
+// acc (see serve.go and DESIGN.md §11).
 type Mirror struct {
 	stepMu sync.Mutex
 	mu     sync.Mutex
@@ -147,8 +147,8 @@ type Mirror struct {
 	// Lock-free serving state: one view per object, which readers
 	// load, and the access accounting they write. views[i] is stored by
 	// seeding and replaced under m.mu by a refresh that transferred a
-	// new body; acc's counters only grow, and learn and the snapshot
-	// load them.
+	// new body; acc's counters only grow, and every solve and the
+	// snapshot load them.
 	views []atomic.Pointer[copyView]
 	acc   *accessCounters
 
@@ -162,7 +162,7 @@ type Mirror struct {
 	estParams  estimate.Params
 	now        float64
 	accessBase int // accesses restored from a snapshot at boot; live total adds acc.total()
-	fetches    int // running total across all copies (incl. seeding)
+	fetches    int // refresh polls that succeeded; the boot seed is not a poll
 	transfers  int
 
 	notModified      int // conditional polls the upstream answered 304 (no body)
@@ -203,9 +203,8 @@ type Mirror struct {
 
 	// Observability (see obs.go): nil metrics disable instrumentation;
 	// log is never nil (a no-op logger stands in).
-	metrics      *mirrorMetrics
-	log          *slog.Logger
-	lastPFUpdate float64 // period clock at the last PF gauge recompute; stepMu holders only
+	metrics *mirrorMetrics
+	log     *slog.Logger
 }
 
 // New creates a mirror: it pulls the upstream catalog, seeds every
@@ -215,13 +214,14 @@ type Mirror struct {
 // either fails New. ctx bounds the seeding round-trips.
 //
 // With Config.Persist set, New first recovers: the snapshot restores
-// the estimator state, learned rates and profile, quarantine and
-// breaker state, and the period clock; journal records written after
-// that snapshot replay through the live commit path; and the schedule
-// warm-starts from the restored frequency vector instead of a cold
-// solve. Object bodies are never persisted — seeding re-fetches them —
-// and the downtime gap is excluded from estimation (the boot fetch is
-// not a poll: the mirror's clock did not run while it was down).
+// the estimator state, access counts, quarantine and breaker state, and
+// the period clock; journal records written after that snapshot replay
+// through the live commit path; and the schedule warm-starts from the
+// restored frequency vector instead of a cold solve. Object bodies are
+// never persisted — seeding re-fetches them — and the downtime gap is
+// excluded from estimation (the boot fetch is not a poll: the mirror's
+// clock did not run while it was down, and Status().Fetches does not
+// count it).
 func New(ctx context.Context, cfg Config) (*Mirror, error) {
 	if cfg.Upstream == nil {
 		return nil, fmt.Errorf("httpmirror: Upstream is required")
@@ -240,7 +240,7 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 	n := len(catalog)
 	m := &Mirror{
 		cfg:    cfg,
-		pl:     newPlanner(n, cfg),
+		pl:     newPlanner(catalog, cfg),
 		views:  make([]atomic.Pointer[copyView], n),
 		health: make(map[int]elemHealth),
 		acc:    newAccessCounters(n),
@@ -279,12 +279,6 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 		if entry.ID != i {
 			return nil, fmt.Errorf("httpmirror: catalog ids must be dense, got %d at position %d", entry.ID, i)
 		}
-		m.pl.elems[i] = freshness.Element{
-			ID:         entry.ID,
-			Lambda:     cfg.PriorLambda,
-			AccessProb: 1 / float64(n),
-			Size:       entry.Size,
-		}
 	}
 	var restoredPlan *persist.PlanState
 	if m.store != nil {
@@ -308,6 +302,14 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 	if err := m.seedAndPlan(ctx, restoredPlan); err != nil {
 		return nil, err
 	}
+	if r, ok := m.store.(interface{ ReleaseRecovery() }); ok {
+		// Recovery is applied, so a store that kept the decoded
+		// snapshot and records since Open (persist.Store, FaultStore)
+		// drops them instead of holding them for the process lifetime.
+		// The method is optional: any Storer may back a mirror.
+		r.ReleaseRecovery()
+	}
+	m.pl.lastCadence = m.now
 	m.clockBits.Store(math.Float64bits(m.now))
 	if m.upHealth != nil {
 		// The seed's fetches read the upstream tier's degradation, so a
@@ -320,9 +322,6 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 	// Readiness: immediately without persistence or after a recovery;
 	// a cold persistent mirror answers 503 until its first snapshot.
 	m.ready = m.store == nil || m.recovered
-	// The warm-start path bypasses replan, so the gauges are set here.
-	m.updatePlanGauges()
-	m.updatePFGauges()
 	m.log.Info("mirror up",
 		"objects", n,
 		"strategy", m.pl.plan.Strategy.String(),
@@ -366,10 +365,10 @@ const seedBatch = 256
 
 // seedAndPlan runs the seed and the first plan side by side: the plan
 // reads only the catalog and the recovered knowledge (a recovered
-// mirror learns from it, then warm-starts from the restored plan if it
-// fits), and the seed writes only views and verified and never takes
-// m.mu. The first error from either side cancels the seed and is
-// returned once both have finished.
+// mirror warm-starts from the restored plan if it fits), and the seed
+// writes only views and verified and never takes m.mu. The first error
+// from either side cancels the seed and is returned once both have
+// finished.
 func (m *Mirror) seedAndPlan(ctx context.Context, restored *persist.PlanState) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -386,13 +385,13 @@ func (m *Mirror) seedAndPlan(ctx context.Context, restored *persist.PlanState) e
 	planned := make(chan struct{})
 	go func() {
 		defer close(planned)
-		if m.recovered {
-			m.learn()
+		if restored != nil {
+			if s, err := m.pl.restore(*restored, m.cfg.Plan, m.meanRate()); err == nil {
+				m.install(s, m.cfg.Plan.Bandwidth)
+				return
+			}
 		}
-		if restored != nil && m.pl.restore(*restored, m.cfg.Plan, m.now) == nil {
-			return
-		}
-		if err := m.replan(m.cfg.Plan.Bandwidth); err != nil {
+		if err := m.replan(m.cfg.Plan.Bandwidth, false); err != nil {
 			fail(err)
 		}
 	}()
@@ -400,11 +399,7 @@ func (m *Mirror) seedAndPlan(ctx context.Context, restored *persist.PlanState) e
 		fail(err)
 	}
 	<-planned
-	if first != nil {
-		return first
-	}
-	m.fetches += len(m.views)
-	return nil
+	return first
 }
 
 // seed gives every copy its first view over seedWorkers goroutines.
@@ -523,24 +518,31 @@ func (m *Mirror) seedCopy(i int, body []byte, version int) {
 	m.verified[i].Store(math.Float64bits(m.now))
 }
 
-// replan solves at budget under stepMu alone, then installs the plan,
-// its iterator and the budget together under m.mu, so a failed solve
-// changes nothing. The caller holds stepMu and not m.mu (or is New).
-func (m *Mirror) replan(budget float64) error {
+// replan solves at budget on what the mirror knows now, under stepMu
+// alone, then installs the plan, its iterator and the budget together
+// under m.mu, so a failed solve changes nothing. A cadence replan
+// (cadence set: the cadence, SetBudget and ForceReplan, not a health
+// replan) restarts the cadence clock and records the estimator's
+// confidence. The caller holds stepMu and not m.mu (or is New).
+func (m *Mirror) replan(budget float64, cadence bool) error {
+	if cadence {
+		m.pl.lastCadence = m.now
+	}
+	var u []float64
+	if m.cfg.ExploreFrac > 0 {
+		u = m.uncertainty()
+		if cadence {
+			m.metrics.observeConfidence(u)
+		}
+	}
 	cfg := m.cfg.Plan
 	cfg.Bandwidth = budget
-	s, err := m.pl.solve(cfg, m.quarantinedIDs())
+	s, err := m.pl.solve(cfg, m.knowledge(), u, m.quarantinedIDs())
 	if err != nil {
 		return err
 	}
-	m.mu.Lock()
-	m.cfg.Plan.Bandwidth = budget
-	m.pl.install(s, m.now)
-	m.mu.Unlock()
+	m.install(s, budget)
 	m.metrics.countReplan()
-	m.metrics.setExploreBandwidth(s.exploreBW)
-	m.updatePlanGauges()
-	m.updatePFGauges()
 	m.log.Debug("replanned",
 		"planned_pf", s.plan.Perceived,
 		"bandwidth_used", s.plan.BandwidthUsed,
@@ -549,25 +551,26 @@ func (m *Mirror) replan(budget float64) error {
 	return nil
 }
 
-// learn folds the access counts and the estimator's change rates into
-// the element knowledge the next solve reads. The caller holds stepMu
-// and not m.mu (or is New): m.mu is taken for the planner's in-place
-// write pass, an O(n) loop of stores.
-func (m *Mirror) learn() {
-	// Change rates from the estimator: prior where unpolled, floored
-	// so no element is starved (see Config.FloorLambda). Skipped and
-	// failed polls never reached the estimator, so an outage leaves
-	// the estimates untouched instead of dragging them toward zero.
-	rates, err := m.est.Estimates(m.cfg.PriorLambda)
-	if err != nil {
-		rates = nil
-	}
+// install makes s the live plan at budget, under m.mu, and sets the
+// plan gauges from its numbers. The caller holds stepMu and not m.mu
+// (or is New).
+func (m *Mirror) install(s solved, budget float64) {
 	m.mu.Lock()
-	m.pl.learn(m.acc.elems, rates, m.est, m.now)
+	m.cfg.Plan.Bandwidth = budget
+	m.pl.install(s, m.now)
 	m.mu.Unlock()
-	if m.cfg.ExploreFrac > 0 {
-		m.metrics.observeConfidence(m.pl.uncertainty)
+	m.metrics.setPlan(s)
+}
+
+// meanRate is the catalog's mean change rate as the estimator reports
+// it, the λ-mean of a plan restored rather than solved. The caller
+// holds either lock (or is New).
+func (m *Mirror) meanRate() float64 {
+	var sum float64
+	for i := range m.pl.sizes {
+		sum += m.est.Estimate(i).Lambda
 	}
+	return sum / float64(len(m.pl.sizes))
 }
 
 // Run drives the refresh loop against the wall clock, mapping one
@@ -771,37 +774,36 @@ func (m *Mirror) Plan() core.Plan {
 	return m.pl.plan
 }
 
-// ForceReplan learns from the current logs and re-plans immediately.
-// The solve runs off m.mu, so readers keep answering while it runs.
+// ForceReplan re-plans immediately on what the mirror knows now and
+// restarts the replan cadence. The solve runs off m.mu, so readers
+// keep answering while it runs.
 func (m *Mirror) ForceReplan() error {
 	m.stepMu.Lock()
 	defer m.stepMu.Unlock()
-	m.learn()
-	return m.replan(m.cfg.Plan.Bandwidth)
+	return m.replan(m.cfg.Plan.Bandwidth, true)
 }
 
 // Catalog lists the mirror's objects in source-protocol form. Serving
 // it (GET /catalog) is what lets a mirror stand upstream of another
 // mirror: a downstream SourceClient bootstraps against this tier
-// exactly as it would against an origin.
+// exactly as it would against an origin. The catalog is fixed at New,
+// so Catalog takes no lock.
 func (m *Mirror) Catalog() []CatalogEntry {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]CatalogEntry, len(m.pl.elems))
-	for i := range m.pl.elems {
-		out[i] = CatalogEntry{ID: m.pl.elems[i].ID, Size: m.pl.elems[i].Size}
+	out := make([]CatalogEntry, len(m.pl.sizes))
+	for i, s := range m.pl.sizes {
+		out[i] = CatalogEntry{ID: i, Size: s}
 	}
 	return out
 }
 
-// Elements returns a copy of the mirror's current element knowledge:
-// the learned change rates, the learned access profile, and the
-// catalog sizes. A fleet-level allocator pools these across shards to
-// water-fill the global budget.
+// Elements returns the mirror's current element knowledge, as the next
+// solve would read it: the learned change rates, the learned access
+// profile, and the catalog sizes. A fleet-level allocator pools these
+// across shards to water-fill the global budget.
 func (m *Mirror) Elements() []freshness.Element {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]freshness.Element(nil), m.pl.elems...)
+	return m.knowledge()
 }
 
 // Budget is the refresh budget per period the planner currently runs
@@ -828,8 +830,7 @@ func (m *Mirror) SetBudget(b float64) error {
 	if b == old {
 		return nil
 	}
-	m.learn()
-	if err := m.replan(b); err != nil {
+	if err := m.replan(b, true); err != nil {
 		return err
 	}
 	m.log.Info("budget updated", "from", old, "to", b, "now", m.now)

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"freshen/internal/freshness"
 	"freshen/internal/obs"
 )
 
@@ -16,11 +15,11 @@ import (
 // Two kinds of series coexist. Event counters (refreshes, transfers,
 // breaker trips, …) count what THIS process did and reset on restart —
 // standard Prometheus counter semantics; the restored lifetime totals
-// stay on /status and in the snapshot. State gauges are either
-// recomputed on the period clock (PF, staleness — each costs an exp
-// per element, so once per period, not per scrape) or read live at
-// scrape time through GaugeFunc closures (clock, breaker state,
-// quarantine size — one mutex acquisition per scrape).
+// stay on /status and in the snapshot. State gauges are either set
+// from the installed plan's own numbers when a plan is installed (PF,
+// average freshness, λ-mean, bandwidth) or read live at scrape time
+// through GaugeFunc closures (clock, breaker state, quarantine size —
+// one mutex acquisition per scrape).
 type mirrorMetrics struct {
 	refreshSeconds *obs.HistogramVec // outcome: success|failure
 	refreshes      *obs.CounterVec   // outcome: success|failure|skipped
@@ -83,17 +82,17 @@ func instrumentMirror(m *Mirror, reg *obs.Registry) *mirrorMetrics {
 			"Polls that observed a changed object."),
 
 		pf: reg.Gauge("freshen_pf",
-			"Live perceived freshness Σ pᵢ·F(fᵢ,λᵢ) under the current plan; recomputed once per period."),
+			"Perceived freshness Σ pᵢ·F(fᵢ,λᵢ) of the current plan, on the knowledge it was solved on; set at each plan install."),
 		avgFreshness: reg.Gauge("freshen_avg_freshness",
-			"Live unweighted mean freshness under the current plan; recomputed once per period."),
+			"Unweighted mean freshness of the current plan over the elements it schedules; set at each plan install."),
 		bandwidthUsed: reg.Gauge("freshen_planned_bandwidth_used",
 			"Bandwidth Σ sᵢ·fᵢ the current plan consumes."),
 		lambdaMean: reg.Gauge("freshen_lambda_mean",
-			"Mean estimated change rate across the catalog."),
+			"Mean estimated change rate across the catalog, as the current plan was solved on."),
 		exploreBW: reg.Gauge("freshen_explore_bandwidth",
 			"Bandwidth the current plan dedicates to uncertainty-driven probing."),
 		confidence: reg.Histogram("freshen_estimator_confidence",
-			"Per-element estimator confidence (1 - uncertainty) observed at each learn pass.",
+			"Per-element estimator confidence (1 - uncertainty) observed at each cadence replan.",
 			[]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99}),
 	}
 	mm.objectRequests = mm.serveRequests.Codes("/object", serveCodes...)
@@ -294,15 +293,22 @@ func (mm *mirrorMetrics) seedPolls(polls, changes int) {
 	}
 }
 
-func (mm *mirrorMetrics) setExploreBandwidth(v float64) {
-	if mm != nil {
-		mm.exploreBW.Set(v)
+// setPlan sets the plan gauges from an installed plan's own numbers,
+// so no gauge costs a pass over the catalog.
+func (mm *mirrorMetrics) setPlan(s solved) {
+	if mm == nil {
+		return
 	}
+	mm.pf.Set(s.plan.Perceived)
+	mm.avgFreshness.Set(s.plan.AvgFreshness)
+	mm.bandwidthUsed.Set(s.plan.BandwidthUsed)
+	mm.lambdaMean.Set(s.lambdaMean)
+	mm.exploreBW.Set(s.exploreBW)
 }
 
 // observeConfidence records each element's confidence (1 - uncertainty)
 // so the histogram tracks how much of the catalog the estimator has
-// pinned down. Called once per learn pass, off the hot path.
+// pinned down. Called once per cadence replan, off the hot path.
 func (mm *mirrorMetrics) observeConfidence(uncertainty []float64) {
 	if mm == nil {
 		return
@@ -310,45 +316,6 @@ func (mm *mirrorMetrics) observeConfidence(uncertainty []float64) {
 	for _, u := range uncertainty {
 		mm.confidence.Observe(1 - u)
 	}
-}
-
-// updatePlanGauges refreshes the gauges that follow the plan: planned
-// bandwidth and the mean change-rate estimate. Called on every replan,
-// when the values actually move. Callers hold stepMu (or are New); the
-// pass reads planner state under the two-lock rule (see Mirror).
-func (m *Mirror) updatePlanGauges() {
-	mm := m.metrics
-	if mm == nil {
-		return
-	}
-	mm.bandwidthUsed.Set(m.pl.plan.BandwidthUsed)
-	var sum float64
-	for i := range m.pl.elems {
-		sum += m.pl.elems[i].Lambda
-	}
-	mm.lambdaMean.Set(sum / float64(len(m.pl.elems)))
-}
-
-// updatePFGauges recomputes the live freshness gauges. Each evaluation
-// costs one exp per element, so callers rate-limit to once per period
-// (see Step); replans recompute immediately because the frequency
-// vector just changed. Callers hold stepMu (or are New) and not m.mu.
-func (m *Mirror) updatePFGauges() {
-	mm := m.metrics
-	if mm == nil {
-		return
-	}
-	pol := m.cfg.Plan.Policy
-	if pol == nil {
-		pol = freshness.FixedOrder{}
-	}
-	if pf, err := freshness.Perceived(pol, m.pl.elems, m.pl.plan.Freqs); err == nil {
-		mm.pf.Set(pf)
-	}
-	if avg, err := freshness.Average(pol, m.pl.elems, m.pl.plan.Freqs); err == nil {
-		mm.avgFreshness.Set(avg)
-	}
-	m.lastPFUpdate = m.now
 }
 
 // statusWriter captures the response code for the serve-path counters.

@@ -9,8 +9,8 @@ import (
 )
 
 // applyRecovery folds the store's salvaged state into a freshly built
-// mirror: the snapshot restores the estimator state, learned rates and
-// profile, breaker/quarantine state, clock, and counters; each journal
+// mirror: the snapshot restores the estimator state, access counts,
+// breaker/quarantine state, clock, and counters; each journal
 // record written after that snapshot advances the clock to its time
 // and goes through applyLocked, the commit live refreshes use. It
 // returns the restored plan (to warm-start the schedule) or nil when
@@ -36,8 +36,6 @@ func (m *Mirror) applyRecovery(rec persist.RecoveryResult) *persist.PlanState {
 		m.lastSnapshotAt = s.Now
 		for i := range s.Elements {
 			e := &s.Elements[i]
-			m.pl.elems[i].Lambda = e.Lambda
-			m.pl.elems[i].AccessProb = e.AccessProb
 			m.acc.elems[i].Store(uint64(e.Accesses))
 			if e.ConsecFails > 0 || e.Quarantined {
 				m.health[i] = elemHealth{
@@ -163,15 +161,10 @@ func (m *Mirror) exportState() *persist.Snapshot {
 		AvgFreshness:  plan.AvgFreshness,
 		BandwidthUsed: plan.BandwidthUsed,
 	}
-	s.Elements = make([]persist.ElementState, len(m.pl.elems))
+	s.Elements = make([]persist.ElementState, len(m.pl.sizes))
 	est := m.est.ExportState()
-	for i := range m.pl.elems {
-		e := &m.pl.elems[i]
-		es := persist.ElementState{
-			Lambda:     e.Lambda,
-			AccessProb: e.AccessProb,
-			Accesses:   int(m.acc.elems[i].Load()),
-		}
+	for i := range s.Elements {
+		es := persist.ElementState{Accesses: int(m.acc.elems[i].Load())}
 		if ee := est.Elements[i]; ee.Polls > 0 {
 			// Unpolled elements carry no estimator state (and cost the
 			// snapshot nothing): they restore at the prior.
@@ -320,13 +313,4 @@ func (m *Mirror) Readiness() Readiness {
 		Mode:                       m.machine.Mode().String(),
 		ConsecutivePersistFailures: m.machine.ConsecutivePersistFailures(),
 	}
-}
-
-// estimatesSnapshot returns the estimator's current per-element
-// estimates — test and diagnostic access to the estimator state that
-// persistence must preserve.
-func (m *Mirror) estimatesSnapshot() ([]float64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.est.Estimates(m.cfg.PriorLambda)
 }

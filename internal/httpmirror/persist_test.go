@@ -213,13 +213,20 @@ func TestKillRestartRecovery(t *testing.T) {
 		t.Fatal("no snapshot landed before the crash")
 	}
 
-	// Restart from disk — still under injected faults; the recovery
-	// client retries so seeding survives them.
-	m2, store2 := newPersistMirror(t, srv.URL, srv.Client(), dir, 3, 3, chaosCfg)
-	rec := store2.Recovery()
+	// What the restart finds on disk: New releases the store's copy
+	// once it has applied it.
+	probe, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := probe.Recovery()
+	probe.Close()
 	if rec.Snapshot == nil {
 		t.Fatal("no snapshot recovered")
 	}
+	// Restart from disk — still under injected faults; the recovery
+	// client retries so seeding survives them.
+	m2, _ := newPersistMirror(t, srv.URL, srv.Client(), dir, 3, 3, chaosCfg)
 	rd := m2.Readiness()
 	if !rd.Ready || !rd.Recovered {
 		t.Fatalf("recovered mirror not ready: %+v", rd)
@@ -721,6 +728,103 @@ func TestRecoveryReadsParentFormat2Snapshot(t *testing.T) {
 	}
 }
 
+// slimFormat2Payload is a format-2 snapshot payload as this mirror
+// writes it: six objects, three of them polled, one read but never
+// polled, one failing below the quarantine threshold, and one never
+// read, polled or failed. No element carries a change rate or an
+// access probability: both are derived from the estimator's state and
+// the access counts.
+const slimFormat2Payload = `{"format_version":2,"last_seq":0,"now_periods":2,` +
+	`"plan":{"freqs":[0.33333333333333287,0.33333333333333287,0.33333333333333287,0.33333333333333287,0.33333333333333287,0.33333333333333287],` +
+	`"perceived":0.31673764387737835,"avg_freshness":0.31673764387737835,"bandwidth_used":1.9999999999999971},` +
+	`"breaker":{"state":0,"fails":0,"opened_at":0,"trips":0},"elements":[` +
+	`{"accesses":9,"est_lambda":0.605636096007426,"est_info":0.6408259839977349,"polls":1,"changes":1,"sum_elapsed":1.813980863938861},` +
+	`{"accesses":1},{"consec_fails":1},` +
+	`{"accesses":1,"est_lambda":0.8366283454876225,"est_info":0.6344538596566484,"polls":1,"changes":1,"sum_elapsed":1.3131425615609422},` +
+	`{"est_lambda":0.862392272817216,"est_info":0.6302802891549465,"polls":1,"changes":1,"sum_elapsed":1.2739124912137987},{}],` +
+	`"counters":{"accesses":11,"fetches":3,"transfers":3,"replans":1,"refresh_failures":1,"skipped_refreshes":0,"quarantine_events":0,"recoveries":0}}`
+
+// TestSnapshotElementsSlim: an element nothing has read, polled or
+// failed costs a snapshot 3 bytes ("{},"), and what this mirror writes
+// stays readable by a mirror that still stored each element's λ and p.
+// That reader decodes the absent keys as zero, its rules (λ finite and
+// non-negative, p in [0, 1]) accept the zero, and its recovery
+// overwrote both from the estimator and the counts before any solve
+// read them. The literal is exactly what the encoder writes, and it
+// recovers: counts, estimator and fault state as written, and the
+// solver's input derived from them.
+func TestSnapshotElementsSlim(t *testing.T) {
+	size := func(n int) int {
+		data, err := json.Marshal(make([]persist.ElementState, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(data)
+	}
+	if cost := size(1001) - size(1000); cost > 3 {
+		t.Errorf("an untouched element costs %d bytes, want at most 3", cost)
+	}
+
+	var snap persist.Snapshot
+	if err := json.Unmarshal([]byte(slimFormat2Payload), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := json.Marshal(&snap); err != nil || string(again) != slimFormat2Payload {
+		t.Fatalf("the encoder writes\n%s\nnot the literal (%v)", again, err)
+	}
+	var older struct {
+		Elements []struct {
+			Lambda     float64 `json:"lambda"`
+			AccessProb float64 `json:"access_prob"`
+		} `json:"elements"`
+	}
+	if err := json.Unmarshal([]byte(slimFormat2Payload), &older); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range older.Elements {
+		if math.IsNaN(e.Lambda) || math.IsInf(e.Lambda, 0) || e.Lambda < 0 {
+			t.Errorf("element %d: a reader of λ sees invalid change rate %v", i, e.Lambda)
+		}
+		if math.IsNaN(e.AccessProb) || math.IsInf(e.AccessProb, 0) || e.AccessProb < 0 || e.AccessProb > 1 {
+			t.Errorf("element %d: a reader of p sees invalid access probability %v", i, e.AccessProb)
+		}
+	}
+
+	dir := t.TempDir()
+	writeSnapshotPayload(t, dir, []byte(slimFormat2Payload))
+	store, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	cfg := seedConfig(newSimSource(t, 6))
+	cfg.Persist = store
+	m, err := New(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd := m.Readiness(); rd.RecoveryStatus != "recovered" {
+		t.Fatalf("readiness after recovery = %+v", rd)
+	}
+	elems := m.Elements()
+	for i, c := range []float64{9, 1, 0, 1, 0, 0} {
+		if want := (c + 1) / (11 + 6); elems[i].AccessProb != want {
+			t.Errorf("object %d: access probability %v, want %v", i, elems[i].AccessProb, want)
+		}
+	}
+	for i, want := range []float64{0.605636096007426, 1, 1, 0.8366283454876225, 0.862392272817216, 1} {
+		if elems[i].Lambda != want {
+			t.Errorf("object %d: change rate %v, want %v", i, elems[i].Lambda, want)
+		}
+	}
+	if exported := m.exportState(); !reflect.DeepEqual(exported.Elements, snap.Elements) {
+		t.Errorf("exported elements %+v, recovered from %+v", exported.Elements, snap.Elements)
+	}
+}
+
 // replayed is the state journal replay must rebuild exactly: the
 // breaker, the fault map, the counters the journal carries, and the
 // estimator. SkippedRefreshes and NotModified are left out: skips and
@@ -813,7 +917,13 @@ func TestRecoveryReplayMatchesLive(t *testing.T) {
 	if rd := m2.Readiness(); rd.RecoveryStatus != "recovered" || rd.JournalReplayed == 0 {
 		t.Fatalf("readiness after recovery = %+v", rd)
 	}
-	got := replayedState(m2)
-	got.counters.Fetches -= len(m2.views) // the recovered mirror's own seed
-	checkReplayed(t, got, live)
+	checkReplayed(t, replayedState(m2), live)
+}
+
+// estimatesSnapshot returns the estimator's current per-element
+// estimates: the estimator state that persistence must preserve.
+func (m *Mirror) estimatesSnapshot() ([]float64, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.est.Estimates(m.cfg.PriorLambda)
 }

@@ -2,38 +2,33 @@ package httpmirror
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"freshen/internal/core"
-	"freshen/internal/estimate"
 	"freshen/internal/freshness"
 	"freshen/internal/persist"
 	"freshen/internal/schedule"
 )
 
-// planner is the mirror's planning state: the element knowledge the
-// solver reads (learned change rates and access profile, catalog
-// sizes), the live plan and its refresh iterator, and the
-// explore/exploit bookkeeping that goes with them. It follows the
-// mirror's two-lock rule (see Mirror): its fields are written only
-// with both stepMu and m.mu held, so learn's write pass and install
-// run under m.mu, while solve, which only reads, runs under stepMu
-// alone and never blocks a reader of m.mu.
+// planner is the mirror's planning state: the live plan and its refresh
+// iterator, the explore/exploit bookkeeping that goes with them, and the
+// catalog sizes. It keeps no per-object copy of what the mirror knows:
+// every solve builds its input afresh from the estimator and the access
+// counters (see Mirror.knowledge). It follows the mirror's two-lock
+// rule (see Mirror): its fields are written only with both stepMu and
+// m.mu held, so install runs under m.mu, while solve, which only
+// reads, runs under stepMu alone and never blocks a reader of m.mu.
 type planner struct {
-	elems      []freshness.Element
-	plan       core.Plan
-	iter       *schedule.Iterator
-	iterBase   float64 // mirror clock at the last iterator rebuild
-	lastReplan float64 // mirror clock at the last plan install
-	lastLearn  float64 // mirror clock at the last learn pass; the replan cadence runs from it
-	replans    int
+	sizes       []float64 // catalog sizes, fixed at New
+	plan        core.Plan
+	iter        *schedule.Iterator
+	iterBase    float64 // mirror clock at the last iterator rebuild
+	lastReplan  float64 // mirror clock at the last plan install
+	lastCadence float64 // mirror clock at the last cadence solve, which the cadence runs from; stepMu holders only
+	replans     int
 
-	// Explore/exploit state: uncertainty holds each element's estimator
-	// uncertainty as of the last learn pass (nil when ExploreFrac is 0);
-	// exploreOnly marks elements funded only by the explore slice, whose
-	// refreshes count as uncertainty probes (nil when the plan has no
-	// explore slice).
-	uncertainty []float64
+	// Explore/exploit state: exploreOnly marks elements funded only by
+	// the explore slice, whose refreshes count as uncertainty probes
+	// (nil when the plan has no explore slice).
 	exploreOnly []bool
 	exploreBW   float64 // bandwidth the last plan's explore slice used
 
@@ -43,20 +38,53 @@ type planner struct {
 	seed        int64   // Config.Seed: the iterators' phase seed base
 }
 
-func newPlanner(n int, cfg Config) *planner {
+func newPlanner(catalog []CatalogEntry, cfg Config) *planner {
 	p := &planner{
-		elems:       make([]freshness.Element, n),
+		sizes:       make([]float64, len(catalog)),
 		prior:       cfg.PriorLambda,
 		exploreFrac: cfg.ExploreFrac,
 		seed:        cfg.Seed,
 	}
-	if p.exploreFrac > 0 {
-		p.uncertainty = make([]float64, n)
-		for i := range p.uncertainty {
-			p.uncertainty[i] = 1
-		}
+	for i, e := range catalog {
+		p.sizes[i] = e.Size
 	}
 	return p
+}
+
+// knowledge builds what the mirror knows about every element, in the
+// solver's input form: the estimator's change rate (floored, or the
+// prior while the element is unpolled; see Config.FloorLambda), the
+// access profile Laplace-smoothed over the cumulative access counters,
+// and the catalog size. Reads keep counting while it runs, so each
+// counter is loaded once and the profile sums to one over the counts
+// loaded. Skipped and failed polls never reach the estimator, so an
+// outage leaves the rates untouched instead of dragging them toward
+// zero. The caller holds either lock (see Mirror).
+func (m *Mirror) knowledge() []freshness.Element {
+	elems := make([]freshness.Element, len(m.pl.sizes))
+	total := profileSmoothing * float64(len(elems))
+	for i := range elems {
+		c := float64(m.acc.elems[i].Load())
+		elems[i] = freshness.Element{ID: i, Lambda: m.est.Estimate(i).Lambda, AccessProb: c, Size: m.pl.sizes[i]}
+		total += c
+	}
+	for i := range elems {
+		elems[i].AccessProb = (elems[i].AccessProb + profileSmoothing) / total
+	}
+	return elems
+}
+
+// uncertainty is each element's estimator uncertainty, which the
+// explore slice water-fills over. The score is floored at the
+// planning-relevant rate scale so elements confidently known to be
+// near-static release their probe share (see
+// estimate.Estimate.UncertaintyAt). The caller holds either lock.
+func (m *Mirror) uncertainty() []float64 {
+	u := make([]float64, len(m.pl.sizes))
+	for i := range u {
+		u[i] = m.est.Estimate(i).UncertaintyAt(m.pl.prior / 10)
+	}
+	return u
 }
 
 // solved is one solve's output: built under stepMu alone, made live by
@@ -66,57 +94,32 @@ type solved struct {
 	iter        *schedule.Iterator
 	exploreOnly []bool
 	exploreBW   float64
-}
-
-// learn folds the cumulative access counts and the estimator's change
-// rates (nil leaves them untouched) into the element knowledge the
-// next solve reads. The caller holds both locks.
-func (p *planner) learn(accesses []atomic.Uint64, rates []float64, est estimate.Estimator, now float64) {
-	// Profile: Laplace-smoothed access counts. Reads keep counting
-	// during the pass, so each counter is loaded once, into AccessProb,
-	// and the profile sums to one over the counts loaded.
-	total := profileSmoothing * float64(len(p.elems))
-	for i := range p.elems {
-		c := float64(accesses[i].Load())
-		p.elems[i].AccessProb = c
-		total += c
-	}
-	for i := range p.elems {
-		p.elems[i].AccessProb = (p.elems[i].AccessProb + profileSmoothing) / total
-	}
-	for i, l := range rates {
-		p.elems[i].Lambda = l
-	}
-	// Uncertainty drives the explore slice, so it is computed only when
-	// a probe budget actually consumes it. The score is floored at the
-	// planning-relevant rate scale so elements confidently known to be
-	// near-static release their probe share (see
-	// estimate.Estimate.UncertaintyAt).
-	if p.exploreFrac > 0 {
-		for i := range p.uncertainty {
-			p.uncertainty[i] = est.Estimate(i).UncertaintyAt(p.prior / 10)
-		}
-	}
-	p.lastLearn = now
+	lambdaMean  float64
 }
 
 // solve computes a plan and its refresh iterator from the element
-// knowledge under the plan config cfg. The quarantined elements, whose
-// ids quarantined lists in ascending order, are excluded from the
-// optimization — their budget share water-fills back across the
-// healthy elements — and re-enter on the solve after recovery. With
-// ExploreFrac > 0 the budget splits: f·ū·B is water-filled on
-// estimator uncertainty (explore, see schedule.AllocateExplore), where
-// ū is the catalog's mean uncertainty, and the rest is water-filled on
-// the learned rates as usual (exploit); both frequency vectors merge
-// into one iterator. solve only reads shared state, so the caller
-// needs just one of the two locks; the mirror holds stepMu alone.
-func (p *planner) solve(cfg core.Config, quarantined []int) (solved, error) {
-	active := p.elems
+// knowledge elems, and, with ExploreFrac > 0, the uncertainty u, under
+// the plan config cfg. The quarantined elements, whose ids quarantined
+// lists in ascending order, are excluded from the optimization — their
+// budget share water-fills back across the healthy elements — and
+// re-enter on the solve after recovery. With ExploreFrac > 0 the budget
+// splits: f·ū·B is water-filled on estimator uncertainty (explore, see
+// schedule.AllocateExplore), where ū is the catalog's mean uncertainty,
+// and the rest is water-filled on the learned rates as usual (exploit);
+// both frequency vectors merge into one iterator. solve only reads
+// shared state, so the caller needs just one of the two locks; the
+// mirror holds stepMu alone.
+func (p *planner) solve(cfg core.Config, elems []freshness.Element, u []float64, quarantined []int) (solved, error) {
+	var s solved
+	for i := range elems {
+		s.lambdaMean += elems[i].Lambda
+	}
+	s.lambdaMean /= float64(len(elems))
+	active := elems
 	if len(quarantined) > 0 {
-		active = make([]freshness.Element, 0, len(p.elems)-len(quarantined))
-		forActive(len(p.elems), quarantined, func(i, _ int) {
-			active = append(active, p.elems[i])
+		active = make([]freshness.Element, 0, len(elems)-len(quarantined))
+		forActive(len(elems), quarantined, func(i, _ int) {
+			active = append(active, elems[i])
 		})
 	}
 	var exploreBudget float64
@@ -127,17 +130,16 @@ func (p *planner) solve(cfg core.Config, quarantined []int) (solved, error) {
 		// bandwidth flows back to exploitation, so a warm mirror pays
 		// almost no probe tax.
 		var meanU float64
-		for _, u := range p.uncertainty {
-			meanU += u
+		for _, x := range u {
+			meanU += x
 		}
-		meanU /= float64(len(p.uncertainty))
+		meanU /= float64(len(u))
 		exploreBudget = cfg.Bandwidth * p.exploreFrac * meanU
 	}
-	var s solved
 	if len(active) == 0 {
 		// Everything is quarantined: an empty plan; the mirror keeps
 		// serving stale copies and probing for recovery.
-		s.plan = core.Plan{Freqs: make([]float64, len(p.elems)), Strategy: cfg.Strategy}
+		s.plan = core.Plan{Freqs: make([]float64, len(elems)), Strategy: cfg.Strategy}
 	} else {
 		exploit := cfg
 		exploit.Bandwidth -= exploreBudget
@@ -151,13 +153,13 @@ func (p *planner) solve(cfg core.Config, quarantined []int) (solved, error) {
 		if len(quarantined) > 0 {
 			// Expand the active-subset frequencies back over the full
 			// index space (zero for quarantined elements).
-			full := make([]float64, len(p.elems))
-			forActive(len(p.elems), quarantined, func(i, j int) { full[i] = plan.Freqs[j] })
+			full := make([]float64, len(elems))
+			forActive(len(elems), quarantined, func(i, j int) { full[i] = plan.Freqs[j] })
 			plan.Freqs = full
 		}
 		s.plan = plan
 		if exploreBudget > 0 {
-			if err := p.mergeExplore(&s, cfg.Policy, active, quarantined, exploreBudget); err != nil {
+			if err := p.mergeExplore(&s, cfg.Policy, elems, active, u, quarantined, exploreBudget); err != nil {
 				return solved{}, err
 			}
 		}
@@ -173,20 +175,20 @@ func (p *planner) solve(cfg core.Config, quarantined []int) (solved, error) {
 // mergeExplore water-fills the explore slice over the active elements'
 // uncertainty and folds the probe frequencies into the solve's plan:
 // frequencies add, bandwidth adds, and the plan's quality metrics are
-// recomputed at the combined allocation over the full catalog.
+// recomputed at the combined allocation over the full catalog elems.
 // Elements funded only by the explore slice are marked so their
 // refreshes count as uncertainty probes.
-func (p *planner) mergeExplore(s *solved, pol freshness.Policy, active []freshness.Element, quarantined []int, budget float64) error {
+func (p *planner) mergeExplore(s *solved, pol freshness.Policy, elems, active []freshness.Element, u []float64, quarantined []int, budget float64) error {
 	activeU := make([]float64, 0, len(active))
-	forActive(len(p.elems), quarantined, func(i, _ int) {
-		activeU = append(activeU, p.uncertainty[i])
+	forActive(len(elems), quarantined, func(i, _ int) {
+		activeU = append(activeU, u[i])
 	})
 	exFreqs, exUsed, err := schedule.AllocateExplore(active, activeU, p.prior, budget)
 	if err != nil {
 		return err
 	}
-	s.exploreOnly = make([]bool, len(p.elems))
-	forActive(len(p.elems), quarantined, func(i, j int) {
+	s.exploreOnly = make([]bool, len(elems))
+	forActive(len(elems), quarantined, func(i, j int) {
 		if exFreqs[j] > 0 && s.plan.Freqs[i] == 0 {
 			s.exploreOnly[i] = true
 		}
@@ -199,10 +201,10 @@ func (p *planner) mergeExplore(s *solved, pol freshness.Policy, active []freshne
 	}
 	// Quality metrics at the combined allocation; failures here would
 	// mean invalid frequencies, which the allocators never produce.
-	if pf, err := freshness.Perceived(pol, p.elems, s.plan.Freqs); err == nil {
+	if pf, err := freshness.Perceived(pol, elems, s.plan.Freqs); err == nil {
 		s.plan.Perceived = pf
 	}
-	if af, err := freshness.Average(pol, p.elems, s.plan.Freqs); err == nil {
+	if af, err := freshness.Average(pol, elems, s.plan.Freqs); err == nil {
 		s.plan.AvgFreshness = af
 	}
 	return nil
@@ -234,24 +236,24 @@ func (p *planner) install(s solved, now float64) {
 	p.replans++
 }
 
-// restore warm-starts the schedule from a persisted plan: the iterator
-// resumes the pre-crash frequency vector immediately, so a recovered
-// mirror refreshes on its learned cadence from the first period
-// instead of re-solving from scratch. The next cadence replan refines
-// it against the replayed observations. New calls it before the mirror
-// is shared.
-func (p *planner) restore(ps persist.PlanState, cfg core.Config, now float64) error {
-	if len(ps.Freqs) != len(p.elems) {
-		return fmt.Errorf("httpmirror: restored plan has %d frequencies for %d elements", len(ps.Freqs), len(p.elems))
+// restore rebuilds a persisted plan for warm-starting the schedule: the
+// iterator resumes the pre-crash frequency vector immediately, so a
+// recovered mirror refreshes on its learned cadence from the first
+// period instead of re-solving from scratch. lambdaMean is the mean
+// change rate the mirror recovered. The next cadence replan refines it
+// against the replayed observations.
+func (p *planner) restore(ps persist.PlanState, cfg core.Config, lambdaMean float64) (solved, error) {
+	if len(ps.Freqs) != len(p.sizes) {
+		return solved{}, fmt.Errorf("httpmirror: restored plan has %d frequencies for %d elements", len(ps.Freqs), len(p.sizes))
 	}
 	// The iterator keeps the vector it is built on, so it is built on
 	// the plan's own copy, not on the recovered snapshot's.
 	freqs := append([]float64(nil), ps.Freqs...)
 	iter, err := schedule.NewIterator(freqs, true, p.seed+int64(p.replans))
 	if err != nil {
-		return err
+		return solved{}, err
 	}
-	p.install(solved{
+	return solved{
 		plan: core.Plan{
 			Freqs:         freqs,
 			Perceived:     ps.Perceived,
@@ -260,9 +262,9 @@ func (p *planner) restore(ps persist.PlanState, cfg core.Config, now float64) er
 			Strategy:      cfg.Strategy,
 			NumPartitions: cfg.NumPartitions,
 		},
-		iter: iter,
-	}, now)
-	return nil
+		iter:       iter,
+		lambdaMean: lambdaMean,
+	}, nil
 }
 
 // exploreProbe reports whether a refresh of element id is an

@@ -18,10 +18,11 @@ import (
 // DESIGN.md §9).
 
 // Step advances the mirror clock to now (in periods), performing every
-// refresh that came due, probing quarantined elements, and learning
-// and re-planning on cadence. A quarantine or recovery also re-plans,
-// but never in place of the cadence's learning, and a Step solves at
-// most once. It returns the number of refreshes performed.
+// refresh that came due, probing quarantined elements, and re-planning
+// on cadence. A quarantine or recovery also re-plans, but never in
+// place of the cadence's, and a Step solves at most once. Every solve
+// reads what the mirror knows at that instant. It returns the number
+// of refreshes performed.
 //
 // Step aggregates per-element outcomes: a failing refresh feeds the
 // breaker and the element's quarantine counter but never aborts the
@@ -81,21 +82,12 @@ func (m *Mirror) Step(now float64) (int, error) {
 
 	// From here on Step holds stepMu alone: the passes below only read
 	// state under the two-lock rule (see Mirror) and take m.mu just to
-	// install what they computed.
-	if m.metrics != nil && m.now-m.lastPFUpdate >= 1 {
-		// The live PF gauges cost one exp per element, so they follow
-		// the period clock, not the tick or scrape rate.
-		m.updatePFGauges()
-	}
-	// Learning runs on its own clock: a health replan must not reset
-	// the cadence, or steady quarantine and recovery traffic would keep
-	// the mirror from ever learning.
-	learnDue := now-m.pl.lastLearn >= m.cfg.ReplanEvery
-	if learnDue {
-		m.learn()
-	}
-	if learnDue || healthChanged {
-		if err := m.replan(m.cfg.Plan.Bandwidth); err != nil {
+	// install what they computed. The cadence runs on its own clock: a
+	// health replan must not reset it, or steady quarantine and recovery
+	// traffic would keep the cadence from ever coming due.
+	cadenceDue := now-m.pl.lastCadence >= m.cfg.ReplanEvery
+	if cadenceDue || healthChanged {
+		if err := m.replan(m.cfg.Plan.Bandwidth, cadenceDue); err != nil {
 			return refreshes, err
 		}
 	}

@@ -47,12 +47,13 @@ type paddedCount struct {
 }
 
 // accessCounters is the lock-free access accounting the read path
-// writes and the learning, snapshot and status paths read:
+// writes and the solve, snapshot and status paths read:
 //
 //   - elems is one plain atomic per object — the per-object counts the
-//     profile learner needs. They are cumulative: recovery stores each
-//     object's persisted count into them, and learn and the snapshot
-//     load them, so nothing ever drains or copies them.
+//     access profile is derived from. They are cumulative: recovery
+//     stores each object's persisted count into them, and every solve
+//     and the snapshot load them, so nothing ever drains or copies
+//     them.
 //   - stripes is the global total, striped so the hottest objects of a
 //     Zipf community don't all contend one cache line. Stripes are
 //     cumulative for the process lifetime (never drained): the live

@@ -143,6 +143,9 @@ func (f *FaultStore) tearJournal() {
 // Open time, before any injection.
 func (f *FaultStore) Recovery() RecoveryResult { return f.inner.Recovery() }
 
+// ReleaseRecovery passes through to the inner store.
+func (f *FaultStore) ReleaseRecovery() { f.inner.ReleaseRecovery() }
+
 // Append injects per the schedule, then delegates.
 func (f *FaultStore) Append(r Record) error {
 	if d := f.plan.AppendLatency; d > 0 {

@@ -26,12 +26,11 @@ func testSnapshot(now float64) *Snapshot {
 		},
 		Breaker: BreakerSnap{State: 0, Fails: 1, Trips: 2},
 		Elements: []ElementState{
-			{Lambda: 1.5, AccessProb: 0.6, Accesses: 7,
-				EstLambda: 1.5, EstInfo: 2, Polls: 4, Changes: 3, SumElapsed: 2},
-			{Lambda: 0.2, AccessProb: 0.4, Quarantined: true, QuarantinedAt: 1, ConsecFails: 3,
+			{Accesses: 7, EstLambda: 1.5, EstInfo: 2, Polls: 4, Changes: 3, SumElapsed: 2},
+			{Quarantined: true, QuarantinedAt: 1, ConsecFails: 3,
 				EstLambda: 0.2, EstInfo: 5, Polls: 1, SumElapsed: 2},
-			// Never polled: no estimator state at all.
-			{Lambda: 1, AccessProb: 0},
+			// Never read or polled: no state at all.
+			{},
 		},
 		Counters: Counters{Fetches: 6, Transfers: 3, Replans: 2},
 	}
@@ -118,8 +117,6 @@ func TestSnapshotValidate(t *testing.T) {
 		{"freqs length mismatch", func(s *Snapshot) { s.Plan.Freqs = s.Plan.Freqs[:1] }},
 		{"negative freq", func(s *Snapshot) { s.Plan.Freqs[0] = -1 }},
 		{"bad breaker state", func(s *Snapshot) { s.Breaker.State = 7 }},
-		{"negative lambda", func(s *Snapshot) { s.Elements[0].Lambda = -2 }},
-		{"access prob above one", func(s *Snapshot) { s.Elements[0].AccessProb = 1.5 }},
 		{"negative accesses", func(s *Snapshot) { s.Elements[2].Accesses = -1 }},
 		{"zero elapsed poll", func(s *Snapshot) { s.Elements[0].SumElapsed = 0 }},
 		{"estimator negative rate", func(s *Snapshot) { s.Elements[0].EstLambda = -1 }},

@@ -15,9 +15,12 @@ import (
 // accept only payloads whose embedded version they understand. Version
 // 2 folds the online estimator's O(1) state into each element; version
 // 1 carried full per-element poll histories and is refused. Version 2
-// payloads written while elements still carried id, size,
-// stored_version, last_poll, fetched_at and fetches decode unchanged:
-// encoding/json skips the retired keys.
+// payloads written while elements still carried id, size, lambda,
+// access_prob, stored_version, last_poll, fetched_at and fetches
+// decode unchanged: encoding/json skips the retired keys. Decoders
+// that still read lambda and access_prob see zero for an element that
+// lacks them, which their validation accepts and their recovery
+// overwrites before any solve reads it.
 const FormatVersion = 2
 
 // snapshotMagic identifies a snapshot file and pins its framing
@@ -68,14 +71,14 @@ type BreakerSnap struct {
 	Trips    int     `json:"trips"`
 }
 
-// ElementState is one element's durable state: the learned change
-// rate and access probability, the access count, quarantine state, and
-// the change-rate estimator's state. An element's id is its position
-// in Snapshot.Elements, and its size is the catalog's.
+// ElementState is one element's durable state: the access count,
+// quarantine state, and the change-rate estimator's state. An
+// element's id is its position in Snapshot.Elements, and its size is
+// the catalog's. Its change rate and access probability are derived
+// from the estimator's state and the access counts, so they are not
+// stored. An element never read, polled or failed encodes as {}.
 type ElementState struct {
-	Lambda     float64 `json:"lambda"`
-	AccessProb float64 `json:"access_prob"`
-	Accesses   int     `json:"accesses"`
+	Accesses int `json:"accesses,omitempty"`
 
 	Quarantined   bool    `json:"quarantined,omitempty"`
 	QuarantinedAt float64 `json:"quarantined_at,omitempty"`
@@ -129,12 +132,6 @@ func (s *Snapshot) Validate() error {
 	}
 	for i := range s.Elements {
 		e := &s.Elements[i]
-		if !finite(e.Lambda) || e.Lambda < 0 {
-			return fmt.Errorf("persist: element %d has invalid change rate %v", i, e.Lambda)
-		}
-		if !finite(e.AccessProb) || e.AccessProb < 0 || e.AccessProb > 1 {
-			return fmt.Errorf("persist: element %d has invalid access probability %v", i, e.AccessProb)
-		}
 		if e.Accesses < 0 {
 			return fmt.Errorf("persist: element %d has negative access count %d", i, e.Accesses)
 		}

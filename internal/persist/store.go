@@ -225,6 +225,16 @@ func (s *Store) Recovery() RecoveryResult {
 	return s.recovery
 }
 
+// ReleaseRecovery drops the recovered snapshot and journal records
+// once the caller has applied them, so the store does not hold them
+// for the process lifetime. SnapshotErr and JournalTruncated stay, so
+// Recovery still reports what Open found on disk.
+func (s *Store) ReleaseRecovery() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.recovery.Snapshot, s.recovery.Records = nil, nil
+}
+
 // Append journals one record, assigning its sequence number, and
 // fsyncs before returning: once Append returns nil the observation
 // survives a crash.

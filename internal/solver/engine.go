@@ -28,10 +28,10 @@ import (
 //     N; with no ties every class has one member.
 //   - A superlinear root finder: usage(μ) is close to a power law, so
 //     a log-log secant with an Illinois safeguard replaces bisection —
-//     a median 18 usage sweeps on learned catalogs (12–55 in
-//     TestEngineLearnedCatalogSweeps' recipe) to a 1e-15-relative
-//     multiplier instead of ~60 — and probes a lone funding cutoff, or
-//     a cold catalog's one tied group, directly (see solveCurve).
+//     a median 11 usage sweeps on learned catalogs (7–55 in
+//     TestEngineLearnedCatalogSweeps' recipe) instead of ~60 — and
+//     probes a lone funding cutoff, or a cold catalog's one tied group,
+//     directly (see solveCurve).
 //   - Warm starts: each class carries the root of its previous
 //     marginal inversion across iterations. μ moves little per step
 //     once the root localizes, so policies implementing
@@ -43,10 +43,11 @@ import (
 //     reduce in fixed shard order, keeping results deterministic for a
 //     given GOMAXPROCS regardless of goroutine scheduling.
 //
-// The search runs to full multiplier resolution (bracket width
-// 1e-15·μ) rather than stopping at a loose bandwidth tolerance: the
-// extra sweeps are cheap once warm-started, and the tight root makes
-// results reproducible to ~1e-12 against a from-scratch solve.
+// The search runs until the schedule it keeps uses the budget to
+// within usageTol (1e-13 of B), or to full multiplier resolution
+// (bracket width 1e-15·μ), rather than stopping at a loose bandwidth
+// tolerance: the tight root makes results reproducible to ~1e-12
+// against a from-scratch solve.
 
 // engineParallelThreshold is the tied-class count below which a solve
 // stays on the calling goroutine.
@@ -54,6 +55,12 @@ const engineParallelThreshold = 16384
 
 // bracketHalvings caps the μ-bracketing fallback loops.
 const bracketHalvings = 4096
+
+// usageTol is the multiplier search's stopping rule on usage: the
+// search ends once the bracket's high end uses at least B·(1 − usageTol)
+// of the budget B (its log-ratio to B is within usageTol). The usage sum
+// of a 50,000-element sweep carries noise of a few 1e-14 of B.
+const usageTol = 1e-13
 
 // activeElem is one schedulable element, as the solve sorts it.
 type activeElem struct {
@@ -341,7 +348,9 @@ func (e *Engine) solveCurve(p Problem, curve marginalCurve, topUp bool) (Solutio
 	// point leaves the bracket) keeps bisection's worst case. The
 	// invariant usage(muLo) ≥ B ≥ usage(muHi) holds throughout; taking
 	// the high end guarantees the final schedule never exceeds the
-	// budget.
+	// budget. The search stops once the high end's usage is within
+	// usageTol of B: past that point the sweeps only shrink the bracket
+	// at the float noise floor of the usage sum.
 	iters := 0
 	if fLo == 0 {
 		muHi, fHi = muLo, fLo
@@ -352,7 +361,7 @@ func (e *Engine) solveCurve(p Problem, curve marginalCurve, topUp bool) (Solutio
 	hLo := math.Log((fLo + p.Bandwidth) / p.Bandwidth)
 	hHi := math.Log((fHi + p.Bandwidth) / p.Bandwidth)
 	side := 0 // endpoint the previous iteration replaced: −1 low, +1 high
-	for i := 0; i < 200 && muHi-muLo > 1e-15*muHi; i++ {
+	for i := 0; i < 200 && muHi-muLo > 1e-15*muHi && hHi < -usageTol; i++ {
 		iters++
 		// Near a funding cutoff the entering element's frequency decays
 		// only logarithmically (f ≈ λ/log(1/δ) for a relative distance
