@@ -48,10 +48,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzChainFreshness$$' -fuzztime 30s ./internal/freshness/
 
 # The crash-recovery suite under the race detector: kill-and-restart
-# chaos, replay equal to the live run (TestRecoveryReplayMatchesLive,
-# through the TestRecovery prefix), snapshots that write only what
-# recovery reads (TestSnapshotElementsSlim), shutdown persistence
-# ordering, and the persistence layer.
+# chaos, replay equal to the live run and a boot plan solved on the
+# recovered knowledge (TestRecoveryReplayMatchesLive and
+# TestRecoveryBootPlan*, through the TestRecovery prefix), snapshots
+# that write only what recovery reads and that a release still storing
+# the plan refuses loudly (TestSnapshotElementsSlim), shutdown
+# persistence ordering, and the persistence layer.
 restart-chaos:
 	$(GO) test -race -count=1 -run 'TestKillRestartRecovery|TestMirrorSnapshotAndRecover|TestRecovery|TestSnapshotElementsSlim' ./internal/httpmirror/
 	$(GO) test -race -count=1 -run 'TestDaemonShutdownPersistsState|TestMetricsAcrossRestart' ./cmd/freshend/

@@ -15,12 +15,12 @@
 // so memory and snapshot size stay flat however long the daemon runs.
 //
 // With -state-dir set the daemon is also crash safe: it snapshots its
-// learned state (estimator state, access profile, schedule,
-// breaker/quarantine state) atomically every -snapshot-every periods,
-// journals each refresh outcome in between, flushes a final snapshot
-// on graceful shutdown, and on boot recovers from the state directory
-// — replaying the journal and warm-starting the schedule from the
-// persisted plan.
+// learned state (estimator state, access profile, breaker/quarantine
+// state) atomically every -snapshot-every periods, journals each
+// refresh outcome in between, flushes a final snapshot on graceful
+// shutdown, and on boot recovers from the state directory — replaying
+// the journal and solving its first plan on the recovered state, at
+// the budget it boots with.
 //
 // Mirrors also chain: -upstream-url points the daemon at another
 // freshend mirror instead of an origin (source → regional → edge).

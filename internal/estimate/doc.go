@@ -12,8 +12,8 @@
 // handles irregular poll intervals by maximizing the exact Bernoulli
 // likelihood.
 //
-// A live mirror runs the online MLE (New with KindMLE): O(1) state per
-// element, updated once per censored poll, exported and restored
-// through State. Tracker, which keeps every poll and re-solves MLE,
+// A live mirror runs the online MLE (NewOnline with KindMLE): O(1)
+// state per element, updated once per censored poll, and read and
+// restored in place through Online.State and Online.Restore. Tracker, which keeps every poll and re-solves MLE,
 // and the online naive ratio are the baselines it is measured against.
 package estimate

@@ -103,7 +103,7 @@ func FuzzOnlineEstimators(f *testing.F) {
 		p := Params{Prior: prior, Floor: floor}
 		history := fuzzHistory(data)
 		for _, kind := range []string{KindNaive, KindMLE} {
-			est, err := New(kind, 1, p)
+			est, err := NewOnline(kind, 1, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +136,7 @@ func FuzzOnlineEstimators(f *testing.F) {
 					t.Fatalf("%s: not deterministic at poll %d: %+v vs %+v", kind, i, e, te)
 				}
 				if i == len(history)/2 {
-					restored, err = NewFromState(est.ExportState(), p)
+					restored, err = newFromState(kind, 1, p, est.State)
 					if err != nil {
 						t.Fatalf("%s: restore of own export failed: %v", kind, err)
 					}

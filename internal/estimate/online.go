@@ -144,21 +144,11 @@ type Estimator interface {
 	// Estimates returns every element's λ̂, using fallback for elements
 	// without observations and applying the configured floor and cap.
 	Estimates(fallback float64) ([]float64, error)
-	// ExportState returns the estimator's durable state. The history
-	// kind exports no per-element state: its state is every poll, which
-	// is what no live mirror may keep.
-	ExportState() State
 }
 
-// State is an estimator's durable form: O(1) numbers per element for
-// the online family, so a restart resumes convergence exactly where
+// ElementState is one element's online-estimator state, its durable
+// form: O(1) numbers, so a restart resumes convergence exactly where
 // the crash interrupted it instead of re-learning from scratch.
-type State struct {
-	Kind     string
-	Elements []ElementState
-}
-
-// ElementState is one element's online-estimator state.
 type ElementState struct {
 	// Lambda is the running estimate x_k.
 	Lambda float64
@@ -173,53 +163,62 @@ type ElementState struct {
 
 // New builds an estimator of the given kind for n elements.
 func New(kind string, n int, p Params) (Estimator, error) {
-	switch kind {
-	case KindHistory:
+	if kind == KindHistory {
 		t, err := NewTracker(n)
 		if err != nil {
 			return nil, err
 		}
 		t.SetParams(p)
 		return t, nil
+	}
+	e, err := NewOnline(kind, n, p)
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// NewOnline builds an online estimator (KindNaive or KindMLE) for n
+// elements, each starting at the prior.
+func NewOnline(kind string, n int, p Params) (*Online, error) {
+	switch kind {
 	case KindNaive, KindMLE:
-		if n <= 0 {
-			return nil, fmt.Errorf("estimate: estimator needs at least one element, got %d", n)
-		}
-		return newOnline(kind, n, p), nil
+	case KindHistory:
+		return nil, fmt.Errorf("estimate: the history estimator keeps every poll, not O(1) state")
 	default:
 		return nil, fmt.Errorf("estimate: unknown estimator kind %q (want one of %v)", kind, Kinds())
 	}
+	if n <= 0 {
+		return nil, fmt.Errorf("estimate: estimator needs at least one element, got %d", n)
+	}
+	e := &Online{kind: kind, params: p.withDefaults(), elems: make([]onlineElem, n)}
+	e.reset()
+	return e, nil
 }
 
-// NewFromState rebuilds an online estimator from exported state,
-// validating every field; it is the recovery counterpart of
-// ExportState. An element with no polls carries no state and starts
-// at the prior, so a persisted form may leave unpolled elements zero.
-// The history kind has no State to rebuild from.
-func NewFromState(st State, p Params) (Estimator, error) {
-	switch st.Kind {
-	case KindNaive, KindMLE:
-	case KindHistory:
-		return nil, fmt.Errorf("estimate: the history estimator has no State to rebuild from")
-	default:
-		return nil, fmt.Errorf("estimate: unknown estimator kind %q", st.Kind)
-	}
-	if len(st.Elements) == 0 {
-		return nil, fmt.Errorf("estimate: state has no elements")
-	}
-	e := newOnline(st.Kind, len(st.Elements), p)
-	for i, s := range st.Elements {
-		if !finitePos(s.Lambda) && s.Lambda != 0 {
-			return nil, fmt.Errorf("estimate: element %d has invalid state rate %v", i, s.Lambda)
+// Restore sets every element i to state(i) in place, validating every
+// field; it is the recovery counterpart of State. An element with no
+// polls carries no state and starts at the prior, so a persisted form
+// may leave unpolled elements zero. A rejected state loads nothing:
+// every element is left at the prior.
+func (e *Online) Restore(state func(element int) ElementState) error {
+	e.reset()
+	for i := range e.elems {
+		s := state(i)
+		var err error
+		switch {
+		case !finitePos(s.Lambda) && s.Lambda != 0:
+			err = fmt.Errorf("estimate: element %d has invalid state rate %v", i, s.Lambda)
+		case math.IsNaN(s.Info) || math.IsInf(s.Info, 0) || s.Info < 0:
+			err = fmt.Errorf("estimate: element %d has invalid information %v", i, s.Info)
+		case s.Polls < 0 || s.Changes < 0 || s.Changes > s.Polls:
+			err = fmt.Errorf("estimate: element %d has %d changes over %d polls", i, s.Changes, s.Polls)
+		case math.IsNaN(s.SumElapsed) || math.IsInf(s.SumElapsed, 0) || s.SumElapsed < 0:
+			err = fmt.Errorf("estimate: element %d has invalid observed time %v", i, s.SumElapsed)
 		}
-		if math.IsNaN(s.Info) || math.IsInf(s.Info, 0) || s.Info < 0 {
-			return nil, fmt.Errorf("estimate: element %d has invalid information %v", i, s.Info)
-		}
-		if s.Polls < 0 || s.Changes < 0 || s.Changes > s.Polls {
-			return nil, fmt.Errorf("estimate: element %d has %d changes over %d polls", i, s.Changes, s.Polls)
-		}
-		if math.IsNaN(s.SumElapsed) || math.IsInf(s.SumElapsed, 0) || s.SumElapsed < 0 {
-			return nil, fmt.Errorf("estimate: element %d has invalid observed time %v", i, s.SumElapsed)
+		if err != nil {
+			e.reset()
+			return err
 		}
 		if s.Polls == 0 {
 			continue
@@ -235,7 +234,18 @@ func NewFromState(st State, p Params) (Estimator, error) {
 			sumElapsed: s.SumElapsed,
 		}
 	}
-	return e, nil
+	return nil
+}
+
+// reset puts every element at the prior, unpolled.
+func (e *Online) reset() {
+	x := e.params.Prior
+	if !(x > 0) {
+		x = e.stateFloor()
+	}
+	for i := range e.elems {
+		e.elems[i] = onlineElem{x: x}
+	}
 }
 
 func finitePos(v float64) bool { return v > 0 && !math.IsInf(v, 0) }
@@ -249,7 +259,7 @@ type onlineElem struct {
 	sumElapsed float64
 }
 
-// online implements the two O(1)-state estimators over censored
+// Online implements the two O(1)-state estimators over censored
 // polls. For a Poisson change process with rate λ polled after elapsed
 // time τ, the detection probability is q(λ,τ) = 1 − e^(−λτ); each
 // observation is a Bernoulli draw I ~ q(λ,τ) — that censoring is all
@@ -268,42 +278,30 @@ type onlineElem struct {
 // Every update is clamped to a bounded multiplicative move and to
 // [max(Floor, 1e-12), Cap], so no observation sequence can produce a
 // non-finite, negative, or runaway estimate.
-type online struct {
+type Online struct {
 	kind   string
 	params Params
 	elems  []onlineElem
 }
 
-func newOnline(kind string, n int, p Params) *online {
-	e := &online{kind: kind, params: p.withDefaults(), elems: make([]onlineElem, n)}
-	start := e.params.Prior
-	if !(start > 0) {
-		start = e.stateFloor()
-	}
-	for i := range e.elems {
-		e.elems[i].x = start
-	}
-	return e
-}
-
 // stateFloor is the smallest internal state value: the configured
 // floor when positive, else a tiny positive rate that keeps the
 // multiplicative updates well-defined.
-func (e *online) stateFloor() float64 {
+func (e *Online) stateFloor() float64 {
 	if e.params.Floor > 0 {
 		return e.params.Floor
 	}
 	return 1e-12
 }
 
-func (e *online) Kind() string  { return e.kind }
-func (e *online) Elements() int { return len(e.elems) }
+func (e *Online) Kind() string  { return e.kind }
+func (e *Online) Elements() int { return len(e.elems) }
 
 // qEps floors the detection probability inside score and information
 // terms so the λ → 0 singularity stays finite.
 const qEps = 1e-12
 
-func (e *online) Observe(element int, elapsed float64, changed bool) error {
+func (e *Online) Observe(element int, elapsed float64, changed bool) error {
 	if element < 0 || element >= len(e.elems) {
 		return fmt.Errorf("estimate: element %d outside [0, %d)", element, len(e.elems))
 	}
@@ -359,7 +357,7 @@ func (e *online) Observe(element int, elapsed float64, changed bool) error {
 // step applies one online update, bounding the multiplicative move so
 // a single hostile observation can never fling the estimate across the
 // domain, then clamping into [stateFloor, Cap].
-func (e *online) step(x, delta float64) float64 {
+func (e *Online) step(x, delta float64) float64 {
 	nx := x + delta
 	if math.IsNaN(nx) {
 		nx = x
@@ -372,7 +370,7 @@ func (e *online) step(x, delta float64) float64 {
 	return e.clamp(nx)
 }
 
-func (e *online) clamp(x float64) float64 {
+func (e *Online) clamp(x float64) float64 {
 	lo := e.stateFloor()
 	if !(x > lo) { // also catches NaN
 		return lo
@@ -383,7 +381,7 @@ func (e *online) clamp(x float64) float64 {
 	return x
 }
 
-func (e *online) Estimate(element int) Estimate {
+func (e *Online) Estimate(element int) Estimate {
 	if element < 0 || element >= len(e.elems) {
 		return Estimate{Lambda: e.params.Prior, StdErr: math.Inf(1)}
 	}
@@ -400,15 +398,15 @@ func (e *online) Estimate(element int) Estimate {
 
 // reported maps internal state to the exported estimate: floored (the
 // cold-start fix) and capped.
-func (e *online) reported(s *onlineElem) float64 { return e.params.apply(s.x) }
+func (e *Online) reported(s *onlineElem) float64 { return e.params.apply(s.x) }
 
 // Both estimator families satisfy the interface.
 var (
-	_ Estimator = (*online)(nil)
+	_ Estimator = (*Online)(nil)
 	_ Estimator = (*Tracker)(nil)
 )
 
-func (e *online) Estimates(fallback float64) ([]float64, error) {
+func (e *Online) Estimates(fallback float64) ([]float64, error) {
 	out := make([]float64, len(e.elems))
 	for i := range e.elems {
 		s := &e.elems[i]
@@ -421,17 +419,18 @@ func (e *online) Estimates(fallback float64) ([]float64, error) {
 	return out, nil
 }
 
-func (e *online) ExportState() State {
-	st := State{Kind: e.kind, Elements: make([]ElementState, len(e.elems))}
-	for i := range e.elems {
-		s := &e.elems[i]
-		st.Elements[i] = ElementState{
-			Lambda:     s.x,
-			Info:       s.info,
-			Polls:      s.polls,
-			Changes:    s.changes,
-			SumElapsed: s.sumElapsed,
-		}
+// State returns the element's durable state, read in place; an
+// element not yet polled has none and reads as zero.
+func (e *Online) State(element int) ElementState {
+	s := &e.elems[element]
+	if s.polls == 0 {
+		return ElementState{}
 	}
-	return st
+	return ElementState{
+		Lambda:     s.x,
+		Info:       s.info,
+		Polls:      s.polls,
+		Changes:    s.changes,
+		SumElapsed: s.sumElapsed,
+	}
 }

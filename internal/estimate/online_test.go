@@ -146,7 +146,7 @@ func TestOnlineFloorAndFallback(t *testing.T) {
 }
 
 // TestOnlineExportRestoreContinuity is the persistence contract: an
-// estimator exported mid-stream, rebuilt via NewFromState, and fed the
+// estimator exported mid-stream, restored into a new one, and fed the
 // remaining observations must agree exactly with one that never
 // stopped — restarts lose no convergence progress. Element 1 is first
 // polled after the restart, so with its state left zero it must come
@@ -162,7 +162,7 @@ func TestOnlineExportRestoreContinuity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resumed, err := New(kind, 2, p)
+		resumed, err := NewOnline(kind, 2, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,10 +178,11 @@ func TestOnlineExportRestoreContinuity(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		st := resumed.ExportState()
-		// A persisted form may drop an unpolled element's state entirely.
-		st.Elements[1] = ElementState{}
-		restored, err := NewFromState(st, p)
+		// Element 1 is unpolled, so its state reads as zero.
+		if st := resumed.State(1); st != (ElementState{}) {
+			t.Fatalf("%s: unpolled element state %+v, want zero", kind, st)
+		}
+		restored, err := newFromState(kind, 2, p, resumed.State)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -200,28 +201,72 @@ func TestOnlineExportRestoreContinuity(t *testing.T) {
 	}
 }
 
+// newFromState builds an online estimator and restores it from state,
+// as a recovering mirror does.
+func newFromState(kind string, n int, p Params, state func(int) ElementState) (*Online, error) {
+	e, err := NewOnline(kind, n, p)
+	if err != nil {
+		return nil, err
+	}
+	return e, e.Restore(state)
+}
+
+// TestNewFromStateValidation: building an estimator from persisted
+// state rejects an estimator kind without O(1) state, an empty
+// catalog, and every invalid element state.
 func TestNewFromStateValidation(t *testing.T) {
 	ok := ElementState{Lambda: 1, Info: 2, Polls: 3, Changes: 1, SumElapsed: 3}
 	cases := []struct {
 		name string
-		st   State
+		kind string
+		n    int
+		st   ElementState
 	}{
-		{"unknown kind", State{Kind: "bogus", Elements: []ElementState{ok}}},
-		{"history kind", State{Kind: KindHistory, Elements: []ElementState{ok}}},
-		{"no elements", State{Kind: KindMLE}},
-		{"negative rate", State{Kind: KindMLE, Elements: []ElementState{{Lambda: -1}}}},
-		{"NaN rate", State{Kind: KindMLE, Elements: []ElementState{{Lambda: math.NaN()}}}},
-		{"infinite rate", State{Kind: KindMLE, Elements: []ElementState{{Lambda: math.Inf(1)}}}},
-		{"negative info", State{Kind: KindMLE, Elements: []ElementState{{Lambda: 1, Info: -1}}}},
-		{"changes above polls", State{Kind: KindMLE, Elements: []ElementState{{Lambda: 1, Polls: 1, Changes: 2}}}},
-		{"negative observed time", State{Kind: KindMLE, Elements: []ElementState{{Lambda: 1, SumElapsed: -1}}}},
+		{"unknown kind", "bogus", 1, ok},
+		{"history kind", KindHistory, 1, ok},
+		{"no elements", KindMLE, 0, ok},
+		{"negative rate", KindMLE, 1, ElementState{Lambda: -1}},
+		{"NaN rate", KindMLE, 1, ElementState{Lambda: math.NaN()}},
+		{"infinite rate", KindMLE, 1, ElementState{Lambda: math.Inf(1)}},
+		{"negative info", KindMLE, 1, ElementState{Lambda: 1, Info: -1}},
+		{"changes above polls", KindMLE, 1, ElementState{Lambda: 1, Polls: 1, Changes: 2}},
+		{"negative observed time", KindMLE, 1, ElementState{Lambda: 1, SumElapsed: -1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewFromState(tc.st, Params{}); err == nil {
+			if _, err := newFromState(tc.kind, tc.n, Params{}, func(int) ElementState { return tc.st }); err == nil {
 				t.Error("invalid state accepted")
 			}
 		})
+	}
+}
+
+// TestOnlineRestoreAllOrNothing: Restore loads a valid state in place,
+// and a state rejected at any element loads nothing, the valid
+// elements before it included.
+func TestOnlineRestoreAllOrNothing(t *testing.T) {
+	p := Params{Prior: 0.5}
+	e, err := NewOnline(KindMLE, 2, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := ElementState{Lambda: 1, Info: 2, Polls: 3, Changes: 1, SumElapsed: 3}
+	states := []ElementState{ok, {Lambda: -1}}
+	if err := e.Restore(func(i int) ElementState { return states[i] }); err == nil {
+		t.Fatal("invalid state accepted")
+	}
+	for i := range states {
+		if got := e.Estimate(i); got.Polls != 0 || got.Lambda != p.Prior {
+			t.Errorf("element %d after a rejected restore: %+v, want the prior", i, got)
+		}
+	}
+	if err := e.Restore(func(int) ElementState { return ok }); err != nil {
+		t.Fatal(err)
+	}
+	for i := range states {
+		if got := e.State(i); got != ok {
+			t.Errorf("element %d restored as %+v, want %+v", i, got, ok)
+		}
 	}
 }
 

@@ -85,10 +85,6 @@ func (t *Tracker) Estimate(element int) Estimate {
 	return Estimate{Lambda: est, StdErr: stderr, Polls: len(h)}
 }
 
-// ExportState identifies the tracker's family; its state is the poll
-// histories themselves, which have no O(1) summary.
-func (t *Tracker) ExportState() State { return State{Kind: KindHistory} }
-
 // Estimates runs MLE per element. Elements with no history get
 // fallback (a prior, e.g. the fleet-wide mean change rate); polled
 // elements are floored at Params.Floor so a run of no-change polls can

@@ -291,9 +291,6 @@ func TestTrackerEstimatorInterface(t *testing.T) {
 	if u := e.Uncertainty(); !(u > 0 && u < 0.5) {
 		t.Errorf("well-observed uncertainty %v, want small positive", u)
 	}
-	if st := est.ExportState(); st.Kind != KindHistory || len(st.Elements) != 0 {
-		t.Errorf("ExportState = %+v; history state lives in Export()", st)
-	}
 }
 
 func TestNewTrackerFromHistoriesValidation(t *testing.T) {

@@ -64,6 +64,11 @@ func (a Allocation) Conserved(tol float64) error {
 // conditions of the hierarchical program, certified independently by
 // testkit.Certify on every call.
 //
+// Each shard pools the elements its own solve schedules
+// (Mirror.Scheduled): a quarantined object is left out, as the shard's
+// solve leaves it out, so its share of the budget goes where the shard
+// will spend it instead of inflating the shard's slice.
+//
 // Traffic shares come from the caller's per-shard traffic counts
 // (each shard's learned profile sums to ~1 locally, so pooling
 // without reweighting would treat a shard serving 1% of traffic as
@@ -111,7 +116,7 @@ func Allocate(mirrors []*httpmirror.Mirror, healthy []bool, traffic []float64, b
 			return a, fmt.Errorf("fleet: healthy shard %d traffic count must be positive and finite, got %v", s, traffic[s])
 		}
 		a.Healthy[s] = true
-		v := shardView{shard: s, elems: m.Elements(), acc: traffic[s]}
+		v := shardView{shard: s, elems: m.Scheduled(), acc: traffic[s]}
 		totalAcc += v.acc
 		views = append(views, v)
 	}

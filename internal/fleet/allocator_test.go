@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"freshen/internal/core"
@@ -146,6 +147,72 @@ func TestAllocateTrafficWeighting(t *testing.T) {
 	}
 	if err := hot.Conserved(1e-9); err != nil {
 		t.Error(err)
+	}
+}
+
+// brokenSource is a memSource whose objects in broken fail every poll
+// once failing is set.
+type brokenSource struct {
+	*memSource
+	broken  map[int]bool
+	failing atomic.Bool
+}
+
+func (s *brokenSource) Version(ctx context.Context, id int) (int, error) {
+	if s.failing.Load() && s.broken[id] {
+		return 0, fmt.Errorf("object %d is broken", id)
+	}
+	return s.memSource.Version(ctx, id)
+}
+
+// TestAllocateLeavesOutQuarantined: the pooled program holds what each
+// shard's own solve schedules, so a shard's quarantined objects draw no
+// budget that the shard would then spend on its other objects. Every
+// object is alike here (same rate, size and access share), so each
+// scheduled object is worth an equal share of the budget.
+func TestAllocateLeavesOutQuarantined(t *testing.T) {
+	const n, budget, broken = 40, 20.0, 10
+	place, err := HashPlacement(n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &brokenSource{memSource: newMemSource(n), broken: map[int]bool{}}
+	for _, gid := range place.Globals(0)[:broken] {
+		src.broken[gid] = true
+	}
+	mirrors := make([]*httpmirror.Mirror, 2)
+	for s := range mirrors {
+		m, err := httpmirror.New(context.Background(), httpmirror.Config{
+			Upstream:    newShardSource(src, place, s, nil),
+			Plan:        core.Config{Strategy: core.StrategyExact, Bandwidth: float64(len(place.Globals(s)))},
+			PriorLambda: 1,
+			FloorLambda: 1,
+			Fault:       httpmirror.FaultPolicy{QuarantineAfter: 1, BreakerThreshold: -1, ProbeEvery: 1000},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mirrors[s] = m
+	}
+	src.failing.Store(true)
+	for now := 1.0; mirrors[0].Status().Quarantined < broken && now <= 5; now++ {
+		if _, err := mirrors[0].Step(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if q := mirrors[0].Status().Quarantined; q != broken {
+		t.Fatalf("setup: shard 0 quarantined %d objects, want %d", q, broken)
+	}
+
+	a, err := Allocate(mirrors, allHealthy(2), uniformTraffic(place), budget, nil, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheduled := []float64{float64(len(place.Globals(0)) - broken), float64(len(place.Globals(1)))}
+	for s, k := range scheduled {
+		if want := budget * k / (scheduled[0] + scheduled[1]); math.Abs(a.Slices[s]-want) > 1e-6 {
+			t.Errorf("shard %d slice %v, want %v for its %v scheduled objects", s, a.Slices[s], want, k)
+		}
 	}
 }
 

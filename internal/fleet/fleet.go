@@ -198,7 +198,8 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 
 	// Until the first leveling, each shard boots on a budget slice
 	// proportional to the transfer mass it owns — close enough that
-	// the warm-started solvers do useful work during seeding.
+	// the first plan each shard solves while it seeds, cold or
+	// recovered, does useful work.
 	totalSize := 0.0
 	sizeOf := make([]float64, cfg.Shards)
 	for _, e := range catalog {

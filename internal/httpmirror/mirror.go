@@ -158,7 +158,7 @@ type Mirror struct {
 	pl         *planner
 	health     map[int]elemHealth // failing objects only: in on a first failure, out on the next success
 	brk        breaker
-	est        estimate.Estimator // the online MLE
+	est        *estimate.Online // the online MLE
 	estParams  estimate.Params
 	now        float64
 	accessBase int // accesses restored from a snapshot at boot; live total adds acc.total()
@@ -209,19 +209,20 @@ type Mirror struct {
 
 // New creates a mirror: it pulls the upstream catalog, seeds every
 // local copy with an initial fetch (seedWorkers fetches in flight at
-// a time), and, while the seed runs, computes the first plan under a
-// uniform profile and the prior change rate. The first failure of
-// either fails New. ctx bounds the seeding round-trips.
+// a time), and, while the seed runs, solves the first plan on what the
+// mirror knows: a uniform profile and the prior change rate on a cold
+// boot. The first failure of either fails New. ctx bounds the seeding
+// round-trips.
 //
 // With Config.Persist set, New first recovers: the snapshot restores
 // the estimator state, access counts, quarantine and breaker state, and
 // the period clock; journal records written after that snapshot replay
-// through the live commit path; and the schedule warm-starts from the
-// restored frequency vector instead of a cold solve. Object bodies are
-// never persisted — seeding re-fetches them — and the downtime gap is
-// excluded from estimation (the boot fetch is not a poll: the mirror's
-// clock did not run while it was down, and Status().Fetches does not
-// count it).
+// through the live commit path. The first plan is then solved on that
+// recovered knowledge, quarantines included, by the same solve a cold
+// boot runs: no plan is persisted. Object bodies are never persisted
+// either — seeding re-fetches them — and the downtime gap is excluded
+// from estimation (the boot fetch is not a poll: the mirror's clock did
+// not run while it was down, and Status().Fetches does not count it).
 func New(ctx context.Context, cfg Config) (*Mirror, error) {
 	if cfg.Upstream == nil {
 		return nil, fmt.Errorf("httpmirror: Upstream is required")
@@ -266,7 +267,7 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 	// withDefaults already resolved FloorLambda (0 → PriorLambda/10,
 	// negative → disabled), so Params take it verbatim.
 	m.estParams = estimate.Params{Prior: cfg.PriorLambda, Floor: cfg.FloorLambda}
-	m.est, err = estimate.New(estimate.KindMLE, n, m.estParams)
+	m.est, err = estimate.NewOnline(estimate.KindMLE, n, m.estParams)
 	if err != nil {
 		return nil, err
 	}
@@ -280,9 +281,8 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 			return nil, fmt.Errorf("httpmirror: catalog ids must be dense, got %d at position %d", entry.ID, i)
 		}
 	}
-	var restoredPlan *persist.PlanState
 	if m.store != nil {
-		restoredPlan = m.applyRecovery(m.store.Recovery())
+		m.applyRecovery(m.store.Recovery())
 		// The restored breaker and quarantine state feed the mode
 		// machine so a mirror that died degraded wakes up degraded.
 		m.machine.SetBreakerOpen(m.brk.state != BreakerClosed)
@@ -299,7 +299,7 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 		}
 		m.publishModeLocked()
 	}
-	if err := m.seedAndPlan(ctx, restoredPlan); err != nil {
+	if err := m.seedAndPlan(ctx); err != nil {
 		return nil, err
 	}
 	if r, ok := m.store.(interface{ ReleaseRecovery() }); ok {
@@ -364,12 +364,11 @@ const seedWorkers = 4
 const seedBatch = 256
 
 // seedAndPlan runs the seed and the first plan side by side: the plan
-// reads only the catalog and the recovered knowledge (a recovered
-// mirror warm-starts from the restored plan if it fits), and the seed
+// reads only the catalog and the recovered knowledge, and the seed
 // writes only views and verified and never takes m.mu. The first error
 // from either side cancels the seed and is returned once both have
 // finished.
-func (m *Mirror) seedAndPlan(ctx context.Context, restored *persist.PlanState) error {
+func (m *Mirror) seedAndPlan(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -385,12 +384,6 @@ func (m *Mirror) seedAndPlan(ctx context.Context, restored *persist.PlanState) e
 	planned := make(chan struct{})
 	go func() {
 		defer close(planned)
-		if restored != nil {
-			if s, err := m.pl.restore(*restored, m.cfg.Plan, m.meanRate()); err == nil {
-				m.install(s, m.cfg.Plan.Bandwidth)
-				return
-			}
-		}
 		if err := m.replan(m.cfg.Plan.Bandwidth, false); err != nil {
 			fail(err)
 		}
@@ -560,17 +553,6 @@ func (m *Mirror) install(s solved, budget float64) {
 	m.pl.install(s, m.now)
 	m.mu.Unlock()
 	m.metrics.setPlan(s)
-}
-
-// meanRate is the catalog's mean change rate as the estimator reports
-// it, the λ-mean of a plan restored rather than solved. The caller
-// holds either lock (or is New).
-func (m *Mirror) meanRate() float64 {
-	var sum float64
-	for i := range m.pl.sizes {
-		sum += m.est.Estimate(i).Lambda
-	}
-	return sum / float64(len(m.pl.sizes))
 }
 
 // Run drives the refresh loop against the wall clock, mapping one
@@ -798,12 +780,21 @@ func (m *Mirror) Catalog() []CatalogEntry {
 
 // Elements returns the mirror's current element knowledge, as the next
 // solve would read it: the learned change rates, the learned access
-// profile, and the catalog sizes. A fleet-level allocator pools these
-// across shards to water-fill the global budget.
+// profile, and the catalog sizes.
 func (m *Mirror) Elements() []freshness.Element {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.knowledge()
+}
+
+// Scheduled returns the knowledge of the elements the next solve
+// schedules: Elements without the quarantined objects, whose share of
+// the budget that solve spends on the rest. A fleet-level allocator
+// pools these across shards to water-fill the global budget.
+func (m *Mirror) Scheduled() []freshness.Element {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return activeElems(m.knowledge(), m.quarantinedIDs())
 }
 
 // Budget is the refresh budget per period the planner currently runs

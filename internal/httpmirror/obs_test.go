@@ -358,7 +358,7 @@ func TestEstimatorMetricsCountLivePolls(t *testing.T) {
 	observed := func(m *Mirror) (polls, changes float64) {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		for _, e := range m.est.ExportState().Elements {
+		for _, e := range estimatorState(m) {
 			polls += float64(e.Polls)
 			changes += float64(e.Changes)
 		}

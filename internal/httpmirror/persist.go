@@ -12,25 +12,23 @@ import (
 // mirror: the snapshot restores the estimator state, access counts,
 // breaker/quarantine state, clock, and counters; each journal
 // record written after that snapshot advances the clock to its time
-// and goes through applyLocked, the commit live refreshes use. It
-// returns the restored plan (to warm-start the schedule) or nil when
-// none was usable. Called from New, before seeding, with no
-// concurrency yet.
-func (m *Mirror) applyRecovery(rec persist.RecoveryResult) *persist.PlanState {
+// and goes through applyLocked, the commit live refreshes use. The
+// first plan is solved on the result (see seedAndPlan). Called from
+// New, before seeding, with no concurrency yet.
+func (m *Mirror) applyRecovery(rec persist.RecoveryResult) {
 	n := len(m.views)
 	m.recoveryStatus = "cold-start"
 	if rec.SnapshotErr != nil {
 		m.recoveryStatus = fmt.Sprintf("cold-start (snapshot discarded: %v)", rec.SnapshotErr)
 		m.log.Warn("persisted snapshot discarded; recovering from journal only", "error", rec.SnapshotErr)
 	}
-	var plan *persist.PlanState
 	if s := rec.Snapshot; s != nil {
 		if len(s.Elements) != n {
 			// The catalog changed shape under the state dir. Per-element
 			// state can't be mapped safely, so none of it is loaded —
 			// but loudly, via the readiness report, never silently.
 			m.recoveryStatus = fmt.Sprintf("cold-start (state discarded: snapshot has %d elements, catalog has %d)", len(s.Elements), n)
-			return nil
+			return
 		}
 		m.now = s.Now
 		m.lastSnapshotAt = s.Now
@@ -65,7 +63,6 @@ func (m *Mirror) applyRecovery(rec persist.RecoveryResult) *persist.PlanState {
 		m.skippedRefreshes = s.Counters.SkippedRefreshes
 		m.quarantineEvents = s.Counters.QuarantineEvents
 		m.recoveries = s.Counters.Recoveries
-		plan = &s.Plan
 	}
 	for _, r := range rec.Records {
 		if r.Element >= n {
@@ -87,42 +84,38 @@ func (m *Mirror) applyRecovery(rec persist.RecoveryResult) *persist.PlanState {
 		}
 	}
 	m.recovered = rec.Snapshot != nil || m.replayed > 0
-	return plan
 }
 
-// restoreEstimatorLocked rebuilds the online estimator from a
-// recovered snapshot's per-element state, so convergence resumes
+// restoreEstimatorLocked restores the online estimator in place from
+// a recovered snapshot's per-element state, so convergence resumes
 // exactly where the crash interrupted it, and seeds the estimator
 // counters with the restored totals.
 //
-// Rejections are loud, like the catalog-mismatch path: NewFromState
+// Rejections are loud, like the catalog-mismatch path: Restore
 // re-validates every λ̂ and Fisher-information field (NaN, negative,
 // infinite — belt and braces on top of persist's snapshot Validate
 // gate), and estimator state that fails it is discarded with a warning
 // and a readiness-visible status note, never loaded; the estimator then
 // starts from the prior and re-learns from the journal and live polls.
 func (m *Mirror) restoreEstimatorLocked(s *persist.Snapshot) {
-	st := estimate.State{Kind: estimate.KindMLE, Elements: make([]estimate.ElementState, len(s.Elements))}
 	polls, changes := 0, 0
-	for i := range s.Elements {
+	err := m.est.Restore(func(i int) estimate.ElementState {
 		e := &s.Elements[i]
-		st.Elements[i] = estimate.ElementState{
+		polls += e.Polls
+		changes += e.Changes
+		return estimate.ElementState{
 			Lambda:     e.EstLambda,
 			Info:       e.EstInfo,
 			Polls:      e.Polls,
 			Changes:    e.Changes,
 			SumElapsed: e.SumElapsed,
 		}
-		polls += e.Polls
-		changes += e.Changes
-	}
-	est, err := estimate.NewFromState(st, m.estParams)
+	})
 	if err != nil {
 		m.recoveryStatus = fmt.Sprintf("%s (estimator state discarded: %v)", m.recoveryStatus, err)
 		m.log.Warn("persisted estimator state discarded; re-learning from the prior", "error", err)
 		return
 	}
-	m.est = est
 	m.metrics.seedPolls(polls, changes)
 }
 
@@ -154,27 +147,19 @@ func (m *Mirror) exportState() *persist.Snapshot {
 		},
 	}
 	m.mu.Unlock()
-	plan := &m.pl.plan
-	s.Plan = persist.PlanState{
-		Freqs:         append([]float64(nil), plan.Freqs...),
-		Perceived:     plan.Perceived,
-		AvgFreshness:  plan.AvgFreshness,
-		BandwidthUsed: plan.BandwidthUsed,
-	}
 	s.Elements = make([]persist.ElementState, len(m.pl.sizes))
-	est := m.est.ExportState()
 	for i := range s.Elements {
-		es := persist.ElementState{Accesses: int(m.acc.elems[i].Load())}
-		if ee := est.Elements[i]; ee.Polls > 0 {
-			// Unpolled elements carry no estimator state (and cost the
-			// snapshot nothing): they restore at the prior.
-			es.EstLambda = ee.Lambda
-			es.EstInfo = ee.Info
-			es.Polls = ee.Polls
-			es.Changes = ee.Changes
-			es.SumElapsed = ee.SumElapsed
+		// An unpolled element's estimator state is zero (and costs the
+		// snapshot nothing): it restores at the prior.
+		ee := m.est.State(i)
+		s.Elements[i] = persist.ElementState{
+			Accesses:   int(m.acc.elems[i].Load()),
+			EstLambda:  ee.Lambda,
+			EstInfo:    ee.Info,
+			Polls:      ee.Polls,
+			Changes:    ee.Changes,
+			SumElapsed: ee.SumElapsed,
 		}
-		s.Elements[i] = es
 	}
 	for id, h := range m.health {
 		es := &s.Elements[id]

@@ -54,8 +54,9 @@ func newPersistMirror(t *testing.T, url string, httpClient *http.Client, dir str
 }
 
 // TestMirrorSnapshotAndRecover round-trips a mirror through a flush
-// and a restart: estimates, plan, counters, and health state must all
-// survive byte-exactly.
+// and a restart: estimates, counters, and health state must all
+// survive byte-exactly, and the recovered mirror's first plan must be
+// bit for bit the plan the crashed mirror solves on the same knowledge.
 func TestMirrorSnapshotAndRecover(t *testing.T) {
 	f := newFaultySource(t, []float64{3, 1, 0.5, 2})
 	dir := t.TempDir()
@@ -77,6 +78,9 @@ func TestMirrorSnapshotAndRecover(t *testing.T) {
 	}
 	if m1.Status().Quarantined != 1 {
 		t.Fatalf("setup: quarantined = %d, want 1", m1.Status().Quarantined)
+	}
+	if err := m1.ForceReplan(); err != nil {
+		t.Fatal(err)
 	}
 	if err := m1.FlushSnapshot(); err != nil {
 		t.Fatal(err)
@@ -117,12 +121,12 @@ func TestMirrorSnapshotAndRecover(t *testing.T) {
 	if post.Accesses != pre.Accesses {
 		t.Errorf("access log lost: pre %d, post %d", pre.Accesses, post.Accesses)
 	}
-	// The schedule warm-starts from the persisted frequency vector.
-	preFreqs, postFreqs := m1.Plan().Freqs, m2.Plan().Freqs
-	for i := range preFreqs {
-		if preFreqs[i] != postFreqs[i] {
-			t.Errorf("freq %d: recovered %v != pre-crash %v", i, postFreqs[i], preFreqs[i])
-		}
+	// The first plan is solved on the recovered knowledge, so it is the
+	// plan the crashed mirror solved on the same knowledge.
+	prePlan, postPlan := m1.Plan(), m2.Plan()
+	prePlan.Elapsed, postPlan.Elapsed = 0, 0 // wall time of each solve
+	if !reflect.DeepEqual(postPlan, prePlan) {
+		t.Errorf("recovered plan %+v != pre-crash %+v", postPlan, prePlan)
 	}
 	// A recovered mirror keeps stepping from its restored clock.
 	f.src.Advance(11)
@@ -297,6 +301,135 @@ func TestKillRestartRecovery(t *testing.T) {
 		t.Errorf("warm start no closer to optimum: warm gap %v, cold gap %v", warmGap, coldGap)
 	}
 	t.Logf("PF gap to true-rate optimum: warm %.5f vs cold %.5f (optimum %.5f)", warmGap, coldGap, optPlan.Perceived)
+}
+
+// TestRecoveryBootPlanFitsNewBudget: a mirror restarted at a lower
+// budget than it ran at solves its first plan at the new budget, so its
+// first period already refreshes within it.
+func TestRecoveryBootPlanFitsNewBudget(t *testing.T) {
+	f := newFaultySource(t, []float64{3, 1, 0.5, 2})
+	dir := t.TempDir()
+	m1, _ := newPersistMirror(t, f.srv.URL, f.srv.Client(), dir, 1, 1000, nil)
+	for step := 1; step <= 12; step++ {
+		tm := 0.25 * float64(step)
+		f.src.Advance(tm)
+		if _, err := m1.Step(tm); err != nil {
+			t.Fatal(err)
+		}
+		m1.Access(step % 3)
+	}
+	if err := m1.FlushSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+
+	const budget = 4.0
+	m2, _ := newPersistMirror(t, f.srv.URL, f.srv.Client(), dir, 1, 1000, func(c *Config) { c.Plan.Bandwidth = budget })
+	if rd := m2.Readiness(); rd.RecoveryStatus != "recovered" {
+		t.Fatalf("readiness after recovery = %+v", rd)
+	}
+	if used := m2.Plan().BandwidthUsed; used > budget*(1+1e-9) {
+		t.Errorf("first plan uses bandwidth %v, budget %v", used, budget)
+	}
+	// An object with frequency f comes due at most ⌈f⌉ times in one
+	// period, so a plan within the budget refreshes fewer than
+	// budget + 4 objects in it.
+	now := m2.Status().Now + 1
+	f.src.Advance(now)
+	n, err := m2.Step(now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if float64(n) >= budget+4 {
+		t.Errorf("first period refreshed %d objects at budget %v", n, budget)
+	}
+}
+
+// TestRecoveryBootPlanDropsReplayedQuarantine: an object that journal
+// replay quarantines gets no refreshes in the recovered mirror's first
+// plan, as a live quarantine gets none in the plan solved after it.
+func TestRecoveryBootPlanDropsReplayedQuarantine(t *testing.T) {
+	f := newFaultySource(t, []float64{3, 1, 0.5, 2})
+	dir := t.TempDir()
+	m1, _ := newPersistMirror(t, f.srv.URL, f.srv.Client(), dir, 1, 1000, nil)
+	now := 0.0
+	step := func() {
+		t.Helper()
+		now += 0.25
+		f.src.Advance(now)
+		if _, err := m1.Step(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 8 {
+		step()
+	}
+	if err := m1.FlushSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if m1.Plan().Freqs[0] == 0 {
+		t.Fatal("setup: object 0 is not funded when the snapshot lands")
+	}
+	// Object 0 fails until quarantined. No snapshot follows, so the
+	// quarantine lives only in the journal.
+	f.brokenID.Store(0)
+	for m1.Status().Quarantined == 0 && now < 10 {
+		step()
+	}
+	f.brokenID.Store(-1)
+
+	m2, _ := newPersistMirror(t, f.srv.URL, f.srv.Client(), dir, 1, 1000, nil)
+	if rd := m2.Readiness(); rd.RecoveryStatus != "recovered" || rd.JournalReplayed == 0 {
+		t.Fatalf("readiness after recovery = %+v", rd)
+	}
+	q := m2.Health().Quarantined
+	if !slices.Equal(q, []int{0}) {
+		t.Fatalf("replay quarantined %v, want [0]", q)
+	}
+	plan := m2.Plan()
+	for _, id := range q {
+		if plan.Freqs[id] != 0 {
+			t.Errorf("quarantined object %d has frequency %v in the boot plan", id, plan.Freqs[id])
+		}
+	}
+}
+
+// TestRecoveryBootPlanExplores: a recovered mirror that explores funds
+// the explore slice, and marks the probes, that a fresh solve on the
+// same knowledge does.
+func TestRecoveryBootPlanExplores(t *testing.T) {
+	f := newFaultySource(t, []float64{3, 1, 0.5, 2, 1, 0.25, 4, 1.5})
+	dir := t.TempDir()
+	explore := func(c *Config) {
+		c.Plan.Bandwidth = 2
+		c.ExploreFrac = 0.3
+	}
+	m1, _ := newPersistMirror(t, f.srv.URL, f.srv.Client(), dir, 1, 1000, explore)
+	for step := 1; step <= 12; step++ {
+		tm := 0.25 * float64(step)
+		f.src.Advance(tm)
+		if _, err := m1.Step(tm); err != nil {
+			t.Fatal(err)
+		}
+		m1.Access(step % 2)
+	}
+	if err := m1.ForceReplan(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.FlushSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	want := m1.Status().ExploreBandwidth
+	if want <= 0 || !slices.Contains(m1.pl.exploreOnly, true) {
+		t.Fatalf("setup: explore bandwidth %v, probes %v", want, m1.pl.exploreOnly)
+	}
+
+	m2, _ := newPersistMirror(t, f.srv.URL, f.srv.Client(), dir, 1, 1000, explore)
+	if got := m2.Status().ExploreBandwidth; got != want {
+		t.Errorf("recovered explore bandwidth %v, a solve on the same knowledge %v", got, want)
+	}
+	if !slices.Equal(m2.pl.exploreOnly, m1.pl.exploreOnly) {
+		t.Errorf("recovered probes %v, a solve on the same knowledge %v", m2.pl.exploreOnly, m1.pl.exploreOnly)
+	}
 }
 
 // TestReadyzLifecycle pins the readiness contract: a cold persistent
@@ -683,7 +816,7 @@ func TestRecoveryReadsParentFormat2Snapshot(t *testing.T) {
 	if st := m.Status(); st.Accesses != 49 || st.Quarantined != 1 {
 		t.Errorf("Status: %d accesses and %d quarantined, want 49 and 1", st.Accesses, st.Quarantined)
 	}
-	est := m.est.ExportState().Elements
+	est := estimatorState(m)
 	for i, want := range []estimate.ElementState{
 		{Lambda: 1.5, Info: 4, Polls: 8, Changes: 5, SumElapsed: 4},
 		{Lambda: 0.5, Info: 6, Polls: 4, Changes: 1, SumElapsed: 3},
@@ -731,12 +864,10 @@ func TestRecoveryReadsParentFormat2Snapshot(t *testing.T) {
 // slimFormat2Payload is a format-2 snapshot payload as this mirror
 // writes it: six objects, three of them polled, one read but never
 // polled, one failing below the quarantine threshold, and one never
-// read, polled or failed. No element carries a change rate or an
-// access probability: both are derived from the estimator's state and
-// the access counts.
+// read, polled or failed. It carries no plan, and no element carries a
+// change rate or an access probability: all three are derived from the
+// estimator's state and the access counts.
 const slimFormat2Payload = `{"format_version":2,"last_seq":0,"now_periods":2,` +
-	`"plan":{"freqs":[0.33333333333333287,0.33333333333333287,0.33333333333333287,0.33333333333333287,0.33333333333333287,0.33333333333333287],` +
-	`"perceived":0.31673764387737835,"avg_freshness":0.31673764387737835,"bandwidth_used":1.9999999999999971},` +
 	`"breaker":{"state":0,"fails":0,"opened_at":0,"trips":0},"elements":[` +
 	`{"accesses":9,"est_lambda":0.605636096007426,"est_info":0.6408259839977349,"polls":1,"changes":1,"sum_elapsed":1.813980863938861},` +
 	`{"accesses":1},{"consec_fails":1},` +
@@ -745,14 +876,13 @@ const slimFormat2Payload = `{"format_version":2,"last_seq":0,"now_periods":2,` +
 	`"counters":{"accesses":11,"fetches":3,"transfers":3,"replans":1,"refresh_failures":1,"skipped_refreshes":0,"quarantine_events":0,"recoveries":0}}`
 
 // TestSnapshotElementsSlim: an element nothing has read, polled or
-// failed costs a snapshot 3 bytes ("{},"), and what this mirror writes
-// stays readable by a mirror that still stored each element's λ and p.
-// That reader decodes the absent keys as zero, its rules (λ finite and
-// non-negative, p in [0, 1]) accept the zero, and its recovery
-// overwrote both from the estimator and the counts before any solve
-// read them. The literal is exactly what the encoder writes, and it
-// recovers: counts, estimator and fault state as written, and the
-// solver's input derived from them.
+// failed costs a snapshot 3 bytes ("{},"), and the snapshot stores no
+// plan. A mirror that still stored the plan decodes its absence as zero
+// frequencies and refuses the snapshot at its "plan has 0 frequencies"
+// rule, so a rollback recovers from the journal alone. The literal is
+// exactly what the encoder writes, and it recovers: counts, estimator
+// and fault state as written, and the solver's input derived from
+// them.
 func TestSnapshotElementsSlim(t *testing.T) {
 	size := func(n int) int {
 		data, err := json.Marshal(make([]persist.ElementState, n))
@@ -776,21 +906,16 @@ func TestSnapshotElementsSlim(t *testing.T) {
 		t.Fatalf("the encoder writes\n%s\nnot the literal (%v)", again, err)
 	}
 	var older struct {
-		Elements []struct {
-			Lambda     float64 `json:"lambda"`
-			AccessProb float64 `json:"access_prob"`
-		} `json:"elements"`
+		Plan struct {
+			Freqs []float64 `json:"freqs"`
+		} `json:"plan"`
+		Elements []json.RawMessage `json:"elements"`
 	}
 	if err := json.Unmarshal([]byte(slimFormat2Payload), &older); err != nil {
 		t.Fatal(err)
 	}
-	for i, e := range older.Elements {
-		if math.IsNaN(e.Lambda) || math.IsInf(e.Lambda, 0) || e.Lambda < 0 {
-			t.Errorf("element %d: a reader of λ sees invalid change rate %v", i, e.Lambda)
-		}
-		if math.IsNaN(e.AccessProb) || math.IsInf(e.AccessProb, 0) || e.AccessProb < 0 || e.AccessProb > 1 {
-			t.Errorf("element %d: a reader of p sees invalid access probability %v", i, e.AccessProb)
-		}
+	if len(older.Plan.Freqs) != 0 || len(older.Elements) != 6 {
+		t.Errorf("a reader of the plan sees %d frequencies for %d elements, want 0 for 6", len(older.Plan.Freqs), len(older.Elements))
 	}
 
 	dir := t.TempDir()
@@ -833,7 +958,7 @@ type replayed struct {
 	breaker   breaker
 	faults    map[int]elemHealth
 	counters  replayedCounters
-	estimator estimate.State
+	estimator []estimate.ElementState
 }
 
 type replayedCounters struct {
@@ -849,7 +974,7 @@ func replayedState(m *Mirror) replayed {
 		faults:  maps.Clone(m.health),
 		counters: replayedCounters{st.Fetches, st.Transfers, st.RefreshFailures,
 			st.QuarantineEvents, st.Recoveries, st.BreakerTrips},
-		estimator: m.est.ExportState(),
+		estimator: estimatorState(m),
 	}
 }
 
@@ -918,6 +1043,16 @@ func TestRecoveryReplayMatchesLive(t *testing.T) {
 		t.Fatalf("readiness after recovery = %+v", rd)
 	}
 	checkReplayed(t, replayedState(m2), live)
+}
+
+// estimatorState reads every element's estimator state. The caller
+// holds either lock or owns m.
+func estimatorState(m *Mirror) []estimate.ElementState {
+	st := make([]estimate.ElementState, m.est.Elements())
+	for i := range st {
+		st[i] = m.est.State(i)
+	}
+	return st
 }
 
 // estimatesSnapshot returns the estimator's current per-element

@@ -1,11 +1,8 @@
 package httpmirror
 
 import (
-	"fmt"
-
 	"freshen/internal/core"
 	"freshen/internal/freshness"
-	"freshen/internal/persist"
 	"freshen/internal/schedule"
 )
 
@@ -115,13 +112,7 @@ func (p *planner) solve(cfg core.Config, elems []freshness.Element, u []float64,
 		s.lambdaMean += elems[i].Lambda
 	}
 	s.lambdaMean /= float64(len(elems))
-	active := elems
-	if len(quarantined) > 0 {
-		active = make([]freshness.Element, 0, len(elems)-len(quarantined))
-		forActive(len(elems), quarantined, func(i, _ int) {
-			active = append(active, elems[i])
-		})
-	}
+	active := activeElems(elems, quarantined)
 	var exploreBudget float64
 	if p.exploreFrac > 0 {
 		// The explore slice anneals with mean uncertainty: a cold mirror
@@ -210,6 +201,20 @@ func (p *planner) mergeExplore(s *solved, pol freshness.Policy, elems, active []
 	return nil
 }
 
+// activeElems is elems without the elements whose ids the ascending
+// list quarantined holds: the elements a solve schedules. It is elems
+// itself when nothing is quarantined.
+func activeElems(elems []freshness.Element, quarantined []int) []freshness.Element {
+	if len(quarantined) == 0 {
+		return elems
+	}
+	active := make([]freshness.Element, 0, len(elems)-len(quarantined))
+	forActive(len(elems), quarantined, func(i, _ int) {
+		active = append(active, elems[i])
+	})
+	return active
+}
+
 // forActive calls f(i, j) for the j-th of the elements 0..n-1 not in
 // the ascending list skip, i being its index.
 func forActive(n int, skip []int, f func(i, j int)) {
@@ -234,37 +239,6 @@ func (p *planner) install(s solved, now float64) {
 	p.iterBase = now
 	p.lastReplan = now
 	p.replans++
-}
-
-// restore rebuilds a persisted plan for warm-starting the schedule: the
-// iterator resumes the pre-crash frequency vector immediately, so a
-// recovered mirror refreshes on its learned cadence from the first
-// period instead of re-solving from scratch. lambdaMean is the mean
-// change rate the mirror recovered. The next cadence replan refines it
-// against the replayed observations.
-func (p *planner) restore(ps persist.PlanState, cfg core.Config, lambdaMean float64) (solved, error) {
-	if len(ps.Freqs) != len(p.sizes) {
-		return solved{}, fmt.Errorf("httpmirror: restored plan has %d frequencies for %d elements", len(ps.Freqs), len(p.sizes))
-	}
-	// The iterator keeps the vector it is built on, so it is built on
-	// the plan's own copy, not on the recovered snapshot's.
-	freqs := append([]float64(nil), ps.Freqs...)
-	iter, err := schedule.NewIterator(freqs, true, p.seed+int64(p.replans))
-	if err != nil {
-		return solved{}, err
-	}
-	return solved{
-		plan: core.Plan{
-			Freqs:         freqs,
-			Perceived:     ps.Perceived,
-			AvgFreshness:  ps.AvgFreshness,
-			BandwidthUsed: ps.BandwidthUsed,
-			Strategy:      cfg.Strategy,
-			NumPartitions: cfg.NumPartitions,
-		},
-		iter:       iter,
-		lambdaMean: lambdaMean,
-	}, nil
 }
 
 // exploreProbe reports whether a refresh of element id is an

@@ -3,9 +3,11 @@
 //
 //   - A snapshot: a single versioned, CRC-checksummed file holding the
 //     full learned state of a mirror (the online estimator's O(1)
-//     per-element state, the water-filled schedule, breaker and
-//     quarantine state, per-object access counts, lifetime counters).
-//     Its size does not grow with uptime. Snapshots are written atomically —
+//     per-element state, breaker and quarantine state, per-object
+//     access counts, lifetime counters). It holds no refresh plan: a
+//     recovering mirror solves its first plan from this state and the
+//     replayed journal, as a cold one solves from the prior. Its size
+//     does not grow with uptime. Snapshots are written atomically —
 //     temp file, fsync, rename, directory fsync — so a crash at any
 //     instant leaves either the previous snapshot or the new one,
 //     never a torn hybrid.

@@ -18,12 +18,6 @@ func testSnapshot(now float64) *Snapshot {
 	return &Snapshot{
 		Version: FormatVersion,
 		Now:     now,
-		Plan: PlanState{
-			Freqs:         []float64{2, 0.5, 0},
-			Perceived:     0.8,
-			AvgFreshness:  0.7,
-			BandwidthUsed: 2.5,
-		},
 		Breaker: BreakerSnap{State: 0, Fails: 1, Trips: 2},
 		Elements: []ElementState{
 			{Accesses: 7, EstLambda: 1.5, EstInfo: 2, Polls: 4, Changes: 3, SumElapsed: 2},
@@ -114,8 +108,6 @@ func TestSnapshotValidate(t *testing.T) {
 		{"wrong version", func(s *Snapshot) { s.Version = 99 }},
 		{"negative clock", func(s *Snapshot) { s.Now = -1 }},
 		{"NaN clock", func(s *Snapshot) { s.Now = math.NaN() }},
-		{"freqs length mismatch", func(s *Snapshot) { s.Plan.Freqs = s.Plan.Freqs[:1] }},
-		{"negative freq", func(s *Snapshot) { s.Plan.Freqs[0] = -1 }},
 		{"bad breaker state", func(s *Snapshot) { s.Breaker.State = 7 }},
 		{"negative accesses", func(s *Snapshot) { s.Elements[2].Accesses = -1 }},
 		{"zero elapsed poll", func(s *Snapshot) { s.Elements[0].SumElapsed = 0 }},

@@ -16,11 +16,12 @@ import (
 // 2 folds the online estimator's O(1) state into each element; version
 // 1 carried full per-element poll histories and is refused. Version 2
 // payloads written while elements still carried id, size, lambda,
-// access_prob, stored_version, last_poll, fetched_at and fetches
-// decode unchanged: encoding/json skips the retired keys. Decoders
-// that still read lambda and access_prob see zero for an element that
-// lacks them, which their validation accepts and their recovery
-// overwrites before any solve reads it.
+// access_prob, stored_version, last_poll, fetched_at and fetches, or
+// while the snapshot still carried the plan, decode unchanged:
+// encoding/json skips the retired keys. The retired plan key is the
+// one a decoder from before its retirement cannot do without: it
+// refuses a plan-less snapshot ("plan has 0 frequencies") and recovers
+// from the journal alone, saying so in its readiness report.
 const FormatVersion = 2
 
 // snapshotMagic identifies a snapshot file and pins its framing
@@ -33,7 +34,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Snapshot is the durable image of a mirror's learned state — the
 // knowledge that is expensive to lose, not the object bodies (those
-// are re-fetched from the origin on boot).
+// are re-fetched from the origin on boot) and not the refresh plan
+// (recovery solves it from this knowledge).
 type Snapshot struct {
 	// Version is the payload format version (FormatVersion).
 	Version int `json:"format_version"`
@@ -42,24 +44,12 @@ type Snapshot struct {
 	LastSeq uint64 `json:"last_seq"`
 	// Now is the mirror's period clock at snapshot time.
 	Now float64 `json:"now_periods"`
-	// Plan is the live schedule, used to warm-start the refresh loop
-	// on recovery without re-solving.
-	Plan PlanState `json:"plan"`
 	// Breaker is the upstream circuit breaker's state.
 	Breaker BreakerSnap `json:"breaker"`
 	// Elements holds per-element learned state, indexed by element id.
 	Elements []ElementState `json:"elements"`
 	// Counters are the mirror's lifetime counters.
 	Counters Counters `json:"counters"`
-}
-
-// PlanState is the persisted schedule: the frequency vector plus the
-// plan's reported metrics.
-type PlanState struct {
-	Freqs         []float64 `json:"freqs"`
-	Perceived     float64   `json:"perceived"`
-	AvgFreshness  float64   `json:"avg_freshness"`
-	BandwidthUsed float64   `json:"bandwidth_used"`
 }
 
 // BreakerSnap is the circuit breaker's persisted state. State uses the
@@ -118,14 +108,6 @@ func (s *Snapshot) Validate() error {
 	}
 	if !finite(s.Now) || s.Now < 0 {
 		return fmt.Errorf("persist: invalid clock %v", s.Now)
-	}
-	if len(s.Plan.Freqs) != len(s.Elements) {
-		return fmt.Errorf("persist: plan has %d frequencies for %d elements", len(s.Plan.Freqs), len(s.Elements))
-	}
-	for i, f := range s.Plan.Freqs {
-		if !finite(f) || f < 0 {
-			return fmt.Errorf("persist: element %d has invalid frequency %v", i, f)
-		}
 	}
 	if st := s.Breaker.State; st < 0 || st > 2 {
 		return fmt.Errorf("persist: invalid breaker state %d", st)
