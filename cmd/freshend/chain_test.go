@@ -56,8 +56,8 @@ func TestDaemonEdgeChain(t *testing.T) {
 	origin := httptest.NewServer(src.Handler())
 	t.Cleanup(origin.Close)
 
-	regional, stopRegional := startDaemonWith(t, testConfig(origin.URL, "exact", 4, 5, 50*time.Millisecond))
-	edgeCfg := testConfig("", "exact", 2, 5, 50*time.Millisecond)
+	regional, stopRegional := startDaemonWith(t, testConfig(origin.URL, 4, 5, 50*time.Millisecond))
+	edgeCfg := testConfig("", 2, 5, 50*time.Millisecond)
 	edgeCfg.upstreamURL = regional
 	edge, stopEdge := startDaemonWith(t, edgeCfg)
 
@@ -127,12 +127,12 @@ func TestDaemonEdgeChain(t *testing.T) {
 // TestEdgeModeFlagValidation pins the -upstream/-upstream-url
 // contract: exactly one, and edge mode is single-mirror only.
 func TestEdgeModeFlagValidation(t *testing.T) {
-	both := testConfig("http://localhost:1", "exact", 10, 5, time.Second)
+	both := testConfig("http://localhost:1", 10, 5, time.Second)
 	both.upstreamURL = "http://localhost:2"
 	if err := run(context.Background(), both, nil); err == nil {
 		t.Error("both -upstream and -upstream-url accepted")
 	}
-	fleet := testConfig("", "exact", 10, 5, time.Second)
+	fleet := testConfig("", 10, 5, time.Second)
 	fleet.upstreamURL = "http://localhost:2"
 	fleet.shards = 2
 	if err := run(context.Background(), fleet, nil); err == nil {

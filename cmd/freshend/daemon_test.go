@@ -3,15 +3,14 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"freshen/internal/core"
 	"freshen/internal/httpmirror"
 	"freshen/internal/persist"
 )
@@ -27,7 +26,7 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if cfg.addr != ":8081" || cfg.bandwidth != 100 || cfg.period != 10*time.Second {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
-	if cfg.strategy != "exact" || cfg.partitions != 100 || cfg.replanEvery != 5 {
+	if cfg.replanEvery != 5 || cfg.shards != 1 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 	if cfg.upRetries != 3 || cfg.breakerAfter != 5 || cfg.quarantineAfter != 3 {
@@ -60,9 +59,6 @@ func TestParseFlagsOverrides(t *testing.T) {
 		"-upstream", "http://src",
 		"-bandwidth", "42.5",
 		"-period", "250ms",
-		"-strategy", "clustered",
-		"-partitions", "7",
-		"-iterations", "2",
 		"-replan-every", "3",
 		"-explore-frac", "0.15",
 		"-floor-lambda", "0.01",
@@ -88,7 +84,6 @@ func TestParseFlagsOverrides(t *testing.T) {
 	want := config{
 		addr: "127.0.0.1:0", upstream: "http://src",
 		bandwidth: 42.5, period: 250 * time.Millisecond,
-		strategy: "clustered", partitions: 7, iterations: 2,
 		replanEvery: 3, seed: 99,
 		exploreFrac: 0.15, floorLambda: 0.01,
 		upTimeout: time.Second, upRetries: 1,
@@ -96,8 +91,7 @@ func TestParseFlagsOverrides(t *testing.T) {
 		quarantineAfter: -1, probeEvery: 2,
 		stateDir: "/tmp/state", snapshotEvery: 7,
 		debugAddr: "127.0.0.1:6060", logLevel: "debug",
-		shards: 1, placement: "hash",
-		maxInflight: 32, minInflight: 4,
+		shards: 1, maxInflight: 32, minInflight: 4,
 		shedTargetLatency: 20 * time.Millisecond, persistDegradeAfter: 2,
 	}
 	if cfg != want {
@@ -107,8 +101,8 @@ func TestParseFlagsOverrides(t *testing.T) {
 
 // TestMirrorConfigFlags follows each mirror-tuning flag past the
 // config struct into the httpmirror.Config both modes build from it.
-// Every value differs from the flag's default except -strategy exact,
-// so a flag that parses but never reaches its field fails here.
+// Every value differs from the flag's default, so a flag that parses
+// but never reaches its field fails here.
 func TestMirrorConfigFlags(t *testing.T) {
 	cases := []struct {
 		flag, value string
@@ -116,11 +110,6 @@ func TestMirrorConfigFlags(t *testing.T) {
 		want        any
 	}{
 		{"-bandwidth", "42.5", func(c httpmirror.Config) any { return c.Plan.Bandwidth }, 42.5},
-		{"-strategy", "exact", func(c httpmirror.Config) any { return c.Plan.Strategy }, core.StrategyExact},
-		{"-strategy", "partitioned", func(c httpmirror.Config) any { return c.Plan.Strategy }, core.StrategyPartitioned},
-		{"-strategy", "clustered", func(c httpmirror.Config) any { return c.Plan.Strategy }, core.StrategyClustered},
-		{"-partitions", "7", func(c httpmirror.Config) any { return c.Plan.NumPartitions }, 7},
-		{"-iterations", "2", func(c httpmirror.Config) any { return c.Plan.KMeansIterations }, 2},
 		{"-replan-every", "3", func(c httpmirror.Config) any { return c.ReplanEvery }, 3.0},
 		{"-explore-frac", "0.15", func(c httpmirror.Config) any { return c.ExploreFrac }, 0.15},
 		{"-floor-lambda", "0.01", func(c httpmirror.Config) any { return c.FloorLambda }, 0.01},
@@ -141,11 +130,7 @@ func TestMirrorConfigFlags(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mcfg, err := mirrorConfig(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := tc.field(mcfg); got != tc.want {
+			if got := tc.field(mirrorConfig(cfg)); got != tc.want {
 				t.Errorf("%s %s: field = %v, want %v", tc.flag, tc.value, got, tc.want)
 			}
 		})
@@ -162,6 +147,12 @@ func TestParseFlagsErrors(t *testing.T) {
 		{"-persist-fault-after", "10"},
 		{"-serve-fault-latency", "3ms"},
 		{"-fleet-chaos"},
+		// Removed planning and placement forks: every plan is the exact
+		// solve, and fleet mode places objects by consistent hashing.
+		{"-strategy", "exact"},
+		{"-partitions", "100"},
+		{"-iterations", "10"},
+		{"-placement", "hash"},
 		{"-period", "sideways"},
 		{"-no-such-flag"},
 	} {
@@ -171,10 +162,9 @@ func TestParseFlagsErrors(t *testing.T) {
 	}
 }
 
-// startDaemon runs the daemon against a simulated upstream and returns
-// its base URL plus a shutdown function that cancels the run context
-// and reports run's error.
-func startDaemon(t *testing.T, strategy string) (string, func() error) {
+// simConfig configures a daemon against a fresh simulated upstream of
+// four objects.
+func simConfig(t *testing.T) config {
 	t.Helper()
 	src, err := httpmirror.NewSimulatedSource([]float64{2, 1, 0.5, 0}, nil, 1)
 	if err != nil {
@@ -182,39 +172,14 @@ func startDaemon(t *testing.T, strategy string) (string, func() error) {
 	}
 	upstream := httptest.NewServer(src.Handler())
 	t.Cleanup(upstream.Close)
-
-	cfg := testConfig(upstream.URL, strategy, 4, 5, 50*time.Millisecond)
-	cfg.addr = "127.0.0.1:0"
-	ctx, cancel := context.WithCancel(context.Background())
-	ready := make(chan net.Addr, 1)
-	runErr := make(chan error, 1)
-	go func() { runErr <- run(ctx, cfg, ready) }()
-	var addr net.Addr
-	select {
-	case addr = <-ready:
-	case err := <-runErr:
-		cancel()
-		t.Fatalf("daemon died before ready: %v", err)
-	case <-time.After(10 * time.Second):
-		cancel()
-		t.Fatal("daemon never became ready")
-	}
-	return "http://" + addr.String(), func() error {
-		cancel()
-		select {
-		case err := <-runErr:
-			return err
-		case <-time.After(15 * time.Second):
-			return fmt.Errorf("daemon did not shut down")
-		}
-	}
+	return testConfig(upstream.URL, 4, 5, 50*time.Millisecond)
 }
 
 // TestDaemonServesAndShutsDown drives the whole daemon over a real
 // listener: every endpoint, the error contract for malformed and
 // unknown object ids, and the graceful shutdown path.
 func TestDaemonServesAndShutsDown(t *testing.T) {
-	base, shutdown := startDaemon(t, "exact")
+	base, shutdown := startDaemonWith(t, simConfig(t))
 
 	cases := []struct {
 		method, path string
@@ -268,23 +233,6 @@ func TestDaemonServesAndShutsDown(t *testing.T) {
 	}
 }
 
-// TestDaemonClusteredStrategy exercises the heuristic planning path
-// end to end (plan → serve → shutdown) rather than just validation.
-func TestDaemonClusteredStrategy(t *testing.T) {
-	base, shutdown := startDaemon(t, "clustered")
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/healthz: status %d", resp.StatusCode)
-	}
-	if err := shutdown(); err != nil {
-		t.Fatalf("graceful shutdown: %v", err)
-	}
-}
-
 // TestDaemonShutdownPersistsState drives a persistent daemon over a
 // live listener and pins the graceful-shutdown ordering: the refresh
 // loop drains, then the final snapshot is flushed (so it covers at
@@ -292,14 +240,7 @@ func TestDaemonClusteredStrategy(t *testing.T) {
 // closes. The snapshot cadence is set far out so the only snapshot is
 // the shutdown flush itself.
 func TestDaemonShutdownPersistsState(t *testing.T) {
-	src, err := httpmirror.NewSimulatedSource([]float64{2, 1, 0.5, 0}, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	upstream := httptest.NewServer(src.Handler())
-	t.Cleanup(upstream.Close)
-
-	cfg := testConfig(upstream.URL, "exact", 4, 5, 50*time.Millisecond)
+	cfg := simConfig(t)
 	cfg.addr = "127.0.0.1:0"
 	cfg.stateDir = t.TempDir()
 	cfg.snapshotEvery = 1e6
@@ -414,17 +355,31 @@ func TestDaemonShutdownPersistsState(t *testing.T) {
 }
 
 // TestRunListenError pins the failure mode for an unusable listen
-// address: run must fail fast, not hang with a half-built daemon.
+// address: run must fail fast, not hang with a half-built daemon, and
+// must stop the refresh loop it started before it returns, so the
+// upstream sees no request after run has failed.
 func TestRunListenError(t *testing.T) {
 	src, err := httpmirror.NewSimulatedSource([]float64{1}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	upstream := httptest.NewServer(src.Handler())
+	var requests atomic.Int64
+	handler := src.Handler()
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		handler.ServeHTTP(w, r)
+	}))
 	defer upstream.Close()
-	cfg := testConfig(upstream.URL, "exact", 4, 5, 50*time.Millisecond)
+	cfg := testConfig(upstream.URL, 4, 5, 50*time.Millisecond)
 	cfg.addr = "256.256.256.256:1"
 	if err := run(context.Background(), cfg, nil); err == nil {
 		t.Fatal("bad listen address accepted")
+	}
+	// A refresh loop left running would poll the one object about 4
+	// times a period.
+	before := requests.Load()
+	time.Sleep(10 * cfg.period)
+	if after := requests.Load(); after != before {
+		t.Errorf("upstream saw %d requests after run returned", after-before)
 	}
 }

@@ -27,7 +27,7 @@ func TestDaemonFleetMode(t *testing.T) {
 	origin := httptest.NewServer(src.Handler())
 	t.Cleanup(origin.Close)
 
-	cfg := testConfig(origin.URL, "exact", 8, 5, 50*time.Millisecond)
+	cfg := testConfig(origin.URL, 8, 5, 50*time.Millisecond)
 	cfg.shards = 2
 	base, shutdown := startDaemonWith(t, cfg)
 

@@ -3,7 +3,9 @@
 // protocol, e.g. mocksource), refreshing local copies on the
 // perceived-freshness-optimal schedule, learning the user profile from
 // its own access log and per-object change rates from its refresh
-// polls, and re-planning on cadence.
+// polls, and re-planning on cadence. Every plan is the exact
+// water-fill solve; the paper's partitioning and k-means heuristics
+// stay in freshenctl solve and the experiments.
 //
 // The refresh pipeline is fault tolerant: upstream calls carry
 // per-request timeouts and retry transient failures with backoff, a
@@ -29,11 +31,14 @@
 // surfaces to clients as source-degraded mode with the compounded
 // X-Staleness-Periods, never as silent staleness.
 //
+// With -shards above 1 the daemon runs the sharded tier instead:
+// consistent hashing places each object on one of K shards behind a
+// router on -addr (see fleet.go).
+//
 // Usage:
 //
 //	freshend -addr :8081 -upstream http://localhost:8080 \
-//	         -bandwidth 250 -period 10s -strategy clustered -partitions 50 \
-//	         -state-dir /var/lib/freshend
+//	         -bandwidth 250 -period 10s -state-dir /var/lib/freshend
 //
 //	freshend -addr :8082 -upstream-url http://localhost:8081 \
 //	         -bandwidth 100 -period 10s
@@ -42,9 +47,10 @@
 // metrics), GET /metrics (Prometheus text exposition), GET /healthz
 // (liveness), GET /readyz (readiness: 503 until learned state is
 // recovered or durable), POST /replan (learn + re-plan now). With
-// -debug-addr set, a second listener serves GET /metrics plus
-// net/http/pprof under /debug/pprof/ — kept off the serving address so
-// profiling exposure is an explicit operator choice.
+// -debug-addr set, in either mode, a second listener serves GET
+// /metrics plus net/http/pprof under /debug/pprof/ — kept off the
+// serving address so profiling exposure is an explicit operator
+// choice.
 package main
 
 import (
@@ -52,6 +58,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -64,7 +71,6 @@ import (
 	"freshen/internal/hierarchy"
 	"freshen/internal/httpmirror"
 	"freshen/internal/obs"
-	"freshen/internal/partition"
 	"freshen/internal/persist"
 	"freshen/internal/resilience"
 	"freshen/internal/solver"
@@ -93,9 +99,6 @@ func parseFlags(args []string) (config, error) {
 	upstreamURL := fs.String("upstream-url", "", "base URL of an upstream freshend mirror to chain below (edge mode: degradation headers compound); mutually exclusive with -upstream")
 	bandwidth := fs.Float64("bandwidth", 100, "refresh budget per period")
 	period := fs.Duration("period", 10*time.Second, "wall-clock length of one period")
-	strategy := fs.String("strategy", "exact", "exact | partitioned | clustered")
-	partitions := fs.Int("partitions", 100, "partition count for heuristic strategies")
-	iterations := fs.Int("iterations", 10, "k-means iterations for the clustered strategy")
 	replanEvery := fs.Float64("replan-every", 5, "replanning cadence in periods")
 	exploreFrac := fs.Float64("explore-frac", 0, "fraction of bandwidth spent probing high-uncertainty objects (0 disables exploration)")
 	floorLambda := fs.Float64("floor-lambda", 0, "minimum change-rate estimate; 0 means prior/10, negative means no floor")
@@ -113,7 +116,6 @@ func parseFlags(args []string) (config, error) {
 	shedTargetLatency := fs.Duration("shed-target-latency", 0, "object-read latency above which the adaptive limiter backs off (0 means 50ms)")
 	persistDegradeAfter := fs.Int("persist-degrade-after", 0, "consecutive persist failures before persist-degraded read-only mode (0 means 3, negative disables)")
 	shards := fs.Int("shards", 1, "shard count; above 1 the daemon runs the sharded fleet tier behind a router on -addr")
-	placement := fs.String("placement", "hash", "fleet object placement: hash (consistent hashing) | partition (paper's partitioner over prior parameters)")
 	allocEvery := fs.Duration("alloc-every", 0, "fleet budget re-leveling cadence (0 means one period)")
 	healthEvery := fs.Duration("health-every", 0, "fleet shard health-probe cadence (0 means a quarter period)")
 	debugAddr := fs.String("debug-addr", "", "optional second listen address serving /metrics and /debug/pprof/; empty disables it")
@@ -127,9 +129,6 @@ func parseFlags(args []string) (config, error) {
 		upstreamURL:     *upstreamURL,
 		bandwidth:       *bandwidth,
 		period:          *period,
-		strategy:        *strategy,
-		partitions:      *partitions,
-		iterations:      *iterations,
 		replanEvery:     *replanEvery,
 		exploreFrac:     *exploreFrac,
 		floorLambda:     *floorLambda,
@@ -146,7 +145,6 @@ func parseFlags(args []string) (config, error) {
 		logLevel:        *logLevel,
 
 		shards:      *shards,
-		placement:   *placement,
 		allocEvery:  *allocEvery,
 		healthEvery: *healthEvery,
 
@@ -158,30 +156,27 @@ func parseFlags(args []string) (config, error) {
 }
 
 type config struct {
-	addr, upstream         string
-	upstreamURL            string
-	bandwidth              float64
-	period                 time.Duration
-	strategy               string
-	partitions, iterations int
-	replanEvery            float64
-	exploreFrac            float64
-	floorLambda            float64
-	seed                   int64
-	upTimeout              time.Duration
-	upRetries              int
-	breakerAfter           int
-	breakerCooldown        float64
-	quarantineAfter        int
-	probeEvery             float64
-	stateDir               string
-	snapshotEvery          float64
-	debugAddr              string
-	logLevel               string
+	addr, upstream  string
+	upstreamURL     string
+	bandwidth       float64
+	period          time.Duration
+	replanEvery     float64
+	exploreFrac     float64
+	floorLambda     float64
+	seed            int64
+	upTimeout       time.Duration
+	upRetries       int
+	breakerAfter    int
+	breakerCooldown float64
+	quarantineAfter int
+	probeEvery      float64
+	stateDir        string
+	snapshotEvery   float64
+	debugAddr       string
+	logLevel        string
 
 	// Fleet mode (shards > 1; see fleet.go in this package).
 	shards      int
-	placement   string
 	allocEvery  time.Duration
 	healthEvery time.Duration
 
@@ -197,12 +192,12 @@ type config struct {
 }
 
 // run builds the mirror and serves it until ctx is cancelled (SIGINT/
-// SIGTERM), then shuts down gracefully: the refresh loop stops before
-// the listener closes. If ready is non-nil the bound listener address
-// is sent on it once the server is accepting connections, which lets
-// tests bind port 0 and still find the daemon. With -shards above 1
-// it hands the validated flags, the mirror template and the registry
-// to runFleet instead.
+// SIGTERM) or a listener fails, then shuts down gracefully through
+// serve. If ready is non-nil the bound listener address is sent on it
+// once the server is accepting connections, which lets tests bind port
+// 0 and still find the daemon. With -shards above 1 it hands the
+// validated flags, the mirror template and the registry to runFleet
+// instead.
 func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 	if cfg.shards < 1 {
 		return fmt.Errorf("-shards must be at least 1, got %d", cfg.shards)
@@ -233,10 +228,7 @@ func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 	}
 	logger := obs.NewLogger(os.Stderr, level)
 	lg := obs.Component(logger, "freshend")
-	mcfg, err := mirrorConfig(cfg)
-	if err != nil {
-		return err
-	}
+	mcfg := mirrorConfig(cfg)
 
 	// One registry carries every layer's series: the mirror's (its
 	// estimator's included), the solver's, and — with persistence on —
@@ -305,8 +297,7 @@ func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 		"edge_mode", cfg.upstreamURL != "",
 		"objects", m.Status().Objects,
 		"bandwidth", cfg.bandwidth,
-		"period", cfg.period.String(),
-		"strategy", cfg.strategy)
+		"period", cfg.period.String())
 	if store != nil {
 		rd := m.Readiness()
 		lg.Info("state recovered",
@@ -317,123 +308,116 @@ func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 
 	// The refresh loop: upstream trouble is absorbed by retries, the
 	// breaker, and quarantine; only internal errors surface, and even
-	// those restart the loop rather than killing the daemon.
+	// those restart the loop rather than killing the daemon. It runs on
+	// its own context so that serve's stop ends it on every exit path,
+	// a failed listener included.
+	loopCtx, stopLoop := context.WithCancel(ctx)
 	loopDone := make(chan struct{})
 	go func() {
 		defer close(loopDone)
 		for {
-			err := m.Run(ctx, cfg.period)
+			err := m.Run(loopCtx, cfg.period)
 			if err == nil {
-				return // ctx cancelled: clean shutdown
+				return // loopCtx cancelled: clean shutdown
 			}
 			lg.Error("refresh loop failed; restarting", "error", err, "restart_in", cfg.period.String())
 			select {
-			case <-ctx.Done():
+			case <-loopCtx.Done():
 				return
 			case <-time.After(cfg.period):
 			}
 		}
 	}()
 
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return err
+	// Stop: the refresh loop drains (any in-flight refresh batch
+	// completes), then the final snapshot is flushed.
+	return serve(ctx, cfg, ready, m.Handler(), reg, lg, func(context.Context) {
+		stopLoop()
+		<-loopDone
+		if err := m.FlushSnapshot(); err != nil {
+			lg.Error("final snapshot failed", "error", err)
+		}
+	})
+}
+
+// shutdownTimeout bounds a graceful shutdown: the mode's stop and the
+// listeners' drain together.
+const shutdownTimeout = 30 * time.Second
+
+// serve is the one serve and shutdown path of both modes. It serves
+// handler on -addr and, with -debug-addr set, the registry's metrics
+// and pprof on a second listener, then sends the serving address on
+// ready. It returns once ctx is cancelled or a listener fails. On
+// every exit path, a failed listen included, it first calls stop,
+// which ends the mode's background work, and only then shuts the
+// listeners, so nothing the mode started outlives run.
+func serve(ctx context.Context, cfg config, ready chan<- net.Addr, handler http.Handler, reg *obs.Registry, lg *slog.Logger, stop func(context.Context)) error {
+	var servers []*http.Server
+	serveErr := make(chan error, 2) // one Serve result per server
+	listen := func(addr string, srv *http.Server) (net.Addr, error) {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		servers = append(servers, srv)
+		go func() { serveErr <- srv.Serve(ln) }()
+		return ln.Addr(), nil
 	}
-	srv := &http.Server{
-		Handler:      m.Handler(),
+	addr, err := listen(cfg.addr, &http.Server{
+		Handler:      handler,
 		ReadTimeout:  10 * time.Second,
 		WriteTimeout: 30 * time.Second,
+	})
+	if err == nil && cfg.debugAddr != "" {
+		// The optional debug listener: metrics plus pprof on an address
+		// the operator chose to expose, separate from the serving one.
+		var debugAddr net.Addr
+		if debugAddr, err = listen(cfg.debugAddr, &http.Server{Handler: debugHandler(reg)}); err != nil {
+			err = fmt.Errorf("debug listener: %w", err)
+		} else {
+			lg.Info("debug listener up", "addr", debugAddr.String())
+			if cfg.debugReady != nil {
+				cfg.debugReady <- debugAddr
+			}
+		}
 	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
+	pending := len(servers)
+	if err == nil {
+		if ready != nil {
+			ready <- addr
+		}
+		select {
+		case err = <-serveErr:
+			pending--
+		case <-ctx.Done():
+			lg.Info("shutting down")
+		}
+	}
 
-	// The optional debug listener: metrics plus pprof on an address the
-	// operator chose to expose, separate from the serving one.
-	var debugSrv *http.Server
-	debugErr := make(chan error, 1)
-	if cfg.debugAddr != "" {
-		debugLn, err := net.Listen("tcp", cfg.debugAddr)
-		if err != nil {
-			srv.Close()
-			<-serveErr
-			return fmt.Errorf("debug listener: %w", err)
-		}
-		debugSrv = &http.Server{Handler: debugHandler(reg)}
-		go func() { debugErr <- debugSrv.Serve(debugLn) }()
-		lg.Info("debug listener up", "addr", debugLn.Addr().String())
-		if cfg.debugReady != nil {
-			cfg.debugReady <- debugLn.Addr()
-		}
-	}
-	if ready != nil {
-		ready <- ln.Addr()
-	}
-
-	select {
-	case err := <-serveErr:
-		if debugSrv != nil {
-			debugSrv.Close()
-			<-debugErr
-		}
-		return err
-	case err := <-debugErr:
-		srv.Close()
-		<-serveErr
-		return fmt.Errorf("debug listener: %w", err)
-	case <-ctx.Done():
-	}
-	// Graceful shutdown: the refresh loop stops first (any in-flight
-	// refresh batch completes), then the final snapshot is flushed,
-	// then the listeners close.
-	lg.Info("shutting down")
-	<-loopDone
-	if err := m.FlushSnapshot(); err != nil {
-		lg.Error("final snapshot failed", "error", err)
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
-	if debugSrv != nil {
-		if err := debugSrv.Shutdown(shutdownCtx); err != nil {
-			return err
-		}
-		if err := <-debugErr; !errors.Is(err, http.ErrServerClosed) {
-			return err
+	stop(shutdownCtx)
+	for _, srv := range servers {
+		if serr := srv.Shutdown(shutdownCtx); serr != nil && err == nil {
+			err = serr
 		}
 	}
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return err
+	for ; pending > 0; pending-- {
+		if serr := <-serveErr; !errors.Is(serr, http.ErrServerClosed) && err == nil {
+			err = serr
+		}
 	}
-	if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return err
 }
 
 // mirrorConfig translates the flags into the mirror configuration
-// both modes share: the -strategy family of flags, the cadences, the
-// fault and overload policies. The single mirror adds its upstream,
-// store, registry and logger; the fleet uses it as every shard's
-// template.
-func mirrorConfig(cfg config) (httpmirror.Config, error) {
-	planCfg := core.Config{
-		Bandwidth:        cfg.bandwidth,
-		Key:              partition.KeyPF,
-		NumPartitions:    cfg.partitions,
-		KMeansIterations: cfg.iterations,
-		Allocation:       partition.FBA,
-	}
-	switch cfg.strategy {
-	case "exact":
-		planCfg.Strategy = core.StrategyExact
-	case "partitioned":
-		planCfg.Strategy = core.StrategyPartitioned
-	case "clustered":
-		planCfg.Strategy = core.StrategyClustered
-	default:
-		return httpmirror.Config{}, fmt.Errorf("unknown strategy %q", cfg.strategy)
-	}
+// both modes share: the budget, the cadences, the fault and overload
+// policies. Every plan is the exact solve. The single mirror adds its
+// upstream, store, registry and logger; the fleet uses it as every
+// shard's template.
+func mirrorConfig(cfg config) httpmirror.Config {
 	return httpmirror.Config{
-		Plan:        planCfg,
+		Plan:        core.Config{Bandwidth: cfg.bandwidth},
 		ReplanEvery: cfg.replanEvery,
 		ExploreFrac: cfg.exploreFrac,
 		FloorLambda: cfg.floorLambda,
@@ -453,7 +437,7 @@ func mirrorConfig(cfg config) (httpmirror.Config, error) {
 		},
 		Seed:          cfg.seed,
 		SnapshotEvery: cfg.snapshotEvery,
-	}, nil
+	}
 }
 
 // debugHandler builds the -debug-addr mux: the metrics exposition and

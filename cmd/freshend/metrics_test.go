@@ -1,13 +1,10 @@
 package main
 
 import (
-	"context"
 	"flag"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,55 +12,26 @@ import (
 	"testing"
 	"time"
 
-	"freshen/internal/httpmirror"
 	"freshen/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite the metrics contract golden file")
 
-// startPersistentDaemon runs a persistent daemon against a fresh
-// simulated upstream and returns its base URL, the state dir, and a
-// shutdown function.
-func startPersistentDaemon(t *testing.T, stateDir string, debugReady chan<- net.Addr) (string, func() error) {
+// persistentConfig configures a persistent daemon against a fresh
+// simulated upstream.
+func persistentConfig(t *testing.T, stateDir string) config {
 	t.Helper()
-	src, err := httpmirror.NewSimulatedSource([]float64{2, 1, 0.5, 0}, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	upstream := httptest.NewServer(src.Handler())
-	t.Cleanup(upstream.Close)
-
-	cfg := testConfig(upstream.URL, "exact", 4, 5, 50*time.Millisecond)
-	cfg.addr = "127.0.0.1:0"
+	cfg := simConfig(t)
 	cfg.stateDir = stateDir
 	cfg.snapshotEvery = 2
-	if debugReady != nil {
-		cfg.debugAddr = "127.0.0.1:0"
-		cfg.debugReady = debugReady
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ready := make(chan net.Addr, 1)
-	runErr := make(chan error, 1)
-	go func() { runErr <- run(ctx, cfg, ready) }()
-	var addr net.Addr
-	select {
-	case addr = <-ready:
-	case err := <-runErr:
-		cancel()
-		t.Fatalf("daemon died before ready: %v", err)
-	case <-time.After(10 * time.Second):
-		cancel()
-		t.Fatal("daemon never became ready")
-	}
-	return "http://" + addr.String(), func() error {
-		cancel()
-		select {
-		case err := <-runErr:
-			return err
-		case <-time.After(15 * time.Second):
-			return fmt.Errorf("daemon did not shut down")
-		}
-	}
+	return cfg
+}
+
+// startPersistentDaemon runs a persistent daemon against a fresh
+// simulated upstream and returns its base URL and a shutdown function.
+func startPersistentDaemon(t *testing.T, stateDir string) (string, func() error) {
+	t.Helper()
+	return startDaemonWith(t, persistentConfig(t, stateDir))
 }
 
 func scrapeDaemon(t *testing.T, url string) *obs.Exposition {
@@ -89,7 +57,7 @@ func scrapeDaemon(t *testing.T, url string) *obs.Exposition {
 // is complete and deterministic right after boot. Run with -update to
 // accept an intentional schema change.
 func TestMetricsContract(t *testing.T) {
-	base, shutdown := startPersistentDaemon(t, t.TempDir(), nil)
+	base, shutdown := startPersistentDaemon(t, t.TempDir())
 	defer shutdown()
 
 	e := scrapeDaemon(t, base+"/metrics")
@@ -122,7 +90,7 @@ func TestMetricsContract(t *testing.T) {
 // acceptance surface: at least 20 distinct families, with the
 // headline series present and sane.
 func TestMetricsEndToEnd(t *testing.T) {
-	base, shutdown := startPersistentDaemon(t, t.TempDir(), nil)
+	base, shutdown := startPersistentDaemon(t, t.TempDir())
 
 	// Drive serve-path traffic.
 	for i := 0; i < 3; i++ {
@@ -195,7 +163,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 // daemon's gauges reflect the recovered state.
 func TestMetricsAcrossRestart(t *testing.T) {
 	stateDir := t.TempDir()
-	base, shutdown := startPersistentDaemon(t, stateDir, nil)
+	base, shutdown := startPersistentDaemon(t, stateDir)
 	e := scrapeDaemon(t, base+"/metrics")
 	if _, ok := e.Value("freshen_objects"); !ok {
 		t.Fatal("first process: freshen_objects missing")
@@ -216,7 +184,7 @@ func TestMetricsAcrossRestart(t *testing.T) {
 		t.Fatalf("first shutdown: %v", err)
 	}
 
-	base2, shutdown2 := startPersistentDaemon(t, stateDir, nil)
+	base2, shutdown2 := startPersistentDaemon(t, stateDir)
 	defer shutdown2()
 	e2 := scrapeDaemon(t, base2+"/metrics")
 	if v, ok := e2.Value("freshen_clock_periods"); !ok || v < 1 {
@@ -230,43 +198,63 @@ func TestMetricsAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestDebugListener pins the -debug-addr surface: metrics and pprof on
-// a second listener, separate from the serving address.
+// TestDebugListener pins the -debug-addr surface in both modes:
+// metrics and pprof on a second listener, separate from the serving
+// address.
 func TestDebugListener(t *testing.T) {
-	debugReady := make(chan net.Addr, 1)
-	base, shutdown := startPersistentDaemon(t, t.TempDir(), debugReady)
-	defer shutdown()
-	var debugAddr net.Addr
-	select {
-	case debugAddr = <-debugReady:
-	case <-time.After(10 * time.Second):
-		t.Fatal("debug listener never came up")
-	}
-	debugBase := "http://" + debugAddr.String()
+	for _, tc := range []struct {
+		name   string
+		shards int
+		family string // a series the mode's registry always carries
+	}{
+		{"mirror", 1, "freshen_objects"},
+		{"fleet", 2, "fleet_shards"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			debugReady := make(chan net.Addr, 1)
+			cfg := persistentConfig(t, t.TempDir())
+			cfg.shards = tc.shards
+			cfg.debugAddr = "127.0.0.1:0"
+			cfg.debugReady = debugReady
+			base, shutdown := startDaemonWith(t, cfg)
+			defer func() {
+				if err := shutdown(); err != nil {
+					t.Errorf("graceful shutdown: %v", err)
+				}
+			}()
+			var debugAddr net.Addr
+			select {
+			case debugAddr = <-debugReady:
+			default:
+				t.Fatal("daemon ready without its debug listener")
+			}
+			debugBase := "http://" + debugAddr.String()
 
-	// Metrics on both listeners.
-	for _, url := range []string{base + "/metrics", debugBase + "/metrics"} {
-		e := scrapeDaemon(t, url)
-		if _, ok := e.Value("freshen_objects"); !ok {
-			t.Errorf("%s: freshen_objects missing", url)
-		}
-	}
-	// pprof only on the debug listener.
-	resp, err := http.Get(debugBase + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("debug /debug/pprof/ = %d; want 200", resp.StatusCode)
-	}
-	resp, err = http.Get(base + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("serving-listener /debug/pprof/ = %d; want 404", resp.StatusCode)
+			// Metrics on both listeners.
+			for _, url := range []string{base + "/metrics", debugBase + "/metrics"} {
+				e := scrapeDaemon(t, url)
+				if _, ok := e.Value(tc.family); !ok {
+					t.Errorf("%s: %s missing", url, tc.family)
+				}
+			}
+			// pprof only on the debug listener.
+			resp, err := http.Get(debugBase + "/debug/pprof/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("debug /debug/pprof/ = %d; want 200", resp.StatusCode)
+			}
+			resp, err = http.Get(base + "/debug/pprof/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("serving-listener /debug/pprof/ = %d; want 404", resp.StatusCode)
+			}
+		})
 	}
 }

@@ -25,9 +25,6 @@ type Config struct {
 	// Budget is the global refresh budget per period, water-filled
 	// across healthy shards every AllocEvery.
 	Budget float64
-	// Placement fixes the object→shard map; nil means HashPlacement
-	// over the source catalog.
-	Placement *Placement
 	// Upstream is the global source the fleet mirrors.
 	Upstream httpmirror.Source
 	// ShardUpstream, when non-nil, supplies shard i's own view of the
@@ -41,7 +38,7 @@ type Config struct {
 	// SourceClient, that pool's cap of four connections, which every
 	// shard's seeding and refreshes then queue for.
 	ShardUpstream func(shard int) httpmirror.Source
-	// Mirror is the per-shard configuration template (strategy,
+	// Mirror is the per-shard configuration template (sync policy,
 	// estimator, fault policy, overload limits). Upstream, Persist,
 	// Metrics, and Logger are overridden per shard; Plan.Bandwidth is
 	// overridden by the allocator.
@@ -161,7 +158,6 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: budget must be positive, got %v", cfg.Budget)
 	}
 
-	place := cfg.Placement
 	catalog, err := cfg.Upstream.Catalog(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: global catalog: %w", err)
@@ -169,17 +165,9 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 	if err := checkDense(catalog); err != nil {
 		return nil, err
 	}
-	if place == nil {
-		place, err = HashPlacement(len(catalog), cfg.Shards)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if place.K() != cfg.Shards {
-		return nil, fmt.Errorf("fleet: placement has %d shards, config wants %d", place.K(), cfg.Shards)
-	}
-	if place.NumObjects() != len(catalog) {
-		return nil, fmt.Errorf("fleet: placement covers %d objects, catalog has %d", place.NumObjects(), len(catalog))
+	place, err := HashPlacement(len(catalog), cfg.Shards)
+	if err != nil {
+		return nil, err
 	}
 
 	f := &Fleet{

@@ -14,9 +14,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-
-	"freshen/internal/freshness"
-	"freshen/internal/partition"
 )
 
 // Placement is the object→shard map: a fixed assignment of global
@@ -210,33 +207,4 @@ func ringHash(key []byte) uint64 {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return x
-}
-
-// PartitionPlacement groups the catalog with the paper's partitioner
-// (sorted by key, split into k contiguous groups) so each shard holds
-// statistically similar elements — the placement analogue of the
-// partitioned/clustered plan strategies. Requires the global element
-// parameters up front; HashPlacement needs only the catalog size.
-func PartitionPlacement(elems []freshness.Element, k int, key partition.Key, pol freshness.Policy) (*Placement, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("fleet: shard count must be positive, got %d", k)
-	}
-	if len(elems) < k {
-		return nil, fmt.Errorf("fleet: cannot split %d objects across %d shards", len(elems), k)
-	}
-	part, err := partition.Build(elems, key, k, pol)
-	if err != nil {
-		return nil, err
-	}
-	globals := make([][]int, 0, k)
-	for _, g := range part.Groups {
-		if len(g) == 0 {
-			continue
-		}
-		globals = append(globals, append([]int(nil), g...))
-	}
-	if len(globals) != k {
-		return nil, fmt.Errorf("fleet: partitioner produced %d non-empty groups, want %d", len(globals), k)
-	}
-	return build(len(elems), globals)
 }

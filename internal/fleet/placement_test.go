@@ -6,9 +6,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"testing"
-
-	"freshen/internal/freshness"
-	"freshen/internal/partition"
 )
 
 func TestHashPlacementCoversEveryObject(t *testing.T) {
@@ -198,30 +195,5 @@ func TestPlacementOutOfRange(t *testing.T) {
 		if p.ShardOf(gid) != -1 || p.Local(gid) != -1 {
 			t.Errorf("out-of-range id %d resolved to shard %d local %d", gid, p.ShardOf(gid), p.Local(gid))
 		}
-	}
-}
-
-func TestPartitionPlacement(t *testing.T) {
-	elems := make([]freshness.Element, 30)
-	for i := range elems {
-		elems[i] = freshness.Element{
-			ID:         i,
-			Lambda:     0.1 + float64(i)*0.3,
-			AccessProb: 1.0 / 30,
-			Size:       1,
-		}
-	}
-	p, err := PartitionPlacement(elems, 3, partition.KeyPF, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if p.K() != 3 || p.NumObjects() != 30 {
-		t.Fatalf("placement is %d shards × %d objects", p.K(), p.NumObjects())
-	}
-	if _, err := PartitionPlacement(elems[:2], 3, partition.KeyPF, nil); err == nil {
-		t.Error("n<k accepted")
 	}
 }

@@ -16,7 +16,7 @@ import (
 )
 
 // ShardConfig describes one shard of the fleet. The mirror template
-// carries every tuning knob (plan strategy, estimator, fault policy,
+// carries every tuning knob (sync policy, estimator, fault policy,
 // overload limits); the shard overrides Upstream, Persist, Metrics,
 // and Logger with its own fault-isolated instances.
 type ShardConfig struct {

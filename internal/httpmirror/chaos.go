@@ -9,12 +9,9 @@ import (
 	"time"
 )
 
-// ChaosConfig parameterizes fault injection, for both the client-side
-// ChaosTransport and the server-side FaultInjector.
+// ChaosConfig parameterizes fault injection.
 type ChaosConfig struct {
-	// ErrorRate is the probability in [0, 1] that a request fails (a
-	// synthetic 500 for the server side, a connection error for the
-	// transport).
+	// ErrorRate is the probability in [0, 1] that a request fails.
 	ErrorRate float64
 	// Latency is added to every request before it is served.
 	Latency time.Duration
@@ -90,47 +87,6 @@ func (c *chaosCore) SetOutage(on bool) { c.outage.Store(on) }
 
 // Faults returns how many requests were failed by injection.
 func (c *chaosCore) Faults() int64 { return c.faults.Load() }
-
-// ChaosTransport is an http.RoundTripper that injects faults between a
-// client and its upstream: synthetic connection errors, added latency,
-// stalls, and a toggleable full outage. Wrap a mirror's http.Client
-// with it to run the refresh pipeline through bad weather.
-type ChaosTransport struct {
-	*chaosCore
-	next http.RoundTripper
-}
-
-// NewChaosTransport wraps next (nil for http.DefaultTransport).
-func NewChaosTransport(next http.RoundTripper, cfg ChaosConfig) (*ChaosTransport, error) {
-	if next == nil {
-		next = http.DefaultTransport
-	}
-	core, err := newChaosCore(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &ChaosTransport{chaosCore: core, next: next}, nil
-}
-
-// RoundTrip implements http.RoundTripper.
-func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	fail, stall := t.roll()
-	if fail {
-		return nil, fmt.Errorf("httpmirror: injected fault for %s", req.URL.Path)
-	}
-	wait := t.cfg.Latency
-	if stall {
-		wait = t.cfg.StallFor
-	}
-	if wait > 0 {
-		select {
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
-		case <-time.After(wait):
-		}
-	}
-	return t.next.RoundTrip(req)
-}
 
 // FaultInjector is HTTP middleware that makes a healthy origin
 // misbehave: probabilistic 500s, added latency, stalls, and outage

@@ -387,6 +387,45 @@ func TestHandlerHealthz(t *testing.T) {
 	}
 }
 
+// chaosTransport is an http.RoundTripper that injects faults between a
+// client and its upstream: synthetic connection errors, added latency,
+// stalls, and a toggleable full outage. TestChaosMirrorSurvives wraps
+// a mirror's http.Client with it to run the refresh pipeline through
+// bad weather.
+type chaosTransport struct {
+	*chaosCore
+	next http.RoundTripper
+}
+
+// newChaosTransport wraps next.
+func newChaosTransport(next http.RoundTripper, cfg ChaosConfig) (*chaosTransport, error) {
+	cc, err := newChaosCore(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &chaosTransport{chaosCore: cc, next: next}, nil
+}
+
+// RoundTrip implements http.RoundTripper.
+func (t *chaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	fail, stall := t.roll()
+	if fail {
+		return nil, fmt.Errorf("httpmirror: injected fault for %s", req.URL.Path)
+	}
+	wait := t.cfg.Latency
+	if stall {
+		wait = t.cfg.StallFor
+	}
+	if wait > 0 {
+		select {
+		case <-req.Context().Done():
+			return nil, req.Context().Err()
+		case <-time.After(wait):
+		}
+	}
+	return t.next.RoundTrip(req)
+}
+
 // TestChaosMirrorSurvives is the acceptance scenario: a mirror driven
 // through a 20% upstream fault rate, a deterministic per-object
 // failure, and a full-outage window keeps serving, its Run loop never
@@ -394,7 +433,7 @@ func TestHandlerHealthz(t *testing.T) {
 // recovery, and the planned PF re-converges to the fault-free plan.
 func TestChaosMirrorSurvives(t *testing.T) {
 	f := newFaultySource(t, []float64{1, 1, 1, 1, 1, 1})
-	chaos, err := NewChaosTransport(f.srv.Client().Transport, ChaosConfig{
+	chaos, err := newChaosTransport(f.srv.Client().Transport, ChaosConfig{
 		ErrorRate: 0, // clean during seeding; ramped to 0.2 below
 		StallProb: 0.01,
 		Seed:      42,

@@ -126,6 +126,25 @@ func TestMirrorSeedsAndServes(t *testing.T) {
 	}
 }
 
+// TestNewRefusesHeuristicStrategies: the live mirror plans with the
+// exact solve only; New refuses the paper's heuristics against a
+// source it could otherwise mirror.
+func TestNewRefusesHeuristicStrategies(t *testing.T) {
+	src, err := NewSimulatedSource([]float64{2, 1, 0.5, 0}, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []core.Strategy{core.StrategyPartitioned, core.StrategyClustered} {
+		_, err := New(context.Background(), Config{
+			Upstream: simSource{src},
+			Plan:     core.Config{Bandwidth: 4, Strategy: st, NumPartitions: 2, KMeansIterations: 2},
+		})
+		if err == nil {
+			t.Errorf("New accepted Plan.Strategy %v", st)
+		}
+	}
+}
+
 func TestMirrorStepRefreshes(t *testing.T) {
 	src, m := newTestPair(t, []float64{4, 4, 4, 4}, 8)
 	src.Advance(3)

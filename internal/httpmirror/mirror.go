@@ -32,7 +32,9 @@ type Config struct {
 	// of a global source.
 	Upstream Source
 	// Plan configures the planner; Plan.Bandwidth is the refresh
-	// budget per period.
+	// budget per period. Plan.Strategy must be core.StrategyExact: the
+	// exact water-fill solves the paper's N=500,000 case in well under
+	// a second, so the live mirror runs none of the heuristics.
 	Plan core.Config
 	// PriorLambda seeds change-rate knowledge before the mirror's own
 	// polls accumulate; 0 means 1 change/period. Change rates are
@@ -231,6 +233,9 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 	if cfg.SnapshotEvery < 0 {
 		return nil, fmt.Errorf("httpmirror: SnapshotEvery must be positive, got %v", cfg.SnapshotEvery)
 	}
+	if cfg.Plan.Strategy != core.StrategyExact {
+		return nil, fmt.Errorf("httpmirror: Plan.Strategy must be exact, got %v", cfg.Plan.Strategy)
+	}
 	if f := cfg.ExploreFrac; math.IsNaN(f) || f < 0 || f >= 0.9 {
 		return nil, fmt.Errorf("httpmirror: ExploreFrac must be in [0, 0.9), got %v", f)
 	}
@@ -324,7 +329,6 @@ func New(ctx context.Context, cfg Config) (*Mirror, error) {
 	m.ready = m.store == nil || m.recovered
 	m.log.Info("mirror up",
 		"objects", n,
-		"strategy", m.pl.plan.Strategy.String(),
 		"planned_pf", m.pl.plan.Perceived,
 		"recovery", m.recoveryStatus,
 		"journal_replayed", m.replayed,
@@ -625,7 +629,6 @@ type Status struct {
 	PlannedPF     float64 `json:"planned_perceived_freshness"`
 	PlannedAvg    float64 `json:"planned_average_freshness"`
 	BandwidthUsed float64 `json:"bandwidth_used"`
-	Strategy      string  `json:"strategy"`
 
 	// Change-rate estimation and explore/exploit state.
 	Estimator        string  `json:"estimator"`
@@ -681,7 +684,6 @@ func (m *Mirror) Status() Status {
 		PlannedPF:        m.pl.plan.Perceived,
 		PlannedAvg:       m.pl.plan.AvgFreshness,
 		BandwidthUsed:    m.pl.plan.BandwidthUsed,
-		Strategy:         m.pl.plan.Strategy.String(),
 		Estimator:        m.est.Kind(),
 		ExploreFrac:      m.cfg.ExploreFrac,
 		ExploreProbes:    m.exploreProbes,
@@ -790,10 +792,13 @@ func (m *Mirror) Elements() []freshness.Element {
 // Scheduled returns the knowledge of the elements the next solve
 // schedules: Elements without the quarantined objects, whose share of
 // the budget that solve spends on the rest. A fleet-level allocator
-// pools these across shards to water-fill the global budget.
+// pools these across shards to water-fill the global budget. Like a
+// solve, it reads under stepMu alone (the two-lock rule), so its O(N)
+// pass never holds up a reader of m.mu; it waits out an in-flight Step
+// as SetBudget does.
 func (m *Mirror) Scheduled() []freshness.Element {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.stepMu.Lock()
+	defer m.stepMu.Unlock()
 	return activeElems(m.knowledge(), m.quarantinedIDs())
 }
 

@@ -130,13 +130,10 @@ func (p *planner) solve(cfg core.Config, elems []freshness.Element, u []float64,
 	if len(active) == 0 {
 		// Everything is quarantined: an empty plan; the mirror keeps
 		// serving stale copies and probing for recovery.
-		s.plan = core.Plan{Freqs: make([]float64, len(elems)), Strategy: cfg.Strategy}
+		s.plan = core.Plan{Freqs: make([]float64, len(elems))}
 	} else {
 		exploit := cfg
 		exploit.Bandwidth -= exploreBudget
-		if exploit.NumPartitions > len(active) {
-			exploit.NumPartitions = len(active)
-		}
 		plan, err := core.MakePlan(active, exploit)
 		if err != nil {
 			return solved{}, err

@@ -82,6 +82,29 @@ func TestSolveRunsOffStateLock(t *testing.T) {
 	}
 }
 
+// TestScheduledRunsOffStateLock: Scheduled, which a fleet's allocator
+// calls on every shard at each leveling, builds its O(N) solver input
+// under stepMu alone, as a solve does, so it neither waits on nor holds
+// m.mu, which every refresh commit and status read takes. m.mu is held
+// throughout; the deadline only turns a hang into a failure.
+func TestScheduledRunsOffStateLock(t *testing.T) {
+	_, m := newTestPair(t, []float64{0.5, 1, 2, 4}, 4)
+	m.mu.Lock()
+	done := make(chan []freshness.Element, 1)
+	go func() { done <- m.Scheduled() }()
+	select {
+	case elems := <-done:
+		m.mu.Unlock()
+		if len(elems) != 4 {
+			t.Errorf("Scheduled returned %d elements, want 4", len(elems))
+		}
+	case <-time.After(10 * time.Second):
+		m.mu.Unlock()
+		<-done
+		t.Fatal("Scheduled blocked behind m.mu")
+	}
+}
+
 // brokenSource is an in-process source whose one broken object fails
 // every call, as does every object while it is down.
 type brokenSource struct {
