@@ -124,16 +124,18 @@ metrics-contract:
 # times, batch and per-object, a fleet shard's batches and the fleet's
 # concurrent shard starts included), the
 # admission limiter / mode machine atomics, the fleet router, a
-# lock-free reader of the shard and health state that Kill, Start and
-# the supervisor mutate, and the hierarchy source's observer, which
-# wraps the transport a nil client builds. Last, the daemon's one serve
-# and shutdown path three times over, in both modes.
+# lock-free reader of the shard state that Kill and Start mutate, and
+# the hierarchy source's observer, which wraps the transport a nil
+# client builds. Then the fleet's liveness and leveling order three
+# times over, and last the daemon's one serve and shutdown path three
+# times over, in both modes, with no upstream connection left open.
 race:
 	$(GO) test -race ./internal/solver/... ./internal/cluster/... ./internal/httpmirror/... ./internal/resilience/... ./internal/fleet/... ./internal/hierarchy/...
 	$(GO) test -race -count=10 -run 'TestSeed|TestNilClientSourceClientsShareNoConnection|TestFleetBoot' ./internal/httpmirror/ ./internal/fleet/
 	$(GO) test -race -count=5 -run 'TestServeSnapshotNotTorn|TestAccessLockFree' ./internal/httpmirror/
 	$(GO) test -race -count=5 -run 'TestSolveRunsOffStateLock|TestHealthReplansKeepLearning|TestSolveInputMatchesLearnFormula|TestShardSolveKeepsShardHealthy|TestFaultStateSparse' ./internal/httpmirror/ ./internal/fleet/
-	$(GO) test -race -count=3 -run 'TestDaemonServesAndShutsDown|TestDaemonFleetMode|TestRunListenError|TestDaemonShutdownPersistsState' ./cmd/freshend/
+	$(GO) test -race -count=3 -run 'TestColdPersistentFleetServes|TestRestartRelevelsAtOnce|TestLevelingsApplyInOrder|TestShardLogsOneComponent' ./internal/fleet/
+	$(GO) test -race -count=3 -run 'TestDaemonServesAndShutsDown|TestDaemonFleetMode|TestRunListenError|TestDaemonShutdownPersistsState|TestRunClosesUpstreamConnections' ./cmd/freshend/
 
 ci: build fmt vet test race
 

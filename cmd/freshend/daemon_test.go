@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -153,6 +154,9 @@ func TestParseFlagsErrors(t *testing.T) {
 		{"-partitions", "100"},
 		{"-iterations", "10"},
 		{"-placement", "hash"},
+		// Removed: a fleet shard is healthy while it runs, so no
+		// health probe needs a cadence.
+		{"-health-every", "1s"},
 		{"-period", "sideways"},
 		{"-no-such-flag"},
 	} {
@@ -381,5 +385,60 @@ func TestRunListenError(t *testing.T) {
 	time.Sleep(10 * cfg.period)
 	if after := requests.Load(); after != before {
 		t.Errorf("upstream saw %d requests after run returned", after-before)
+	}
+}
+
+// TestRunClosesUpstreamConnections: once run returns, in every mode,
+// the daemon holds no connection to its upstream. An idle connection
+// left open keeps the upstream's graceful shutdown waiting, 5 s for
+// one that never carried a request.
+func TestRunClosesUpstreamConnections(t *testing.T) {
+	for _, mode := range []string{"mirror", "edge", "fleet"} {
+		t.Run(mode, func(t *testing.T) {
+			src, err := httpmirror.NewSimulatedSource([]float64{2, 1, 0.5, 0}, nil, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			open := map[net.Conn]http.ConnState{}
+			origin := httptest.NewUnstartedServer(src.Handler())
+			origin.Config.ConnState = func(c net.Conn, st http.ConnState) {
+				mu.Lock()
+				defer mu.Unlock()
+				if st == http.StateClosed || st == http.StateHijacked {
+					delete(open, c)
+				} else {
+					open[c] = st
+				}
+			}
+			origin.Start()
+			t.Cleanup(origin.Close)
+
+			cfg := testConfig(origin.URL, 4, 5, 50*time.Millisecond)
+			switch mode {
+			case "edge":
+				cfg.upstream, cfg.upstreamURL = "", origin.URL
+			case "fleet":
+				cfg.shards = 2
+			}
+			_, shutdown := startDaemonWith(t, cfg)
+			time.Sleep(2 * cfg.period) // a few refreshes on top of the boot's requests
+			if err := shutdown(); err != nil {
+				t.Fatalf("graceful shutdown: %v", err)
+			}
+			deadline := time.Now().Add(time.Second)
+			for {
+				mu.Lock()
+				left := len(open)
+				mu.Unlock()
+				if left == 0 {
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%d upstream connections still open 1s after run returned", left)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }

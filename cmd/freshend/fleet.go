@@ -3,13 +3,13 @@
 // spreads the catalog across K fault-isolated shards — each an
 // independent mirror with its own solver, estimator, persist directory
 // (<state-dir>/shard-i), and loopback listener — a supervisor
-// water-fills the global -bandwidth across healthy shards and
-// re-levels it within one period of a shard dying or recovering, and
-// a router on -addr fronts the fleet: placement-based object routing
-// by an in-process call into the owning shard's object path (the
-// shard listeners carry health probes, per-shard /metrics and
-// /status), aggregated /status and /metrics, and 503 + jittered
-// Retry-After for a dead shard's keyspace (see DESIGN.md §14).
+// water-fills the global -bandwidth across the running shards every
+// -alloc-every and at once when a shard is killed or restarted, and a
+// router on -addr fronts the fleet: placement-based object routing by
+// an in-process call into the owning shard's object path (the shard
+// listeners carry per-shard /metrics and /status), aggregated /status
+// and /metrics, and 503 + jittered Retry-After for a dead shard's
+// keyspace (see DESIGN.md §14).
 package main
 
 import (
@@ -28,28 +28,32 @@ import (
 func runFleet(ctx context.Context, cfg config, ready chan<- net.Addr, mcfg httpmirror.Config, reg *obs.Registry, logger *slog.Logger) error {
 	lg := obs.Component(logger, "freshend")
 
-	newClient := func() *httpmirror.SourceClient {
-		c := httpmirror.NewSourceClient(cfg.upstream, nil)
-		c.SetRetryPolicy(httpmirror.RetryPolicy{
+	// The boot's client, then one per shard. Once serve has closed the
+	// shards, or on a failed boot, none keeps a connection open.
+	clients := make([]*httpmirror.SourceClient, cfg.shards+1)
+	for i := range clients {
+		clients[i] = httpmirror.NewSourceClient(cfg.upstream, nil)
+		clients[i].SetRetryPolicy(httpmirror.RetryPolicy{
 			MaxAttempts: cfg.upRetries,
 			Timeout:     cfg.upTimeout,
 		})
-		return c
 	}
+	defer func() {
+		for _, c := range clients {
+			c.CloseIdleConnections()
+		}
+	}()
 	fl, err := fleet.New(ctx, fleet.Config{
-		Shards:   cfg.shards,
-		Budget:   cfg.bandwidth,
-		Upstream: newClient(),
-		ShardUpstream: func(int) httpmirror.Source {
-			return newClient()
-		},
-		Mirror:      mcfg,
-		Period:      cfg.period,
-		StateDir:    cfg.stateDir,
-		AllocEvery:  cfg.allocEvery,
-		HealthEvery: cfg.healthEvery,
-		Metrics:     reg,
-		Logger:      logger,
+		Shards:        cfg.shards,
+		Budget:        cfg.bandwidth,
+		Upstream:      clients[0],
+		ShardUpstream: func(i int) httpmirror.Source { return clients[i+1] },
+		Mirror:        mcfg,
+		Period:        cfg.period,
+		StateDir:      cfg.stateDir,
+		AllocEvery:    cfg.allocEvery,
+		Metrics:       reg,
+		Logger:        logger,
 	})
 	if err != nil {
 		return err

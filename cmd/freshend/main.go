@@ -117,7 +117,6 @@ func parseFlags(args []string) (config, error) {
 	persistDegradeAfter := fs.Int("persist-degrade-after", 0, "consecutive persist failures before persist-degraded read-only mode (0 means 3, negative disables)")
 	shards := fs.Int("shards", 1, "shard count; above 1 the daemon runs the sharded fleet tier behind a router on -addr")
 	allocEvery := fs.Duration("alloc-every", 0, "fleet budget re-leveling cadence (0 means one period)")
-	healthEvery := fs.Duration("health-every", 0, "fleet shard health-probe cadence (0 means a quarter period)")
 	debugAddr := fs.String("debug-addr", "", "optional second listen address serving /metrics and /debug/pprof/; empty disables it")
 	logLevel := fs.String("log-level", "info", "log verbosity: debug | info | warn | error")
 	if err := fs.Parse(args); err != nil {
@@ -144,9 +143,8 @@ func parseFlags(args []string) (config, error) {
 		debugAddr:       *debugAddr,
 		logLevel:        *logLevel,
 
-		shards:      *shards,
-		allocEvery:  *allocEvery,
-		healthEvery: *healthEvery,
+		shards:     *shards,
+		allocEvery: *allocEvery,
 
 		maxInflight:         *maxInflight,
 		minInflight:         *minInflight,
@@ -176,9 +174,8 @@ type config struct {
 	logLevel        string
 
 	// Fleet mode (shards > 1; see fleet.go in this package).
-	shards      int
-	allocEvery  time.Duration
-	healthEvery time.Duration
+	shards     int
+	allocEvery time.Duration
 
 	// Overload shedding and degraded-mode tuning.
 	maxInflight         int
@@ -270,6 +267,7 @@ func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 	}
 	upstreamBase := cfg.upstream
 	var upstream httpmirror.Source
+	var client *httpmirror.SourceClient
 	if cfg.upstreamURL != "" {
 		// Edge mode: the upstream is itself a freshend mirror. The
 		// hierarchy adapter speaks the same protocol but also observes
@@ -277,13 +275,15 @@ func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
 		// staleness instead of hiding it.
 		upstreamBase = cfg.upstreamURL
 		ms := hierarchy.NewMirrorSource(cfg.upstreamURL, nil)
-		ms.SetRetryPolicy(retry)
-		upstream = ms
+		upstream, client = ms, ms.SourceClient
 	} else {
-		client := httpmirror.NewSourceClient(cfg.upstream, nil)
-		client.SetRetryPolicy(retry)
+		client = httpmirror.NewSourceClient(cfg.upstream, nil)
 		upstream = client
 	}
+	client.SetRetryPolicy(retry)
+	// Runs once serve has stopped the refresh loop, or on a failed
+	// boot: no connection to the upstream outlives run.
+	defer client.CloseIdleConnections()
 	mcfg.Upstream = upstream
 	mcfg.Persist = storer
 	mcfg.Metrics = reg

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -162,6 +163,49 @@ func TestFleetBootFetchesCatalogOnce(t *testing.T) {
 	}
 	if got := o.catalogs.Load(); got != 2 {
 		t.Errorf("boot plus one restart sent %d GET /catalog, want 2", got)
+	}
+}
+
+// TestColdPersistentFleetServes: a cold persistent shard has no
+// durable state until its first snapshot, yet it is seeded, planned
+// and serving from the moment it starts. From boot through every
+// shard's first snapshot, the router answers every read 200 and every
+// leveling succeeds.
+func TestColdPersistentFleetServes(t *testing.T) {
+	const n = 24
+	f, srv := newTestFleet(t, newMemSource(n), func(cfg *Config) {
+		cfg.StateDir = t.TempDir()
+		cfg.Mirror.SnapshotEvery = 4
+	})
+	snapshotted := func() bool {
+		for i := range f.shards {
+			if f.Shard(i).Mirror().Readiness().Snapshots == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	// One more sweep of the catalog after the last first snapshot.
+	for last := false; !last; {
+		last = snapshotted()
+		for gid := 0; gid < n; gid++ {
+			if resp, body := get(t, http.MethodGet, srv.URL+"/object/"+strconv.Itoa(gid), ""); resp.StatusCode != http.StatusOK {
+				t.Fatalf("object %d: status %d %q, want 200 from boot on", gid, resp.StatusCode, body)
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a shard took no snapshot within 10s")
+		}
+	}
+	history := f.AllocationHistory()
+	if len(history) < 2 {
+		t.Errorf("%d levelings recorded; want the boot's and a cadence's", len(history))
+	}
+	for i, rec := range history {
+		if rec.Err != nil {
+			t.Errorf("leveling %d: %v", i, rec.Err)
+		}
 	}
 }
 

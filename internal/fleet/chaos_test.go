@@ -72,8 +72,9 @@ func TestShardKillChaos(t *testing.T) {
 	})
 	place := f.Placement()
 
-	// Persistent shards are not ready until their first snapshot
-	// lands; wait out the boot window so the baseline is steady state.
+	// Every shard runs from New on, cold and persistent included; the
+	// baseline is the first certified leveling that conserves the
+	// budget across all of them.
 	waitFor(t, 10*time.Second, "boot steady state", func() bool {
 		for _, h := range f.Healthy() {
 			if !h {
@@ -142,8 +143,7 @@ func TestShardKillChaos(t *testing.T) {
 			if err != nil || ra < resilience.RetryAfterSeconds || ra >= resilience.RetryAfterSeconds+resilience.RetryAfterSpread {
 				record(gid, "503 with Retry-After %q", resp.Header.Get("Retry-After"))
 			}
-			// A health probe that times out under this load can
-			// briefly fail over a live shard too; only a 503 while the
+			// A live shard's 503 is its own shed; only a 503 while the
 			// killed shard has no mirror shows the kill itself.
 			if place.ShardOf(gid) == killShard && f.Shard(killShard).Mirror() == nil {
 				deadSeen.Add(1)

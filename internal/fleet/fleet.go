@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"freshen/internal/httpmirror"
@@ -17,13 +15,12 @@ import (
 )
 
 // Config describes a fleet: K shards over one global source, a global
-// budget, and the cadences of the two supervisor loops (health
-// checking and budget leveling).
+// budget, and the supervisor's budget-leveling cadence.
 type Config struct {
 	// Shards is K, the shard count.
 	Shards int
 	// Budget is the global refresh budget per period, water-filled
-	// across healthy shards every AllocEvery.
+	// across running shards every AllocEvery.
 	Budget float64
 	// Upstream is the global source the fleet mirrors.
 	Upstream httpmirror.Source
@@ -52,13 +49,12 @@ type Config struct {
 	// the chaos hook for persist.FaultStore.
 	WrapStore func(shard int, s *persist.Store) persist.Storer
 	// AllocEvery is the budget re-leveling cadence; 0 means Period.
-	// Health transitions additionally trigger an immediate re-level,
-	// so a dead shard's slice reaches the survivors within one period
-	// regardless of cadence.
+	// Fleet.Kill and Fleet.Restart also re-level as soon as the shard
+	// has stopped or started, so a dead shard's slice reaches the
+	// survivors, and a restarted shard's comes back, without waiting
+	// for the cadence. A shard killed through Shard.Kill directly is
+	// left out at the next cadence leveling.
 	AllocEvery time.Duration
-	// HealthEvery is the /readyz probe cadence, and the bound on one
-	// probe; 0 means Period/4.
-	HealthEvery time.Duration
 	// Metrics, when non-nil, carries the fleet-level series (shard
 	// health, slices, router traffic). Per-shard series live on each
 	// shard's own listener.
@@ -71,22 +67,11 @@ func (c Config) withDefaults() Config {
 	if c.AllocEvery <= 0 {
 		c.AllocEvery = c.Period
 	}
-	if c.HealthEvery <= 0 {
-		c.HealthEvery = c.Period / 4
-	}
-	if c.HealthEvery <= 0 {
-		c.HealthEvery = time.Second
-	}
 	if c.Logger == nil {
 		c.Logger = obs.Nop()
 	}
 	return c
 }
-
-// healthFailures is how many consecutive probe failures mark a live
-// shard unhealthy, so one slow probe does not trigger a fleet-wide
-// re-level.
-const healthFailures = 2
 
 // certifyTol is the tolerance of the KKT certificate and the budget
 // conservation check every leveling must pass.
@@ -105,22 +90,22 @@ type AllocationRecord struct {
 const allocHistoryCap = 4096
 
 // Fleet is the running sharded tier: the shards, the supervisor state
-// (health, allocation), and the router (see router.go).
+// (allocation), and the router (see router.go). A shard is healthy
+// exactly while it runs (Shard.Running): from the moment Start
+// publishes its mirror until Kill or Stop clears it.
 type Fleet struct {
 	cfg    Config
 	place  *Placement
 	shards []*Shard
-	probes *http.Client // /readyz health probes
 	log    *slog.Logger
 	m      *fleetMetrics
 
-	// healthy is the supervisor's per-shard verdict. The router reads
-	// it lock-free on every object read; writers flip it under mu, so
-	// a flip and its fails bookkeeping stay one step.
-	healthy []atomic.Bool
+	// levelMu orders the levelings: the cadence's, Kill's and
+	// Restart's each solve, record and apply under it, so a leveling
+	// that read the shards before a kill cannot land after the kill's.
+	levelMu sync.Mutex
 
 	mu        sync.Mutex
-	fails     []int
 	alloc     Allocation
 	allocErr  error
 	reallocs  int
@@ -174,13 +159,8 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 		cfg:        cfg,
 		place:      place,
 		log:        obs.Component(cfg.Logger, "fleet"),
-		healthy:    make([]atomic.Bool, cfg.Shards),
-		fails:      make([]int, cfg.Shards),
 		lastMirror: make([]*httpmirror.Mirror, cfg.Shards),
 		lastAcc:    make([]int, cfg.Shards),
-		// Its own transport, so Close drops only the probes' idle
-		// connections.
-		probes: &http.Client{Transport: &http.Transport{}},
 	}
 	f.m = instrumentFleet(f, cfg.Metrics)
 
@@ -270,12 +250,8 @@ func (f *Fleet) startShards(ctx context.Context, catalog []httpmirror.CatalogEnt
 	wg.Wait()
 	if first != nil {
 		f.closeShards()
-		return first
 	}
-	for i := range f.shards {
-		f.healthy[i].Store(true)
-	}
-	return nil
+	return first
 }
 
 // closeShards hard-stops whatever started during a failed New.
@@ -287,91 +263,32 @@ func (f *Fleet) closeShards() {
 	}
 }
 
-// Run drives the supervisor until ctx is done: /readyz probes on the
-// health cadence, budget leveling on the allocation cadence, and an
-// immediate leveling whenever the healthy set changes — that is what
-// moves a dead shard's slice to the survivors within one period, and
-// hands it back on recovery.
+// Run drives the supervisor until ctx is done: a budget leveling on
+// the allocation cadence. Kill and Restart level on their own, at once.
 func (f *Fleet) Run(ctx context.Context) error {
-	health := time.NewTicker(f.cfg.HealthEvery)
-	defer health.Stop()
 	alloc := time.NewTicker(f.cfg.AllocEvery)
 	defer alloc.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return nil
-		case <-health.C:
-			if f.checkHealth(ctx) {
-				f.reallocate("health change")
-			}
 		case <-alloc.C:
 			f.reallocate("cadence")
 		}
 	}
 }
 
-// checkHealth probes every shard's /readyz and reports whether the
-// healthy set changed. A dead process fails instantly (Running() is
-// false); a live one must answer 200 within HealthEvery. Unhealthy
-// needs healthFailures consecutive misses so one slow probe does not
-// trigger a fleet-wide re-level; recovery is immediate on the first
-// 200 — a restarted shard gets its budget back as fast as possible.
-func (f *Fleet) checkHealth(ctx context.Context) (changed bool) {
-	for i, sh := range f.shards {
-		ok := sh.Running() && f.probe(ctx, sh.URL())
-		f.mu.Lock()
-		if ok {
-			f.fails[i] = 0
-			if !f.healthy[i].Load() {
-				f.healthy[i].Store(true)
-				changed = true
-				f.log.Info("shard recovered", "shard", i)
-			}
-		} else {
-			f.fails[i]++
-			// A dead process cannot come back without Restart; skip
-			// the grace window and fail it now so its keyspace 503s
-			// honestly instead of timing out healthFailures more times.
-			if f.healthy[i].Load() && (f.fails[i] >= healthFailures || !sh.Running()) {
-				f.healthy[i].Store(false)
-				changed = true
-				f.log.Warn("shard unhealthy", "shard", i, "consecutive_failures", f.fails[i])
-			}
-		}
-		f.mu.Unlock()
-	}
-	return changed
-}
-
-// probe is one /readyz round-trip.
-func (f *Fleet) probe(ctx context.Context, url string) bool {
-	if url == "" {
-		return false
-	}
-	ctx, cancel := context.WithTimeout(ctx, f.cfg.HealthEvery)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/readyz", nil)
-	if err != nil {
-		return false
-	}
-	req.Header.Set("Accept", "text/plain")
-	resp, err := f.probes.Do(req)
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
-}
-
-// reallocate re-levels the global budget across the currently healthy
-// shards and applies the slices. Every attempt — including failed
-// ones — is recorded in the bounded history.
+// reallocate re-levels the global budget across the running shards
+// and applies the slices. Every attempt — including failed ones — is
+// recorded in the bounded history.
 func (f *Fleet) reallocate(reason string) {
-	healthy, _ := f.healthySnapshot()
+	f.levelMu.Lock()
+	defer f.levelMu.Unlock()
 	mirrors := make([]*httpmirror.Mirror, len(f.shards))
+	healthy := make([]bool, len(f.shards))
 	for i, sh := range f.shards {
 		mirrors[i] = sh.Mirror()
+		healthy[i] = mirrors[i] != nil
 	}
 	traffic := f.trafficWindow(mirrors)
 	alloc, err := Allocate(mirrors, healthy, traffic, f.cfg.Budget, f.cfg.Mirror.Plan.Policy, certifyTol)
@@ -437,31 +354,31 @@ func (f *Fleet) trafficWindow(mirrors []*httpmirror.Mirror) []float64 {
 	return traffic
 }
 
-// Kill hard-kills shard i (crash semantics; see Shard.Kill) and marks
-// it unhealthy immediately so the next supervisor pass redistributes
-// its slice without waiting out the probe grace window.
+// Kill hard-kills shard i (crash semantics; see Shard.Kill) and, once
+// it has stopped, re-levels, so its slice goes to the survivors at
+// once. Killing a dead shard is a no-op.
 func (f *Fleet) Kill(i int) error {
 	if i < 0 || i >= len(f.shards) {
 		return fmt.Errorf("fleet: no shard %d", i)
 	}
-	f.shards[i].Kill()
-	f.mu.Lock()
-	changed := f.healthy[i].Swap(false)
-	f.fails[i] = healthFailures
-	f.mu.Unlock()
-	if changed {
+	if f.shards[i].Kill() {
 		f.reallocate("kill")
 	}
 	return nil
 }
 
-// Restart boots a killed shard again; it recovers from its persist
-// directory and rejoins the healthy set on its first 200 /readyz.
+// Restart boots a killed shard again, recovered from its persist
+// directory, and re-levels as soon as it runs, so its keyspace gets
+// its budget back at once.
 func (f *Fleet) Restart(ctx context.Context, i int) error {
 	if i < 0 || i >= len(f.shards) {
 		return fmt.Errorf("fleet: no shard %d", i)
 	}
-	return f.shards[i].Start(ctx)
+	if err := f.shards[i].Start(ctx); err != nil {
+		return err
+	}
+	f.reallocate("restart")
+	return nil
 }
 
 // Close stops every shard gracefully (final snapshots included).
@@ -482,14 +399,13 @@ func (f *Fleet) Close(ctx context.Context) error {
 			firstErr = err
 		}
 	}
-	f.probes.CloseIdleConnections()
 	return firstErr
 }
 
 // Placement returns the fleet's object→shard map.
 func (f *Fleet) Placement() *Placement { return f.place }
 
-// Healthy returns a copy of the current health flags.
+// Healthy reports, per shard, whether it is running.
 func (f *Fleet) Healthy() []bool {
 	healthy, _ := f.healthySnapshot()
 	return healthy
@@ -514,27 +430,23 @@ func (f *Fleet) Shard(i int) *Shard { return f.shards[i] }
 
 // healthySnapshot returns (healthy flags, healthy count).
 func (f *Fleet) healthySnapshot() ([]bool, int) {
-	healthy := make([]bool, len(f.healthy))
+	healthy := make([]bool, len(f.shards))
 	n := 0
-	for i := range f.healthy {
-		if healthy[i] = f.healthy[i].Load(); healthy[i] {
+	for i, sh := range f.shards {
+		if healthy[i] = sh.Running(); healthy[i] {
 			n++
 		}
 	}
 	return healthy, n
 }
 
-// fleetMode ORs the degradation modes of the healthy shards: the
-// fleet is source-degraded if any healthy shard is, and so on. Dead
+// fleetMode ORs the degradation modes of the running shards: the
+// fleet is source-degraded if any running shard is, and so on. Dead
 // shards do not contribute (their keyspace is already 503ing, which
 // /status reports through the health flags instead).
 func (f *Fleet) fleetMode() resilience.Mode {
-	healthy, _ := f.healthySnapshot()
 	mode := resilience.ModeFull
-	for i, sh := range f.shards {
-		if !healthy[i] {
-			continue
-		}
+	for _, sh := range f.shards {
 		if m := sh.Mirror(); m != nil {
 			mode |= m.Mode()
 		}

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -14,6 +16,7 @@ import (
 
 	"freshen/internal/core"
 	"freshen/internal/httpmirror"
+	"freshen/internal/obs"
 	"freshen/internal/resilience"
 	"freshen/internal/testkit"
 )
@@ -273,10 +276,8 @@ func TestFleetDeadShardKeyspace(t *testing.T) {
 
 // TestShardSolveKeepsShardHealthy pins what the mirror's two-lock rule
 // buys the fleet: while shard 0's replan is parked inside its solve,
-// the shard's /readyz keeps answering, so checkHealth runs
-// healthFailures+1 times and the shard stays healthy. When a solve
-// held the mirror's state lock, every probe timed out and a long
-// replan failed over a healthy shard.
+// Healthy() answers with both shards up and a routed read of shard 0's
+// keyspace returns 200.
 func TestShardSolveKeepsShardHealthy(t *testing.T) {
 	pol := testkit.NewParkingPolicy()
 	f, err := New(context.Background(), Config{
@@ -286,8 +287,7 @@ func TestShardSolveKeepsShardHealthy(t *testing.T) {
 		Mirror:   httpmirror.Config{Plan: core.Config{Strategy: core.StrategyExact, Policy: pol}, Seed: 7},
 		// Refresh loops tick once an hour and the supervisor never runs:
 		// the only solve is the one the test parks.
-		Period:      time.Hour,
-		HealthEvery: 2 * time.Second,
+		Period: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -297,6 +297,8 @@ func TestShardSolveKeepsShardHealthy(t *testing.T) {
 		defer cancel()
 		f.Close(ctx)
 	})
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
 	pol.Arm()
 	replanned := make(chan error, 1)
 	go func() { replanned <- f.Shard(0).Mirror().ForceReplan() }()
@@ -311,12 +313,156 @@ func TestShardSolveKeepsShardHealthy(t *testing.T) {
 			t.Errorf("ForceReplan: %v", err)
 		}
 	}()
-	for pass := 1; pass <= healthFailures+1; pass++ {
-		if f.checkHealth(context.Background()) {
-			t.Fatalf("health pass %d changed the healthy set while shard 0 solved: %v", pass, f.Healthy())
+	healthy := make(chan []bool, 1)
+	go func() { healthy <- f.Healthy() }()
+	select {
+	case h := <-healthy:
+		if !h[0] || !h[1] {
+			t.Fatalf("healthy = %v during shard 0's solve, want both", h)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Healthy() blocked behind shard 0's solve")
+	}
+	if resp, body := get(t, http.MethodGet, srv.URL+"/object/"+strconv.Itoa(gidOn(f, 0)), ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("routed read of shard 0 during its solve: %d %q, want 200", resp.StatusCode, body)
+	}
+}
+
+// TestRestartRelevelsAtOnce: Restart hands the restarted shard its
+// slice before it returns. The period is an hour and the supervisor
+// never runs, so no cadence leveling can do it instead.
+func TestRestartRelevelsAtOnce(t *testing.T) {
+	f := newIdleFleet(t, newMemSource(24), nil)
+	if err := f.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	if a, err := f.Allocation(); err != nil || a.Healthy[1] || a.Slices[1] != 0 {
+		t.Fatalf("after Kill(1): healthy %v, slices %v, err %v; want shard 1 out at a zero slice", a.Healthy, a.Slices, err)
+	}
+	if err := f.Restart(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	a, err := f.Allocation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Healthy[1] || a.Slices[1] <= 0 {
+		t.Errorf("after Restart(1): healthy %v, slices %v; want shard 1 back with a positive slice", a.Healthy, a.Slices)
+	}
+	if err := a.Conserved(1e-6); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLevelingsApplyInOrder: a leveling still solving when a shard
+// dies must not land after the kill's own leveling. A cadence leveling
+// is parked in its pooled solve, shard 1 is killed, and the park is
+// released: the last leveling recorded, which is the one in force,
+// leaves shard 1 out at a zero slice.
+func TestLevelingsApplyInOrder(t *testing.T) {
+	pol := testkit.NewParkingPolicy()
+	f, err := New(context.Background(), Config{
+		Shards:   3,
+		Budget:   12,
+		Upstream: newMemSource(24),
+		Mirror:   httpmirror.Config{Plan: core.Config{Strategy: core.StrategyExact, Policy: pol}, Seed: 7},
+		// Refresh loops tick once an hour and the supervisor never runs:
+		// the only levelings are the boot's and the test's.
+		Period: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		f.Close(ctx)
+	})
+	t.Cleanup(pol.Release)
+	pol.Arm()
+	cadence := make(chan struct{})
+	go func() {
+		defer close(cadence)
+		f.reallocate("cadence")
+	}()
+	select {
+	case <-pol.Parked():
+	case <-cadence:
+		t.Fatal("the cadence leveling returned without reaching its solve")
+	}
+	killed := make(chan error, 1)
+	go func() { killed <- f.Kill(1) }()
+	// Give the kill's leveling time to overtake the parked one, should
+	// nothing order the two.
+	select {
+	case err := <-killed:
+		killed <- err
+	case <-time.After(100 * time.Millisecond):
+	}
+	pol.Release()
+	<-cadence
+	if err := <-killed; err != nil {
+		t.Fatal(err)
+	}
+	a, err := f.Allocation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Healthy[1] || a.Slices[1] != 0 {
+		t.Errorf("in force after Kill(1): healthy %v, slices %v; want shard 1 out at a zero slice", a.Healthy, a.Slices)
+	}
+	if err := a.Conserved(1e-6); err != nil {
+		t.Error(err)
+	}
+	history := f.AllocationHistory()
+	if last := history[len(history)-1].Allocation; last.Healthy[1] {
+		t.Errorf("last recorded leveling has shard 1 healthy at slice %v", last.Slices[1])
+	}
+}
+
+// TestShardLogsOneComponent: every line a fleet logs carries exactly
+// one component attribute, and every line of a shard's mirror names
+// its shard.
+func TestShardLogsOneComponent(t *testing.T) {
+	var buf bytes.Buffer
+	f, err := New(context.Background(), Config{
+		Shards:   2,
+		Budget:   8,
+		Upstream: newMemSource(16),
+		Mirror:   httpmirror.Config{Plan: core.Config{Strategy: core.StrategyExact}, Seed: 7},
+		Period:   time.Hour,
+		Logger:   obs.NewTestLogger(&buf, slog.LevelDebug),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Restart(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := f.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Close has stopped every goroutine that logs, so buf is quiet.
+	seen := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if n := strings.Count(line, "component="); n != 1 {
+			t.Errorf("%d component attributes: %s", n, line)
+			continue
+		}
+		comp := strings.Fields(line[strings.Index(line, "component="):])[0]
+		seen[comp]++
+		if comp != "component=fleet" && !strings.Contains(line, "shard=") {
+			t.Errorf("a shard's line without its shard: %s", line)
 		}
 	}
-	if h := f.Healthy(); !h[0] || !h[1] {
-		t.Fatalf("healthy = %v during shard 0's solve, want both", h)
+	for _, comp := range []string{"component=fleet", "component=shard", "component=mirror"} {
+		if seen[comp] == 0 {
+			t.Errorf("no line with %s in:\n%s", comp, buf.String())
+		}
 	}
 }

@@ -35,7 +35,7 @@ func instrumentFleet(f *Fleet, reg *obs.Registry) *fleetMetrics {
 		"Configured shard count.",
 		func() float64 { return float64(f.cfg.Shards) })
 	reg.GaugeFunc("fleet_healthy_shards",
-		"Shards currently passing readiness probes.",
+		"Shards currently running.",
 		func() float64 { _, n := f.healthySnapshot(); return float64(n) })
 	reg.GaugeFunc("fleet_budget_total",
 		"Global refresh budget per period.",
@@ -179,7 +179,7 @@ func (f *Fleet) Status() FleetStatus {
 			Shard:   i,
 			URL:     sh.URL(),
 			Healthy: healthy[i],
-			Running: sh.Running(),
+			Running: healthy[i],
 			Kills:   sh.Kills(),
 			Objects: len(f.place.Globals(i)),
 		}
@@ -209,7 +209,7 @@ func (f *Fleet) Status() FleetStatus {
 //	GET  /status         — fleet-wide aggregate (single-mirror
 //	                       top-level mode/mode_transitions).
 //	GET  /healthz        — liveness (always 200 while the router runs).
-//	GET  /readyz         — 200 when ≥1 shard is healthy.
+//	GET  /readyz         — 200 when ≥1 shard is running.
 //	GET  /metrics        — fleet-level series (with Config.Metrics).
 func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -285,7 +285,7 @@ func (f *Fleet) Handler() http.Handler {
 }
 
 // routeObject serves one object read from its owning shard's mirror,
-// in-process: placement lookup, two atomic loads, and the shard's own
+// in-process: placement lookup, one atomic load, and the shard's own
 // ServeObject — no lock, no allocation, no second HTTP round trip.
 // Every header the shard sets (version, degradation mode and
 // staleness, its own shed Retry-After) reaches the client as the
@@ -297,13 +297,12 @@ func (f *Fleet) routeObject(w http.ResponseWriter, r *http.Request, gid int) {
 		f.m.countObject(http.StatusNotFound)
 		return
 	}
-	// A dead or unhealthy owner answers now — a 503 with a jittered
-	// retry hint. The object exists and exactly one shard may serve
-	// it, so there is nowhere to fail over to; the honest answer is
-	// "retry shortly", and the supervisor is already re-leveling the
-	// survivors' budgets.
+	// A dead owner answers now — a 503 with a jittered retry hint.
+	// The object exists and exactly one shard may serve it, so there
+	// is nowhere to fail over to; the honest answer is "retry
+	// shortly".
 	m := f.shards[shard].Mirror()
-	if m == nil || !f.healthy[shard].Load() {
+	if m == nil {
 		f.rejectDeadShard(w)
 		return
 	}

@@ -81,7 +81,7 @@ func newIdleFleet(t *testing.T, src *memSource, reg *obs.Registry) *Fleet {
 func gidOn(f *Fleet, s int) int { return f.Placement().Globals(s)[0] }
 
 // TestRouterObjectAllocs pins the routed read's cost: a GET through
-// the fleet router — placement lookup, health and mirror loads, the
+// the fleet router — placement lookup, the owner's mirror load, the
 // shard's ServeObject, the router's and the shard's request counters —
 // allocates nothing, on a fleet built with metrics as freshend runs it.
 func TestRouterObjectAllocs(t *testing.T) {
@@ -112,14 +112,16 @@ func TestRouterObjectAllocs(t *testing.T) {
 }
 
 // TestRouterLockFree asserts the routed read takes no mutex: reads to
-// every shard complete while the fleet's supervisor lock and every
-// shard's lifecycle lock are held (a re-level, a boot, a teardown in
-// progress). A mutex on the path would block here; the test fails by
-// timeout instead of deadlocking the binary.
+// every shard complete while the fleet's supervisor and leveling locks
+// and every shard's lifecycle lock are held (a re-level, a boot, a
+// teardown in progress). A mutex on the path would block here; the
+// test fails by timeout instead of deadlocking the binary.
 func TestRouterLockFree(t *testing.T) {
 	f := newIdleFleet(t, newMemSource(24), obs.NewRegistry())
 	h := f.Handler()
 
+	f.levelMu.Lock()
+	defer f.levelMu.Unlock()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, sh := range f.shards {
@@ -303,8 +305,8 @@ func TestRouterPassThrough(t *testing.T) {
 
 // TestShardLifecycleDoesNotStallFleet is the regression test for a
 // shard's lifecycle lock stalling the fleet: while a restarting shard
-// is stuck seeding from a blocked upstream, the fleet status, the
-// supervisor's health pass and re-level, and routed reads of the
+// is stuck seeding from a blocked upstream, the fleet status, its
+// health flags, the supervisor's re-level, and routed reads of the
 // restarting shard's keyspace all answer promptly.
 func TestShardLifecycleDoesNotStallFleet(t *testing.T) {
 	const restarting = 1
@@ -362,7 +364,11 @@ func TestShardLifecycleDoesNotStallFleet(t *testing.T) {
 			t.Errorf("restarting keyspace: Retry-After %q", resp.Header.Get("Retry-After"))
 		}
 	})
-	within("health pass", func() { f.checkHealth(context.Background()) })
+	within("Fleet.Healthy", func() {
+		if f.Healthy()[restarting] {
+			t.Error("restarting shard reported healthy")
+		}
+	})
 	within("survivor re-level", func() {
 		f.reallocate("test")
 		a, err := f.Allocation()

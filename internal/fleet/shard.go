@@ -107,11 +107,14 @@ func (s *Shard) start(ctx context.Context, boot []httpmirror.CatalogEntry) error
 	if s.mirror != nil {
 		return fmt.Errorf("fleet: shard %d already running", s.cfg.Index)
 	}
-	lg := obs.Component(s.cfg.Logger, fmt.Sprintf("shard-%d", s.cfg.Index))
+	// Every line names the shard; the mirror tags its own
+	// component=mirror, the shard's lifecycle lines component=shard.
+	shardLog := s.cfg.Logger.With("shard", s.cfg.Index)
+	lg := obs.Component(shardLog, "shard")
 
 	mcfg := s.cfg.Mirror
 	mcfg.Upstream = newShardSource(s.cfg.Upstream, s.cfg.Placement, s.cfg.Index, boot)
-	mcfg.Logger = lg
+	mcfg.Logger = shardLog
 
 	// Every shard gets its own registry: per-shard series live on the
 	// shard's own /metrics, so family names never collide across the
@@ -193,12 +196,13 @@ func (s *Shard) start(ctx context.Context, boot []httpmirror.CatalogEntry) error
 // listener and every open connection close immediately, the store
 // closes without a final snapshot — whatever the last cadence
 // snapshot plus journal captured is all a restart gets, exactly like
-// a crash. Killing a dead shard is a no-op.
-func (s *Shard) Kill() {
+// a crash. It reports whether the shard was running: killing a dead
+// shard is a no-op.
+func (s *Shard) Kill() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.mirror == nil {
-		return
+		return false
 	}
 	s.unpublish()
 	s.cancel()
@@ -212,6 +216,7 @@ func (s *Shard) Kill() {
 	}
 	s.teardownLocked()
 	s.kills.Add(1)
+	return true
 }
 
 // Stop shuts the shard down gracefully: refresh loop first, then a
@@ -258,7 +263,9 @@ func (s *Shard) teardownLocked() {
 	s.done = nil
 }
 
-// Running reports whether the shard is up.
+// Running reports whether the shard is up: from the moment Start
+// publishes its mirror until Kill or Stop clears it. It is the fleet's
+// one health signal.
 func (s *Shard) Running() bool { return s.live.Load() != nil }
 
 // Mirror returns the shard's live mirror, or nil while dead.

@@ -120,6 +120,14 @@ func (o *upstreamObserver) RoundTrip(req *http.Request) (*http.Response, error) 
 	return resp, nil
 }
 
+// CloseIdleConnections passes the client's call on to the transport
+// the observer wraps, which owns the connections.
+func (o *upstreamObserver) CloseIdleConnections() {
+	if c, ok := o.next.(interface{ CloseIdleConnections() }); ok {
+		c.CloseIdleConnections()
+	}
+}
+
 // note folds one object response's headers into the degradation state.
 // Only substantive answers count: a 503 shed or an error page says
 // nothing about the upstream's mode, and must not clear a standing

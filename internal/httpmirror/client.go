@@ -138,6 +138,11 @@ func (c *SourceClient) Retries() int64 { return c.retries.Load() }
 // Failures returns how many calls exhausted every attempt.
 func (c *SourceClient) Failures() int64 { return c.failures.Load() }
 
+// CloseIdleConnections closes the client's idle connections to the
+// origin, so a stopped mirror leaves none open; see
+// http.Client.CloseIdleConnections.
+func (c *SourceClient) CloseIdleConnections() { c.http.CloseIdleConnections() }
+
 // retryable reports whether an attempt's failure is worth retrying.
 func retryable(err error) bool {
 	var perm *permanentError
