@@ -126,15 +126,16 @@ metrics-contract:
 # admission limiter / mode machine atomics, the fleet router, a
 # lock-free reader of the shard state that Kill and Start mutate, and
 # the hierarchy source's observer, which wraps the transport a nil
-# client builds. Then the fleet's liveness and leveling order three
-# times over, and last the daemon's one serve and shutdown path three
-# times over, in both modes, with no upstream connection left open.
+# client builds. Then the fleet's liveness, leveling order and
+# planning cadence three times over, and last the daemon's one serve
+# and shutdown path three times over, in both modes, with no upstream
+# connection left open.
 race:
 	$(GO) test -race ./internal/solver/... ./internal/cluster/... ./internal/httpmirror/... ./internal/resilience/... ./internal/fleet/... ./internal/hierarchy/...
 	$(GO) test -race -count=10 -run 'TestSeed|TestNilClientSourceClientsShareNoConnection|TestFleetBoot' ./internal/httpmirror/ ./internal/fleet/
 	$(GO) test -race -count=5 -run 'TestServeSnapshotNotTorn|TestAccessLockFree' ./internal/httpmirror/
 	$(GO) test -race -count=5 -run 'TestSolveRunsOffStateLock|TestHealthReplansKeepLearning|TestSolveInputMatchesLearnFormula|TestShardSolveKeepsShardHealthy|TestFaultStateSparse' ./internal/httpmirror/ ./internal/fleet/
-	$(GO) test -race -count=3 -run 'TestColdPersistentFleetServes|TestRestartRelevelsAtOnce|TestLevelingsApplyInOrder|TestShardLogsOneComponent' ./internal/fleet/
+	$(GO) test -race -count=3 -run 'TestColdPersistentFleetServes|TestRestartRelevelsAtOnce|TestLevelingsApplyInOrder|TestShardLogsOneComponent|TestShardStepNeverCadenceReplans|TestLevelingReplansEveryShardOnce|TestSupervisorLevelsOnReplanCadence|TestNewRefusesBadConfig' ./internal/fleet/
 	$(GO) test -race -count=3 -run 'TestDaemonServesAndShutsDown|TestDaemonFleetMode|TestRunListenError|TestDaemonShutdownPersistsState|TestRunClosesUpstreamConnections' ./cmd/freshend/
 
 ci: build fmt vet test race

@@ -157,6 +157,9 @@ func TestParseFlagsErrors(t *testing.T) {
 		// Removed: a fleet shard is healthy while it runs, so no
 		// health probe needs a cadence.
 		{"-health-every", "1s"},
+		// Removed: a fleet levels every -replan-every periods, and each
+		// leveling is every shard's replan.
+		{"-alloc-every", "10s"},
 		{"-period", "sideways"},
 		{"-no-such-flag"},
 	} {

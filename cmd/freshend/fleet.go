@@ -2,14 +2,15 @@
 // multi-mirror tier instead of a single mirror. Consistent hashing
 // spreads the catalog across K fault-isolated shards — each an
 // independent mirror with its own solver, estimator, persist directory
-// (<state-dir>/shard-i), and loopback listener — a supervisor
+// (<state-dir>/shard-i), and loopback listener. A supervisor
 // water-fills the global -bandwidth across the running shards every
-// -alloc-every and at once when a shard is killed or restarted, and a
-// router on -addr fronts the fleet: placement-based object routing by
-// an in-process call into the owning shard's object path (the shard
-// listeners carry per-shard /metrics and /status), aggregated /status
-// and /metrics, and 503 + jittered Retry-After for a dead shard's
-// keyspace (see DESIGN.md §14).
+// -replan-every periods, each leveling being every shard's replan, and
+// at once when a shard is killed or restarted. A router on -addr
+// fronts the fleet: placement-based object routing by an in-process
+// call into the owning shard's object path (the shard listeners carry
+// per-shard /metrics and /status), aggregated /status and /metrics,
+// and 503 + jittered Retry-After for a dead shard's keyspace (see
+// DESIGN.md §14).
 package main
 
 import (
@@ -51,7 +52,6 @@ func runFleet(ctx context.Context, cfg config, ready chan<- net.Addr, mcfg httpm
 		Mirror:        mcfg,
 		Period:        cfg.period,
 		StateDir:      cfg.stateDir,
-		AllocEvery:    cfg.allocEvery,
 		Metrics:       reg,
 		Logger:        logger,
 	})

@@ -99,7 +99,7 @@ func parseFlags(args []string) (config, error) {
 	upstreamURL := fs.String("upstream-url", "", "base URL of an upstream freshend mirror to chain below (edge mode: degradation headers compound); mutually exclusive with -upstream")
 	bandwidth := fs.Float64("bandwidth", 100, "refresh budget per period")
 	period := fs.Duration("period", 10*time.Second, "wall-clock length of one period")
-	replanEvery := fs.Float64("replan-every", 5, "replanning cadence in periods")
+	replanEvery := fs.Float64("replan-every", 5, "replanning cadence in periods; in fleet mode also the budget leveling cadence")
 	exploreFrac := fs.Float64("explore-frac", 0, "fraction of bandwidth spent probing high-uncertainty objects (0 disables exploration)")
 	floorLambda := fs.Float64("floor-lambda", 0, "minimum change-rate estimate; 0 means prior/10, negative means no floor")
 	seed := fs.Int64("seed", 1, "phase seed")
@@ -116,7 +116,6 @@ func parseFlags(args []string) (config, error) {
 	shedTargetLatency := fs.Duration("shed-target-latency", 0, "object-read latency above which the adaptive limiter backs off (0 means 50ms)")
 	persistDegradeAfter := fs.Int("persist-degrade-after", 0, "consecutive persist failures before persist-degraded read-only mode (0 means 3, negative disables)")
 	shards := fs.Int("shards", 1, "shard count; above 1 the daemon runs the sharded fleet tier behind a router on -addr")
-	allocEvery := fs.Duration("alloc-every", 0, "fleet budget re-leveling cadence (0 means one period)")
 	debugAddr := fs.String("debug-addr", "", "optional second listen address serving /metrics and /debug/pprof/; empty disables it")
 	logLevel := fs.String("log-level", "info", "log verbosity: debug | info | warn | error")
 	if err := fs.Parse(args); err != nil {
@@ -143,8 +142,7 @@ func parseFlags(args []string) (config, error) {
 		debugAddr:       *debugAddr,
 		logLevel:        *logLevel,
 
-		shards:     *shards,
-		allocEvery: *allocEvery,
+		shards: *shards,
 
 		maxInflight:         *maxInflight,
 		minInflight:         *minInflight,
@@ -174,8 +172,7 @@ type config struct {
 	logLevel        string
 
 	// Fleet mode (shards > 1; see fleet.go in this package).
-	shards     int
-	allocEvery time.Duration
+	shards int
 
 	// Overload shedding and degraded-mode tuning.
 	maxInflight         int

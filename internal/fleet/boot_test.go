@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -92,6 +93,53 @@ func closeFleet(tb testing.TB, f *Fleet) {
 		defer cancel()
 		f.Close(ctx)
 	})
+}
+
+// TestNewRefusesBadConfig: New refuses a config it cannot run before
+// it fetches the catalog or starts a shard. Among them is a planning
+// cadence that is not a positive Duration: the supervisor's ticker
+// panics on a non-positive interval, and a shard whose cadence is
+// negative would solve on every Step.
+func TestNewRefusesBadConfig(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string
+	}{
+		{"no shards", func(c *Config) { c.Shards = 0 }, "shard count"},
+		{"negative shards", func(c *Config) { c.Shards = -2 }, "shard count"},
+		{"nil upstream", func(c *Config) { c.Upstream = nil }, "upstream"},
+		{"zero period", func(c *Config) { c.Period = 0 }, "period"},
+		{"negative period", func(c *Config) { c.Period = -time.Second }, "period"},
+		{"zero budget", func(c *Config) { c.Budget = 0 }, "budget"},
+		{"negative budget", func(c *Config) { c.Budget = -1 }, "budget"},
+		{"negative cadence", func(c *Config) { c.Mirror.ReplanEvery = -1 }, "leveling"},
+		{"NaN cadence", func(c *Config) { c.Mirror.ReplanEvery = math.NaN() }, "leveling"},
+		{"infinite cadence", func(c *Config) { c.Mirror.ReplanEvery = math.Inf(1) }, "leveling"},
+		{"sub-nanosecond cadence", func(c *Config) {
+			c.Mirror.ReplanEvery = 1e-9
+			c.Period = time.Millisecond
+		}, "leveling"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{
+				Shards:   2,
+				Budget:   8,
+				Upstream: newMemSource(16),
+				Mirror:   httpmirror.Config{Plan: core.Config{Strategy: core.StrategyExact}, Seed: 7},
+				Period:   time.Hour,
+			}
+			c.mutate(&cfg)
+			f, err := New(context.Background(), cfg)
+			if err == nil {
+				closeFleet(t, f)
+				t.Fatal("New accepted the config")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("New: %v; want an error naming the %s", err, c.want)
+			}
+		})
+	}
 }
 
 // TestFleetRejectsNonDenseCatalog: shards take their objects from the

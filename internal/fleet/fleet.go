@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"math"
 	"path/filepath"
 	"sync"
 	"time"
@@ -15,12 +16,13 @@ import (
 )
 
 // Config describes a fleet: K shards over one global source, a global
-// budget, and the supervisor's budget-leveling cadence.
+// budget, and the one planning cadence, Mirror.ReplanEvery.
 type Config struct {
 	// Shards is K, the shard count.
 	Shards int
-	// Budget is the global refresh budget per period, water-filled
-	// across running shards every AllocEvery.
+	// Budget is the global refresh budget per period: each shard boots
+	// on Budget/K, then every leveling water-fills it across the
+	// running shards.
 	Budget float64
 	// Upstream is the global source the fleet mirrors.
 	Upstream httpmirror.Source
@@ -38,7 +40,9 @@ type Config struct {
 	// Mirror is the per-shard configuration template (sync policy,
 	// estimator, fault policy, overload limits). Upstream, Persist,
 	// Metrics, and Logger are overridden per shard; Plan.Bandwidth is
-	// overridden by the allocator.
+	// overridden by the allocator. ReplanEvery (0 means
+	// httpmirror.DefaultReplanEvery) is the leveling cadence (see Run);
+	// each shard's own is +Inf.
 	Mirror httpmirror.Config
 	// Period is the wall-clock length of one period.
 	Period time.Duration
@@ -48,13 +52,6 @@ type Config struct {
 	// WrapStore, when non-nil, wraps shard i's store on every start —
 	// the chaos hook for persist.FaultStore.
 	WrapStore func(shard int, s *persist.Store) persist.Storer
-	// AllocEvery is the budget re-leveling cadence; 0 means Period.
-	// Fleet.Kill and Fleet.Restart also re-level as soon as the shard
-	// has stopped or started, so a dead shard's slice reaches the
-	// survivors, and a restarted shard's comes back, without waiting
-	// for the cadence. A shard killed through Shard.Kill directly is
-	// left out at the next cadence leveling.
-	AllocEvery time.Duration
 	// Metrics, when non-nil, carries the fleet-level series (shard
 	// health, slices, router traffic). Per-shard series live on each
 	// shard's own listener.
@@ -64,8 +61,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.AllocEvery <= 0 {
-		c.AllocEvery = c.Period
+	if c.Mirror.ReplanEvery == 0 {
+		c.Mirror.ReplanEvery = httpmirror.DefaultReplanEvery
 	}
 	if c.Logger == nil {
 		c.Logger = obs.Nop()
@@ -121,10 +118,10 @@ type Fleet struct {
 	lastAcc    []int
 }
 
-// New builds and starts the fleet: placement, K shards, and one
-// initial budget leveling so no shard runs on a made-up budget for
-// longer than the boot takes. A boot fetches the global catalog once
-// and hands each shard its slice of it; the shards then start
+// New builds and starts the fleet: placement, K shards on Budget/K
+// each, and the boot leveling, which re-solves every shard at its
+// slice as soon as all of them run. A boot fetches the global catalog
+// once and hands each shard its slice of it; the shards then start
 // together, each booted and seeded via ctx. If one fails to start, New
 // cancels the others' starts, stops every shard that did start, and
 // returns that failure.
@@ -141,6 +138,10 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 	}
 	if cfg.Budget <= 0 {
 		return nil, fmt.Errorf("fleet: budget must be positive, got %v", cfg.Budget)
+	}
+	// Run's ticker panics on a non-positive interval.
+	if d := cfg.Mirror.ReplanEvery * float64(cfg.Period); !(d >= 1 && d < math.MaxInt64) {
+		return nil, fmt.Errorf("fleet: a leveling every %v periods of %v is not a positive duration", cfg.Mirror.ReplanEvery, cfg.Period)
 	}
 
 	catalog, err := cfg.Upstream.Catalog(ctx)
@@ -164,25 +165,14 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 	}
 	f.m = instrumentFleet(f, cfg.Metrics)
 
-	// Until the first leveling, each shard boots on a budget slice
-	// proportional to the transfer mass it owns — close enough that
-	// the first plan each shard solves while it seeds, cold or
-	// recovered, does useful work.
-	totalSize := 0.0
-	sizeOf := make([]float64, cfg.Shards)
-	for _, e := range catalog {
-		s := place.ShardOf(e.ID)
-		sizeOf[s] += e.Size
-		totalSize += e.Size
-	}
-
 	for i := 0; i < cfg.Shards; i++ {
 		up := cfg.Upstream
 		if cfg.ShardUpstream != nil {
 			up = cfg.ShardUpstream(i)
 		}
 		mcfg := cfg.Mirror
-		mcfg.Plan.Bandwidth = cfg.Budget * sizeOf[i] / totalSize
+		mcfg.Plan.Bandwidth = cfg.Budget / float64(cfg.Shards)
+		mcfg.ReplanEvery = math.Inf(1)
 		// Stagger refresh phases across shards so the fleet's upstream
 		// traffic does not arrive in K synchronized pulses.
 		mcfg.Seed = cfg.Mirror.Seed + int64(i)
@@ -263,24 +253,30 @@ func (f *Fleet) closeShards() {
 	}
 }
 
-// Run drives the supervisor until ctx is done: a budget leveling on
-// the allocation cadence. Kill and Restart level on their own, at once.
+// Run drives the supervisor until ctx is done: a budget leveling every
+// Mirror.ReplanEvery periods. Each leveling is every running shard's
+// cadence replan, so no shard replans on a cadence of its own; its
+// health replans (quarantine, recovery) still run in its Step. Kill and
+// Restart level on their own, at once.
 func (f *Fleet) Run(ctx context.Context) error {
-	alloc := time.NewTicker(f.cfg.AllocEvery)
-	defer alloc.Stop()
+	level := time.NewTicker(time.Duration(f.cfg.Mirror.ReplanEvery * float64(f.cfg.Period)))
+	defer level.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return nil
-		case <-alloc.C:
+		case <-level.C:
 			f.reallocate("cadence")
 		}
 	}
 }
 
 // reallocate re-levels the global budget across the running shards
-// and applies the slices. Every attempt — including failed ones — is
-// recorded in the bounded history.
+// and applies the slices: each SetBudget re-solves its shard, as that
+// shard's cadence replan. Every attempt — including failed ones — is
+// recorded in the bounded history. A failed leveling applies nothing,
+// so every shard keeps its current plan until the next one succeeds;
+// its health replans still run.
 func (f *Fleet) reallocate(reason string) {
 	f.levelMu.Lock()
 	defer f.levelMu.Unlock()
@@ -318,7 +314,7 @@ func (f *Fleet) reallocate(reason string) {
 			f.log.Error("applying budget slice failed", "shard", i, "slice", alloc.Slices[i], "error", err)
 		}
 	}
-	f.log.Debug("budget leveled", "reason", reason, "perceived", alloc.Perceived)
+	f.log.Debug("budget leveled", "reason", reason, "perceived", alloc.Perceived, "slices", alloc.Slices)
 }
 
 // trafficWindow returns the allocator's per-shard traffic counts:
@@ -356,7 +352,8 @@ func (f *Fleet) trafficWindow(mirrors []*httpmirror.Mirror) []float64 {
 
 // Kill hard-kills shard i (crash semantics; see Shard.Kill) and, once
 // it has stopped, re-levels, so its slice goes to the survivors at
-// once. Killing a dead shard is a no-op.
+// once. Killing a dead shard is a no-op. A shard killed through
+// Shard.Kill directly is left out at the next cadence leveling.
 func (f *Fleet) Kill(i int) error {
 	if i < 0 || i >= len(f.shards) {
 		return fmt.Errorf("fleet: no shard %d", i)

@@ -94,8 +94,8 @@ func newTestFleet(t *testing.T, src *memSource, mutate func(*Config)) (*Fleet, *
 			FloorLambda: 1,
 			Seed:        7,
 		},
-		Period:     50 * time.Millisecond,
-		AllocEvery: 50 * time.Millisecond,
+		// With ReplanEvery 1, the supervisor levels every 50 ms.
+		Period: 50 * time.Millisecond,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -422,7 +422,8 @@ func TestLevelingsApplyInOrder(t *testing.T) {
 
 // TestShardLogsOneComponent: every line a fleet logs carries exactly
 // one component attribute, and every line of a shard's mirror names
-// its shard.
+// its shard. A leveling logs one line, the fleet's, at debug with the
+// slices; no shard logs its budget at info or above.
 func TestShardLogsOneComponent(t *testing.T) {
 	var buf bytes.Buffer
 	f, err := New(context.Background(), Config{
@@ -449,6 +450,7 @@ func TestShardLogsOneComponent(t *testing.T) {
 	}
 	// Close has stopped every goroutine that logs, so buf is quiet.
 	seen := map[string]int{}
+	leveled := 0
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		if n := strings.Count(line, "component="); n != 1 {
 			t.Errorf("%d component attributes: %s", n, line)
@@ -459,6 +461,19 @@ func TestShardLogsOneComponent(t *testing.T) {
 		if comp != "component=fleet" && !strings.Contains(line, "shard=") {
 			t.Errorf("a shard's line without its shard: %s", line)
 		}
+		if strings.Contains(line, `msg="budget updated"`) && !strings.HasPrefix(line, "level=DEBUG ") {
+			t.Errorf("a shard's budget logged above debug: %s", line)
+		}
+		if strings.Contains(line, `msg="budget leveled"`) {
+			leveled++
+			if !strings.Contains(line, "slices=") {
+				t.Errorf("a leveling's line without its slices: %s", line)
+			}
+		}
+	}
+	// The boot's, Kill's and Restart's.
+	if leveled != 3 {
+		t.Errorf("%d leveling lines, want 3, in:\n%s", leveled, buf.String())
 	}
 	for _, comp := range []string{"component=fleet", "component=shard", "component=mirror"} {
 		if seen[comp] == 0 {

@@ -56,7 +56,10 @@ const shardAddr = "127.0.0.1:0"
 // Nothing a reader needs sits behind it: the live mirror and URL are
 // published atomically — stored once Start succeeds, cleared first
 // thing in Kill and Stop — so the router and the supervisor never
-// wait out a shard's boot or teardown.
+// wait out a shard's boot or teardown. Past capacity a Step drains
+// everything that came due during the previous one, so the in-flight
+// step that Kill and Stop wait out, as do the mirror's Scheduled and
+// SetBudget (twice per leveling), can outlast a period.
 type Shard struct {
 	cfg ShardConfig
 
@@ -208,8 +211,8 @@ func (s *Shard) Kill() bool {
 	s.cancel()
 	s.srv.Close()
 	// The refresh loop finishes its in-flight step before the store
-	// closes underneath it; Run's tick is Period/100, so this wait is
-	// short and keeps the teardown race-free.
+	// closes underneath it, which keeps the teardown race-free; that
+	// step can outlast a period (see Shard).
 	<-s.done
 	if s.store != nil {
 		s.store.Close()

@@ -52,7 +52,10 @@ type Config struct {
 	// refresh budget forever (the cold-start bias fix). 0 means
 	// PriorLambda/10; negative disables the floor entirely.
 	FloorLambda float64
-	// ReplanEvery is the replanning cadence in periods; 0 means 5.
+	// ReplanEvery is the replanning cadence in periods; 0 means
+	// DefaultReplanEvery. +Inf means no cadence of its own: the owner
+	// replans the mirror through SetBudget, as a fleet's supervisor
+	// does.
 	ReplanEvery float64
 	// Fault tunes the circuit breaker and quarantine (zero value:
 	// sensible defaults; see FaultPolicy).
@@ -95,6 +98,9 @@ type Config struct {
 	Seed int64
 }
 
+// DefaultReplanEvery is Config.ReplanEvery's default, in periods.
+const DefaultReplanEvery = 5
+
 func (c Config) withDefaults() Config {
 	if c.PriorLambda == 0 {
 		c.PriorLambda = 1
@@ -105,7 +111,7 @@ func (c Config) withDefaults() Config {
 		c.FloorLambda = 0
 	}
 	if c.ReplanEvery == 0 {
-		c.ReplanEvery = 5
+		c.ReplanEvery = DefaultReplanEvery
 	}
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 5
@@ -810,27 +816,18 @@ func (m *Mirror) Budget() float64 {
 	return m.cfg.Plan.Bandwidth
 }
 
-// SetBudget replaces the mirror's refresh budget and replans
-// immediately, so a fleet allocator's decision takes effect within the
-// current period rather than at the next cadence replan. The explore
-// slice is funded from the new budget (it scales with it), so a cut
-// shrinks exploration too; the exploit plan gets the rest. A no-op
-// when the budget is unchanged.
+// SetBudget replaces the mirror's refresh budget and replans at it
+// immediately, as a cadence replan, even when the budget is unchanged:
+// each fleet leveling is every running shard's cadence replan. The
+// explore slice is funded from the new budget (it scales with it), so
+// a cut shrinks exploration too; the exploit plan gets the rest.
 func (m *Mirror) SetBudget(b float64) error {
 	if math.IsNaN(b) || math.IsInf(b, 0) || b < 0 {
 		return fmt.Errorf("httpmirror: budget must be finite and non-negative, got %v", b)
 	}
 	m.stepMu.Lock()
 	defer m.stepMu.Unlock()
-	old := m.cfg.Plan.Bandwidth
-	if b == old {
-		return nil
-	}
-	if err := m.replan(b, true); err != nil {
-		return err
-	}
-	m.log.Info("budget updated", "from", old, "to", b, "now", m.now)
-	return nil
+	return m.replan(b, true)
 }
 
 // ServeObject serves one read of object id: the whole /object path
