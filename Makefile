@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test test-short race cover fuzz-smoke restart-chaos overload-chaos shard-chaos edge-chain metrics-contract estimator-convergence ci bench-solver bench clean
+.PHONY: all build fmt vet test test-short race cover fuzz-smoke serve-bench restart-chaos overload-chaos shard-chaos edge-chain metrics-contract estimator-convergence ci bench-solver bench clean
 
 all: ci
 
@@ -46,6 +46,17 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoveryReplayMatchesLive$$' -fuzztime 30s ./internal/httpmirror/
 	$(GO) test -run '^$$' -fuzz '^FuzzModeMachine$$' -fuzztime 30s ./internal/resilience/
 	$(GO) test -run '^$$' -fuzz '^FuzzChainFreshness$$' -fuzztime 30s ./internal/freshness/
+
+# The zero-cost contract of the lock-free read path, as CI's
+# serve-bench job asserts it: no allocations on Access or the /object
+# route, no blocking behind the state or step locks, one view per
+# transferring refresh, one allocation per body a batch seed decodes,
+# at most 140 B per object for a mirror's state and an 11-byte body, a
+# recovered mirror within 10% of a cold one's heap, and at most 11 B
+# per object for a fleet's placement.
+serve-bench:
+	$(GO) test -count=1 -run 'TestAccessZeroAllocs|TestObjectHandlerAllocs|TestAccessLockFree|TestAccessNotFoundPreallocated|TestTransferCommitAllocsFlat|TestMirrorBytesPerObject|TestRecoveredMirrorBytesPerObject|TestFetchBatchAllocs' ./internal/httpmirror/
+	$(GO) test -count=1 -run 'TestPlacementBytesPerObject' ./internal/fleet/
 
 # The crash-recovery suite under the race detector: kill-and-restart
 # chaos, replay equal to the live run and a boot plan solved on the

@@ -68,6 +68,7 @@ import (
 	"time"
 
 	"freshen/internal/core"
+	"freshen/internal/fleet"
 	"freshen/internal/hierarchy"
 	"freshen/internal/httpmirror"
 	"freshen/internal/obs"
@@ -115,7 +116,7 @@ func parseFlags(args []string) (config, error) {
 	minInflight := fs.Int("min-inflight", 0, "floor the adaptive concurrency limit never drops below (0 means 2)")
 	shedTargetLatency := fs.Duration("shed-target-latency", 0, "object-read latency above which the adaptive limiter backs off (0 means 50ms)")
 	persistDegradeAfter := fs.Int("persist-degrade-after", 0, "consecutive persist failures before persist-degraded read-only mode (0 means 3, negative disables)")
-	shards := fs.Int("shards", 1, "shard count; above 1 the daemon runs the sharded fleet tier behind a router on -addr")
+	shards := fs.Int("shards", 1, "shard count, at most 65535; above 1 the daemon runs the sharded fleet tier behind a router on -addr")
 	debugAddr := fs.String("debug-addr", "", "optional second listen address serving /metrics and /debug/pprof/; empty disables it")
 	logLevel := fs.String("log-level", "info", "log verbosity: debug | info | warn | error")
 	if err := fs.Parse(args); err != nil {
@@ -193,8 +194,8 @@ type config struct {
 // validated flags, the mirror template and the registry to runFleet
 // instead.
 func run(ctx context.Context, cfg config, ready chan<- net.Addr) error {
-	if cfg.shards < 1 {
-		return fmt.Errorf("-shards must be at least 1, got %d", cfg.shards)
+	if cfg.shards < 1 || cfg.shards > fleet.MaxShards {
+		return fmt.Errorf("-shards must be in [1, %d], got %d", fleet.MaxShards, cfg.shards)
 	}
 	if cfg.upstream != "" && cfg.upstreamURL != "" {
 		return fmt.Errorf("-upstream and -upstream-url are mutually exclusive")

@@ -2,8 +2,15 @@ package main
 
 import (
 	"context"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"freshen/internal/fleet"
 )
 
 func testConfig(upstream string, bandwidth, replanEvery float64, period time.Duration) config {
@@ -46,6 +53,23 @@ func TestRunValidation(t *testing.T) {
 		cfg.snapshotEvery = 0
 		if err := run(context.Background(), cfg, nil); err == nil {
 			t.Fatal("invalid configuration accepted")
+		}
+	})
+	// A placement indexes shards with a uint16, so -shards stops at
+	// fleet.MaxShards. The refusal comes before any client or shard
+	// exists: the upstream hears nothing and no listener opens.
+	t.Run("shards past the placement's limit", func(t *testing.T) {
+		var requests atomic.Int64
+		up := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { requests.Add(1) }))
+		defer up.Close()
+		cfg := testConfig(up.URL, 10, 5, time.Second)
+		cfg.shards = fleet.MaxShards + 1
+		ready := make(chan net.Addr, 1)
+		if err := run(context.Background(), cfg, ready); err == nil || !strings.Contains(err.Error(), "-shards") {
+			t.Fatalf("-shards %d: run = %v, want a -shards error", cfg.shards, err)
+		}
+		if n := requests.Load(); n != 0 || len(ready) != 0 {
+			t.Errorf("-shards %d: %d upstream requests and %d listeners before the refusal", cfg.shards, n, len(ready))
 		}
 	})
 }

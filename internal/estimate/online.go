@@ -199,7 +199,9 @@ func NewOnline(kind string, n int, p Params) (*Online, error) {
 // Restore sets every element i to state(i) in place, validating every
 // field; it is the recovery counterpart of State. An element with no
 // polls carries no state and starts at the prior, so a persisted form
-// may leave unpolled elements zero. A rejected state loads nothing:
+// may leave unpolled elements zero. A history of more than 2³²−1
+// polls, where a live count saturates (see onlineElem), loads scaled
+// down to 2³²−1 polls (fitCounts). A rejected state loads nothing:
 // every element is left at the prior.
 func (e *Online) Restore(state func(element int) ElementState) error {
 	e.reset()
@@ -226,12 +228,13 @@ func (e *Online) Restore(state func(element int) ElementState) error {
 		if s.Lambda == 0 {
 			s.Lambda = e.stateFloor()
 		}
+		polls, changes, elapsed := fitCounts(s.Polls, s.Changes, s.SumElapsed)
 		e.elems[i] = onlineElem{
 			x:          s.Lambda,
 			info:       s.Info,
-			polls:      s.Polls,
-			changes:    s.Changes,
-			sumElapsed: s.SumElapsed,
+			polls:      polls,
+			changes:    changes,
+			sumElapsed: elapsed,
 		}
 	}
 	return nil
@@ -250,12 +253,38 @@ func (e *Online) reset() {
 
 func finitePos(v float64) bool { return v > 0 && !math.IsInf(v, 0) }
 
-// onlineElem is one element's O(1) online state.
+// fitCounts fits a valid persisted history into an element's uint32
+// counts. One of more than 2³²−1 polls is scaled down to 2³²−1, its
+// changes and observed time in proportion, so the change ratio and the
+// mean poll spacing hold, and changes stays below polls unless every
+// poll changed: the identifiability cap stays off for a history that
+// saw a no-change poll.
+func fitCounts(polls, changes int, elapsed float64) (uint32, uint32, float64) {
+	if uint64(polls) <= math.MaxUint32 {
+		return uint32(polls), uint32(changes), elapsed
+	}
+	f := math.MaxUint32 / float64(polls)
+	if changes == polls {
+		return math.MaxUint32, math.MaxUint32, elapsed * f
+	}
+	return math.MaxUint32, uint32(min(float64(changes)*f, math.MaxUint32-1)), elapsed * f
+}
+
+// onlineElem is one element's O(1) online state, 32 B.
+//
+// polls and changes are uint32s that stop at 2³²−1, and the observed
+// time stops with them: once polls is saturated none of the three
+// moves, so changes ≤ polls holds, and the identifiability cap and the
+// naive ratio, which read only these, keep their last values rather
+// than drift as the time alone grows. λ̂ and the information keep
+// updating. A hot element polled 1,000 times a period at 1 s periods
+// saturates after about 50 days; by then its 4·10⁹ observations have
+// long pinned λ̂, and the counts only gate the cap and report Polls.
 type onlineElem struct {
 	x          float64 // running estimate (mle); derived for naive
 	info       float64 // accumulated Fisher information at the running estimate
-	polls      int
-	changes    int
+	polls      uint32
+	changes    uint32
 	sumElapsed float64
 }
 
@@ -309,10 +338,12 @@ func (e *Online) Observe(element int, elapsed float64, changed bool) error {
 		return fmt.Errorf("estimate: elapsed time must be positive and finite, got %v", elapsed)
 	}
 	s := &e.elems[element]
-	s.polls++
-	s.sumElapsed += elapsed
-	if changed {
-		s.changes++
+	if s.polls < math.MaxUint32 {
+		s.polls++
+		s.sumElapsed += elapsed
+		if changed {
+			s.changes++
+		}
 	}
 
 	// Fisher information of this observation at the pre-update
@@ -393,7 +424,7 @@ func (e *Online) Estimate(element int) Estimate {
 	if s.info > 0 {
 		stderr = 1 / math.Sqrt(s.info)
 	}
-	return Estimate{Lambda: e.reported(s), StdErr: stderr, Polls: s.polls}
+	return Estimate{Lambda: e.reported(s), StdErr: stderr, Polls: int(s.polls)}
 }
 
 // reported maps internal state to the exported estimate: floored (the
@@ -429,8 +460,8 @@ func (e *Online) State(element int) ElementState {
 	return ElementState{
 		Lambda:     s.x,
 		Info:       s.info,
-		Polls:      s.polls,
-		Changes:    s.changes,
+		Polls:      int(s.polls),
+		Changes:    int(s.changes),
 		SumElapsed: s.sumElapsed,
 	}
 }

@@ -3,6 +3,7 @@ package estimate
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"freshen/internal/stats"
 )
@@ -266,6 +267,66 @@ func TestOnlineRestoreAllOrNothing(t *testing.T) {
 	for i := range states {
 		if got := e.State(i); got != ok {
 			t.Errorf("element %d restored as %+v, want %+v", i, got, ok)
+		}
+	}
+}
+
+// TestOnlineElemSize pins one element's online state at 32 B: three
+// float64s and two uint32 counts.
+func TestOnlineElemSize(t *testing.T) {
+	if got := unsafe.Sizeof(onlineElem{}); got != 32 {
+		t.Errorf("onlineElem is %d B, want 32", got)
+	}
+}
+
+// TestOnlineCountsSaturate: the poll and change counts stop at 2³²−1
+// and the observed time with them. An element restored at 2³²−2 polls
+// counts one more poll and then holds, changes never passes polls, and
+// λ̂ and the information keep moving on every observation. Restore
+// loads a history of 2⁴⁰ polls scaled down to 2³²−1, keeping its
+// change ratio, its mean poll spacing and whether every poll changed.
+func TestOnlineCountsSaturate(t *testing.T) {
+	const most = math.MaxUint32
+	e, err := newFromState(KindMLE, 1, Params{}, func(int) ElementState {
+		return ElementState{Lambda: 1, Info: 10, Polls: most - 1, Changes: most - 2, SumElapsed: 1e9}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= 3; k++ {
+		before := e.State(0)
+		if err := e.Observe(0, 1, true); err != nil {
+			t.Fatal(err)
+		}
+		got := e.State(0)
+		if got.Polls != most || got.Changes != most-1 || got.SumElapsed != 1e9+1 || e.Estimate(0).Polls != most {
+			t.Errorf("observation %d: %d changes over %d polls in %v (Estimate says %d polls), want %d over %d in %v",
+				k, got.Changes, got.Polls, got.SumElapsed, e.Estimate(0).Polls, most-1, most, 1e9+1)
+		}
+		if got.Lambda == before.Lambda || got.Info <= before.Info {
+			t.Errorf("observation %d past saturation: λ̂ %v and information %v did not move from %v and %v",
+				k, got.Lambda, got.Info, before.Lambda, before.Info)
+		}
+	}
+	for _, c := range []struct{ polls, changes int }{
+		{1 << 40, 5},
+		{1 << 40, 1 << 36},
+		{1 << 40, 1<<40 - 1},
+		{1 << 40, 1 << 40},
+	} {
+		e, err := newFromState(KindMLE, 1, Params{}, func(int) ElementState {
+			return ElementState{Lambda: 1, Info: 10, Polls: c.polls, Changes: c.changes, SumElapsed: 1 << 42}
+		})
+		if err != nil {
+			t.Fatalf("%d changes over %d polls refused: %v", c.changes, c.polls, err)
+		}
+		got := e.State(0)
+		ratio, want := float64(got.Changes)/most, float64(c.changes)/float64(c.polls)
+		if got.Polls != most || math.Abs(ratio-want) > 1.0/most || (got.Changes == got.Polls) != (c.changes == c.polls) {
+			t.Errorf("%d changes over %d polls restored as %d over %d", c.changes, c.polls, got.Changes, got.Polls)
+		}
+		if spacing := got.SumElapsed / most; math.Abs(spacing-4) > 1e-9 {
+			t.Errorf("%d polls over %v restored %v apart, want 4", c.polls, float64(1<<42), spacing)
 		}
 	}
 }

@@ -178,7 +178,7 @@ func TestAllocateLeavesOutQuarantined(t *testing.T) {
 	}
 	src := &brokenSource{memSource: newMemSource(n), broken: map[int]bool{}}
 	for _, gid := range place.Globals(0)[:broken] {
-		src.broken[gid] = true
+		src.broken[int(gid)] = true
 	}
 	mirrors := make([]*httpmirror.Mirror, 2)
 	for s := range mirrors {

@@ -108,6 +108,7 @@ func TestNewRefusesBadConfig(t *testing.T) {
 	}{
 		{"no shards", func(c *Config) { c.Shards = 0 }, "shard count"},
 		{"negative shards", func(c *Config) { c.Shards = -2 }, "shard count"},
+		{"more shards than a placement indexes", func(c *Config) { c.Shards = MaxShards + 1 }, "shard count"},
 		{"nil upstream", func(c *Config) { c.Upstream = nil }, "upstream"},
 		{"zero period", func(c *Config) { c.Period = 0 }, "period"},
 		{"negative period", func(c *Config) { c.Period = -time.Second }, "period"},

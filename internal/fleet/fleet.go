@@ -127,8 +127,8 @@ type Fleet struct {
 // returns that failure.
 func New(ctx context.Context, cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Shards <= 0 {
-		return nil, fmt.Errorf("fleet: shard count must be positive, got %d", cfg.Shards)
+	if cfg.Shards <= 0 || cfg.Shards > MaxShards {
+		return nil, fmt.Errorf("fleet: shard count must be in [1, %d], got %d", MaxShards, cfg.Shards)
 	}
 	if cfg.Upstream == nil {
 		return nil, fmt.Errorf("fleet: upstream is required")

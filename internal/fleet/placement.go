@@ -11,8 +11,8 @@ package fleet
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"strconv"
 )
 
@@ -21,12 +21,19 @@ import (
 // object carries inside its shard (mirrors require dense catalogs).
 // The placement is immutable once built — routing correctness ("never
 // mis-routes") depends on the router and every shard agreeing on it.
+//
+// It holds 10 B per object, a uint16 shard index and two int32 ids,
+// so a placement has at most MaxShards shards and 2³¹−1 objects.
 type Placement struct {
 	k       int
-	shardOf []int   // global id → owning shard
-	local   []int   // global id → dense local id within that shard
-	globals [][]int // shard → ascending global ids it owns
+	shardOf []uint16  // global id → owning shard
+	local   []int32   // global id → dense local id within that shard
+	globals [][]int32 // shard → ascending global ids it owns
 }
+
+// MaxShards is the most shards a placement spreads over: a shard
+// index is a uint16.
+const MaxShards = math.MaxUint16
 
 // K is the shard count.
 func (p *Placement) K() int { return p.k }
@@ -40,7 +47,7 @@ func (p *Placement) ShardOf(gid int) int {
 	if gid < 0 || gid >= len(p.shardOf) {
 		return -1
 	}
-	return p.shardOf[gid]
+	return int(p.shardOf[gid])
 }
 
 // Local returns the dense local id a global object carries inside its
@@ -49,12 +56,12 @@ func (p *Placement) Local(gid int) int {
 	if gid < 0 || gid >= len(p.local) {
 		return -1
 	}
-	return p.local[gid]
+	return int(p.local[gid])
 }
 
 // Globals returns the ascending global ids shard s owns. The slice is
 // shared; callers must not mutate it.
-func (p *Placement) Globals(s int) []int { return p.globals[s] }
+func (p *Placement) Globals(s int) []int32 { return p.globals[s] }
 
 // Validate checks the placement is a true partition: every global id
 // owned by exactly one shard, local ids dense per shard, and no shard
@@ -70,10 +77,10 @@ func (p *Placement) Validate() error {
 			return fmt.Errorf("fleet: shard %d owns no objects (catalog of %d split %d ways)", s, len(p.shardOf), p.k)
 		}
 		for l, gid := range gids {
-			if gid < 0 || gid >= len(p.shardOf) {
+			if gid < 0 || int(gid) >= len(p.shardOf) {
 				return fmt.Errorf("fleet: shard %d owns out-of-range global id %d", s, gid)
 			}
-			if p.shardOf[gid] != s || p.local[gid] != l {
+			if int(p.shardOf[gid]) != s || int(p.local[gid]) != l {
 				return fmt.Errorf("fleet: inconsistent placement for global id %d", gid)
 			}
 			seen++
@@ -85,29 +92,29 @@ func (p *Placement) Validate() error {
 	return nil
 }
 
-// build finishes a placement from the shard→globals assignment.
-func build(n int, globals [][]int) (*Placement, error) {
+// build finishes a placement from the shard→globals assignment. A
+// uint16 has no −1, so an id not yet assigned is told by its local id.
+func build(n int, globals [][]int32) (*Placement, error) {
 	p := &Placement{
 		k:       len(globals),
-		shardOf: make([]int, n),
-		local:   make([]int, n),
+		shardOf: make([]uint16, n),
+		local:   make([]int32, n),
 		globals: globals,
 	}
-	for i := range p.shardOf {
-		p.shardOf[i] = -1
+	for i := range p.local {
 		p.local[i] = -1
 	}
 	for s, gids := range globals {
-		sort.Ints(gids)
+		slices.Sort(gids)
 		for l, gid := range gids {
-			if gid < 0 || gid >= n {
+			if gid < 0 || int(gid) >= n {
 				return nil, fmt.Errorf("fleet: global id %d outside catalog of %d", gid, n)
 			}
-			if p.shardOf[gid] != -1 {
+			if p.local[gid] != -1 {
 				return nil, fmt.Errorf("fleet: global id %d assigned to shards %d and %d", gid, p.shardOf[gid], s)
 			}
-			p.shardOf[gid] = s
-			p.local[gid] = l
+			p.shardOf[gid] = uint16(s)
+			p.local[gid] = int32(l)
 		}
 	}
 	if err := p.Validate(); err != nil {
@@ -128,8 +135,11 @@ const vnodesPerShard = 64
 // from its own hash. The assignment depends only on (n, k), so the
 // router and every shard derive the identical map independently.
 func HashPlacement(n, k int) (*Placement, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("fleet: shard count must be positive, got %d", k)
+	if k <= 0 || k > MaxShards {
+		return nil, fmt.Errorf("fleet: shard count must be in [1, %d], got %d", MaxShards, k)
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("fleet: a placement holds at most %d objects, got %d", math.MaxInt32, n)
 	}
 	if n < k {
 		return nil, fmt.Errorf("fleet: cannot split %d objects across %d shards", n, k)
@@ -149,7 +159,7 @@ func HashPlacement(n, k int) (*Placement, error) {
 		}
 	}
 	slices.SortFunc(ring, func(a, b vnode) int { return cmp.Compare(a.pos, b.pos) })
-	shardOf := make([]int, n)
+	shardOf := make([]uint16, n)
 	owned := make([]int, k)
 	for gid := range shardOf {
 		h := ringHash(strconv.AppendInt(append(key[:0], "object-"...), int64(gid), 10))
@@ -157,15 +167,15 @@ func HashPlacement(n, k int) (*Placement, error) {
 		if i == len(ring) {
 			i = 0
 		}
-		shardOf[gid] = ring[i].shard
+		shardOf[gid] = uint16(ring[i].shard)
 		owned[ring[i].shard]++
 	}
-	globals := make([][]int, k)
+	globals := make([][]int32, k)
 	for s := range globals {
-		globals[s] = make([]int, 0, owned[s])
+		globals[s] = make([]int32, 0, owned[s])
 	}
 	for gid, s := range shardOf {
-		globals[s] = append(globals[s], gid)
+		globals[s] = append(globals[s], int32(gid))
 	}
 	// Consistent hashing leaves a shard empty only in tiny catalogs;
 	// an empty shard cannot host a mirror, so hand it the largest

@@ -5,7 +5,10 @@ import (
 	"hash/fnv"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"testing"
+
+	"freshen/internal/testkit"
 )
 
 func TestHashPlacementCoversEveryObject(t *testing.T) {
@@ -26,7 +29,7 @@ func TestHashPlacementCoversEveryObject(t *testing.T) {
 				if s < 0 || s >= tc.k {
 					t.Fatalf("object %d owned by shard %d", gid, s)
 				}
-				if got := p.Globals(s)[p.Local(gid)]; got != gid {
+				if got := int(p.Globals(s)[p.Local(gid)]); got != gid {
 					t.Fatalf("object %d round-trips to %d", gid, got)
 				}
 			}
@@ -136,7 +139,7 @@ func TestHashPlacementMatchesReference(t *testing.T) {
 					t.Fatalf("n=%d k=%d: shard %d owns %d objects, reference %d", n, k, s, len(got), len(want))
 				}
 				for l := range want {
-					if got[l] != want[l] {
+					if int(got[l]) != want[l] {
 						t.Fatalf("n=%d k=%d: shard %d's object %d is %d, reference %d", n, k, s, l, got[l], want[l])
 					}
 				}
@@ -183,6 +186,30 @@ func TestHashPlacementErrors(t *testing.T) {
 	}
 	if _, err := HashPlacement(2, 3); err == nil {
 		t.Error("n<k accepted")
+	}
+	if _, err := HashPlacement(100_000, MaxShards+1); err == nil || !strings.Contains(err.Error(), "shard count") {
+		t.Errorf("k=%d: %v, want a shard count error", MaxShards+1, err)
+	}
+}
+
+// TestPlacementBytesPerObject pins a placement at 10 B per object, a
+// uint16 shard index and two int32 ids: at most 11 B per object on top
+// of 16 KiB at N=20,000 and N=500,000.
+func TestPlacementBytesPerObject(t *testing.T) {
+	const perObject, fixed = 11, 16 << 10
+	for _, n := range []int{20_000, 500_000} {
+		retained := testkit.LeastRetained(func() any {
+			p, err := HashPlacement(n, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		})
+		t.Logf("N=%d: %d B retained, %.2f B per object", n, retained, float64(retained)/float64(n))
+		if retained > int64(perObject*n+fixed) {
+			t.Errorf("a placement of %d objects retains %d B, %.2f B per object: want at most %d B per object and %d B fixed",
+				n, retained, float64(retained)/float64(n), perObject, fixed)
+		}
 	}
 }
 

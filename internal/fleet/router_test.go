@@ -78,7 +78,7 @@ func newIdleFleet(t *testing.T, src *memSource, reg *obs.Registry) *Fleet {
 }
 
 // gidOn returns the first global id shard s owns.
-func gidOn(f *Fleet, s int) int { return f.Placement().Globals(s)[0] }
+func gidOn(f *Fleet, s int) int { return int(f.Placement().Globals(s)[0]) }
 
 // TestRouterObjectAllocs pins the routed read's cost: a GET through
 // the fleet router — placement lookup, the owner's mirror load, the
@@ -268,7 +268,7 @@ func TestRouterPassThrough(t *testing.T) {
 		m := f.Shard(0).Mirror()
 		first := make(chan int, 1)
 		go func() {
-			resp, err := client.Get(srv.URL + "/object/" + strconv.Itoa(gids[0]))
+			resp, err := client.Get(srv.URL + "/object/" + strconv.Itoa(int(gids[0])))
 			if err != nil {
 				first <- 0
 				return
@@ -279,7 +279,7 @@ func TestRouterPassThrough(t *testing.T) {
 		waitFor(t, 5*time.Second, "the first read to hold shard 0's only slot", func() bool {
 			return m.Status().Inflight == 1
 		})
-		resp, body := get(t, http.MethodGet, srv.URL+"/object/"+strconv.Itoa(gids[1]), "")
+		resp, body := get(t, http.MethodGet, srv.URL+"/object/"+strconv.Itoa(int(gids[1])), "")
 		if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(body, "overloaded") {
 			t.Fatalf("read past shard 0's limit: %d %q, want the shard's own 503", resp.StatusCode, body)
 		}

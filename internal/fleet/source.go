@@ -15,7 +15,7 @@ import (
 // traffic, in the router for serve traffic).
 type shardSource struct {
 	inner httpmirror.Source
-	gids  []int
+	gids  []int32 // the placement's, shared
 	// boot is the shard's catalog from the fleet's boot fetch, if any.
 	// The first Catalog call takes it, so the view does not keep it.
 	boot atomic.Pointer[[]httpmirror.CatalogEntry]
@@ -82,10 +82,10 @@ func checkDense(catalog []httpmirror.CatalogEntry) error {
 
 // localCatalog lists the objects gids names under their dense local
 // ids, keeping each object's size in the dense global catalog.
-func localCatalog(global []httpmirror.CatalogEntry, gids []int) ([]httpmirror.CatalogEntry, error) {
+func localCatalog(global []httpmirror.CatalogEntry, gids []int32) ([]httpmirror.CatalogEntry, error) {
 	local := make([]httpmirror.CatalogEntry, len(gids))
 	for l, gid := range gids {
-		if gid >= len(global) {
+		if int(gid) >= len(global) {
 			return nil, fmt.Errorf("fleet: global catalog is missing object %d owned by this shard", gid)
 		}
 		local[l] = httpmirror.CatalogEntry{ID: l, Size: global[gid].Size}
@@ -100,7 +100,7 @@ func (s *shardSource) global(id int) (int, error) {
 	if id < 0 || id >= len(s.gids) {
 		return 0, fmt.Errorf("fleet: local id %d outside shard catalog of %d", id, len(s.gids))
 	}
-	return s.gids[id], nil
+	return int(s.gids[id]), nil
 }
 
 func (s *shardSource) Fetch(ctx context.Context, id int) ([]byte, int, error) {

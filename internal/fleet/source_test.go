@@ -103,7 +103,7 @@ func TestSeedBatchShardOwnIDs(t *testing.T) {
 	}
 	own := make(map[string]bool)
 	for _, gid := range place.Globals(shard) {
-		own[strconv.Itoa(gid)] = true
+		own[strconv.Itoa(int(gid))] = true
 	}
 	var mu sync.Mutex
 	var batches, seen int

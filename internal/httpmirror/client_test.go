@@ -207,6 +207,47 @@ func TestNilClientSourceClientsShareNoConnection(t *testing.T) {
 	}
 }
 
+// batchResponder answers every request with one GET /objects response
+// holding body.
+func batchResponder(body []byte) *http.Client {
+	return &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		return &http.Response{
+			StatusCode:    http.StatusOK,
+			Status:        "200 OK",
+			Header:        http.Header{"Content-Type": {batchContentType}},
+			ContentLength: int64(len(body)),
+			Body:          io.NopCloser(bytes.NewReader(body)),
+			Request:       r,
+		}, nil
+	})}
+}
+
+// TestFetchBatchAllocs: a batch of k bodies costs one allocation per
+// body, the slice the mirror keeps, on top of a fixed cost for the
+// request and the decoder. Decoding each body twice, into a buffer
+// and then into its own slice, would cost two per body.
+func TestFetchBatchAllocs(t *testing.T) {
+	const fixed = 32
+	for _, k := range []int{1, 256} {
+		ids := make([]int, k)
+		var resp []byte
+		for i := range ids {
+			ids[i] = i
+			resp = appendFrame(resp, i, 1, []byte("object body"))
+		}
+		c := NewSourceClient("http://origin", batchResponder(resp))
+		n := testing.AllocsPerRun(20, func() {
+			if _, _, err := c.FetchBatch(context.Background(), ids); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("k=%d: %v allocations", k, n)
+		if n > float64(k+fixed) {
+			t.Errorf("a batch of %d bodies allocates %v times, want at most %d", k, n, k+fixed)
+		}
+	}
+}
+
 // TestFetchBatchResponses runs FetchBatch for ids 3 and 9 against
 // in-memory responses. A well-framed batch returns each body at its
 // exact size; a status that says the route is missing, or a 200 that

@@ -1,35 +1,36 @@
 package httpmirror
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"maps"
-	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
 	"freshen/internal/core"
 	"freshen/internal/persist"
+	"freshen/internal/testkit"
 )
 
 // TestMirrorBytesPerObject pins the mirror's per-object state (DESIGN.md
 // §11 lists it field by field): the heap New retains over an origin
-// that hands every object one shared body, with no persistence and no
-// metrics, is at most 136 B per object at N=1,000 and at N=64,000, on
-// top of a fixed 16 KiB. It measured 128.5 B per object at N=64,000.
-// The fixed part covers what does not grow with N, the 4 KiB of
-// striped access counters among it, and the rounding of each
+// that hands every object an 11-byte body of its own, with no
+// persistence and no metrics, is at most 140 B per object at N=1,000
+// and at N=64,000, on top of a fixed 16 KiB. That is 120 B of state
+// and a 16 B body allocation per object; it measured 136.4 B at
+// N=64,000. The fixed part covers what does not grow with N, the
+// 4 KiB of striped access counters among it, and the rounding of each
 // per-object array up to its allocation size class; at N=1,000 it
 // comes to about 11 B per object.
 func TestMirrorBytesPerObject(t *testing.T) {
-	const perObject, fixed = 136, 16 << 10
+	const perObject, fixed = 140, 16 << 10
 	for _, n := range []int{1000, 64000} {
 		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
-			retained := leastRetained(t, func() any {
+			retained := testkit.LeastRetained(func() any {
 				m, err := New(context.Background(), Config{
-					Upstream: &churnSource{n: n, body: []byte("object body")},
+					Upstream: &ownBodies{churnSource{n: n, body: []byte("object body")}},
 					Plan:     core.Config{Bandwidth: float64(n) / 100},
 					Seed:     1,
 				})
@@ -47,27 +48,14 @@ func TestMirrorBytesPerObject(t *testing.T) {
 	}
 }
 
-// leastRetained is the heap that what build returns retains, measured
-// three times and the least kept, so another test's goroutine
-// allocating meanwhile does not count. Two collections precede each
-// reading: the first only moves sync.Pool contents to the victim
-// caches, which the second frees.
-func leastRetained(t *testing.T, build func() any) int64 {
-	t.Helper()
-	retained := int64(math.MaxInt64)
-	for range 3 {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		v := build()
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(v)
-		retained = min(retained, int64(after.HeapAlloc)-int64(before.HeapAlloc))
-	}
-	return retained
+// ownBodies is a churnSource that hands every fetch a body of its
+// own, as a real upstream does, so a mirror's retained heap counts the
+// bodies it keeps.
+type ownBodies struct{ churnSource }
+
+func (s *ownBodies) Fetch(ctx context.Context, id int) ([]byte, int, error) {
+	body, ver, err := s.churnSource.Fetch(ctx, id)
+	return bytes.Clone(body), ver, err
 }
 
 // TestRecoveredMirrorBytesPerObject: a mirror recovered from a snapshot
@@ -78,7 +66,7 @@ func leastRetained(t *testing.T, build func() any) int64 {
 // cost a recovered mirror 61% more heap than a cold one.
 func TestRecoveredMirrorBytesPerObject(t *testing.T) {
 	const n = 50_000
-	src := &churnSource{n: n, body: []byte("object body")}
+	src := &ownBodies{churnSource{n: n, body: []byte("object body")}}
 	boot := func(dir string) (*Mirror, *persist.Store) {
 		t.Helper()
 		store, err := persist.Open(dir)
@@ -115,7 +103,7 @@ func TestRecoveredMirrorBytesPerObject(t *testing.T) {
 	store.Close()
 
 	measure := func(dir func() string, status string) int64 {
-		return leastRetained(t, func() any {
+		return testkit.LeastRetained(func() any {
 			m, store := boot(dir())
 			t.Cleanup(func() { store.Close() })
 			if rd := m.Readiness(); rd.RecoveryStatus != status || (status == "recovered" && rd.JournalReplayed == 0) {
