@@ -49,13 +49,17 @@ fuzz-smoke:
 
 # The zero-cost contract of the lock-free read path, as CI's
 # serve-bench job asserts it: no allocations on Access or the /object
-# route, no blocking behind the state or step locks, one view per
-# transferring refresh, one allocation per body a batch seed decodes,
-# at most 140 B per object for a mirror's state and an 11-byte body, a
-# recovered mirror within 10% of a cold one's heap, and at most 11 B
-# per object for a fleet's placement.
+# route below version 256 (at most two past it), no blocking behind the
+# state or step locks, one view per transferring refresh, one
+# allocation per body a batch seed decodes, a 24 B view and a 24 B
+# iterator entry, 88 B per object plus 24 B per funded object (at most
+# 132 B per object for a cold mirror with an 11-byte body, 112 B under
+# a learned plan funding 5% of them), a Plan() whose frequencies the
+# caller owns, a recovered mirror within 10% of a cold one's heap, and
+# at most 11 B per object for a fleet's placement.
 serve-bench:
-	$(GO) test -count=1 -run 'TestAccessZeroAllocs|TestObjectHandlerAllocs|TestAccessLockFree|TestAccessNotFoundPreallocated|TestTransferCommitAllocsFlat|TestMirrorBytesPerObject|TestRecoveredMirrorBytesPerObject|TestFetchBatchAllocs' ./internal/httpmirror/
+	$(GO) test -count=1 -run 'TestAccessZeroAllocs|TestObjectHandlerAllocs|TestAccessLockFree|TestAccessNotFoundPreallocated|TestTransferCommitAllocsFlat|TestCopyViewSize|TestMirrorBytesPerObject|TestLearnedPlanBytesPerObject|TestPlanFreqsIsACopy|TestRecoveredMirrorBytesPerObject|TestFetchBatchAllocs' ./internal/httpmirror/
+	$(GO) test -count=1 -run 'TestIteratorEntrySize' ./internal/schedule/
 	$(GO) test -count=1 -run 'TestPlacementBytesPerObject' ./internal/fleet/
 
 # The crash-recovery suite under the race detector: kill-and-restart

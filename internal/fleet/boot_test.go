@@ -266,7 +266,7 @@ type stallBatches struct {
 	limit time.Duration
 }
 
-func (s stallBatches) FetchBatch(ctx context.Context, _ []int) ([][]byte, []int, error) {
+func (s stallBatches) FetchBatch(ctx context.Context, _ []int) ([]string, []int, error) {
 	select {
 	case <-ctx.Done():
 		return nil, nil, ctx.Err()
@@ -282,7 +282,7 @@ type failBatches struct {
 	failed *atomic.Int64 // unix nanos of the first failure
 }
 
-func (s failBatches) FetchBatch(ctx context.Context, _ []int) ([][]byte, []int, error) {
+func (s failBatches) FetchBatch(ctx context.Context, _ []int) ([]string, []int, error) {
 	for _, ch := range s.ready {
 		select {
 		case <-ch:

@@ -113,7 +113,7 @@ func (s *shardSource) Fetch(ctx context.Context, id int) ([]byte, int, error) {
 
 // FetchBatch forwards a batch under its global ids, or reports
 // httpmirror.ErrBatchUnsupported when inner does not fetch batches.
-func (s *shardSource) FetchBatch(ctx context.Context, ids []int) ([][]byte, []int, error) {
+func (s *shardSource) FetchBatch(ctx context.Context, ids []int) ([]string, []int, error) {
 	batch, ok := s.inner.(httpmirror.BatchSource)
 	if !ok {
 		return nil, nil, httpmirror.ErrBatchUnsupported

@@ -38,6 +38,7 @@ var (
 	_ httpmirror.Source            = (*MirrorSource)(nil)
 	_ httpmirror.ConditionalSource = (*MirrorSource)(nil)
 	_ httpmirror.UpstreamHealth    = (*MirrorSource)(nil)
+	_ httpmirror.BatchSource       = (*MirrorSource)(nil)
 )
 
 // NewMirrorSource creates a source that refreshes from the mirror at
@@ -77,7 +78,7 @@ func (s *MirrorSource) Catalog(ctx context.Context) ([]httpmirror.CatalogEntry, 
 // upstream, overriding the SourceClient's. A batch response carries no
 // per-object X-Mirror-Mode or X-Staleness-Periods headers, so a mirror
 // booting below a source-degraded one would under-report staleness.
-func (s *MirrorSource) FetchBatch(context.Context, []int) ([][]byte, []int, error) {
+func (s *MirrorSource) FetchBatch(context.Context, []int) ([]string, []int, error) {
 	return nil, nil, httpmirror.ErrBatchUnsupported
 }
 

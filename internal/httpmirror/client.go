@@ -307,7 +307,7 @@ func (c *SourceClient) Fetch(ctx context.Context, id int) (body []byte, version 
 // another Content-Type (a catch-all origin), is ErrBatchUnsupported.
 // A response whose frames do not name ids in order, or that does not
 // end right after the last one, is a permanent error.
-func (c *SourceClient) FetchBatch(ctx context.Context, ids []int) (bodies [][]byte, versions []int, err error) {
+func (c *SourceClient) FetchBatch(ctx context.Context, ids []int) (bodies []string, versions []int, err error) {
 	url := make([]byte, 0, len(c.base)+len("/objects?ids=")+8*len(ids))
 	url = append(url, c.base...)
 	url = append(url, "/objects?ids="...)
@@ -371,13 +371,11 @@ func (r *readErr) Read(p []byte) (int, error) {
 }
 
 // readFrames reads a GET /objects body: for each id, in order, the
-// line "{id} {version} {len}\n" and then len body bytes, each read as
-// readBody reads one, through one LimitedReader for the whole batch;
-// then the end of the body.
-func readFrames(r io.Reader, ids []int) ([][]byte, []int, error) {
+// line "{id} {version} {len}\n" and then len body bytes, read by
+// readString; then the end of the body.
+func readFrames(r io.Reader, ids []int) ([]string, []int, error) {
 	br := bufio.NewReader(r)
-	frame := &io.LimitedReader{R: br}
-	bodies := make([][]byte, len(ids))
+	bodies := make([]string, len(ids))
 	versions := make([]int, len(ids))
 	for k, want := range ids {
 		line, err := br.ReadSlice('\n')
@@ -391,11 +389,7 @@ func readFrames(r io.Reader, ids []int) ([][]byte, []int, error) {
 		if id != want {
 			return nil, nil, fmt.Errorf("frame %d names object %d, want %d", k, id, want)
 		}
-		frame.N = int64(size)
-		b, err := readBody(frame, int64(size))
-		if err == nil && len(b) != size {
-			err = io.ErrUnexpectedEOF
-		}
+		b, err := readString(br, size)
 		if err != nil {
 			return nil, nil, fmt.Errorf("frame %d body: %w", k, err)
 		}
@@ -408,6 +402,35 @@ func readFrames(r io.Reader, ids []int) ([][]byte, []int, error) {
 		return nil, nil, err
 	}
 	return bodies, versions, nil
+}
+
+// readString reads the next n bytes of br into a string of exactly n
+// bytes, filling a strings.Builder straight from br's buffer by
+// Peek, Write and Discard, so a body costs one allocation. A length
+// up to maxPresizedBody is allocated up front; a longer one, which a
+// frame header alone cannot vouch for, grows as its bytes arrive and
+// is copied to its exact size once read, as readBody does. A reader
+// that ends first fails with io.ErrUnexpectedEOF.
+func readString(br *bufio.Reader, n int) (string, error) {
+	var sb strings.Builder
+	if n <= maxPresizedBody {
+		sb.Grow(n)
+	}
+	for sb.Len() < n {
+		p, err := br.Peek(min(n-sb.Len(), br.Size()))
+		sb.Write(p)
+		br.Discard(len(p))
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return "", err
+		}
+	}
+	if n > maxPresizedBody {
+		return strings.Clone(sb.String()), nil
+	}
+	return sb.String(), nil
 }
 
 // parseFrameHeader parses "{id} {version} {len}"; len is never

@@ -15,6 +15,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"freshen/internal/testkit"
 )
 
 // TestFetchBodiesExactSize checks that both fetch calls keep exactly
@@ -249,8 +251,9 @@ func TestFetchBatchAllocs(t *testing.T) {
 }
 
 // TestFetchBatchResponses runs FetchBatch for ids 3 and 9 against
-// in-memory responses. A well-framed batch returns each body at its
-// exact size; a status that says the route is missing, or a 200 that
+// in-memory responses. A well-framed batch returns each body as a
+// string allocated at its exact size, measured by the heap it retains;
+// a status that says the route is missing, or a 200 that
 // is not a batch, is ErrBatchUnsupported; any other framing is a
 // permanent error, never retried.
 func TestFetchBatchResponses(t *testing.T) {
@@ -322,8 +325,23 @@ func TestFetchBatchResponses(t *testing.T) {
 					t.Errorf("versions %v, want [1 0]", versions)
 				}
 				for k, b := range bodies {
-					if !bytes.Equal(b, tc.want[k]) || cap(b) != len(b) {
-						t.Errorf("body %d: %d bytes (cap %d), want %d", k, len(b), cap(b), len(tc.want[k]))
+					if b != string(tc.want[k]) {
+						t.Errorf("body %d: %d bytes, want %d", k, len(b), len(tc.want[k]))
+					}
+				}
+				// A body retains its own bytes and nothing more: no
+				// slack a decoding buffer grew, and no other body of its
+				// batch sharing its allocation. The slack covers a large
+				// allocation's rounding to 8 KiB pages and the interface
+				// that holds the string.
+				const slack = 16 << 10
+				for k, want := range tc.want {
+					retained := testkit.LeastRetained(func() any {
+						bodies, _, _ := c.FetchBatch(context.Background(), []int{3, 9})
+						return bodies[k]
+					})
+					if limit := int64(len(want) + slack); retained > limit {
+						t.Errorf("body %d of %d bytes retains %d B, want at most %d", k, len(want), retained, limit)
 					}
 				}
 			}

@@ -496,7 +496,7 @@ func (m *Mirror) seedOne(ctx context.Context, i int) error {
 	if err != nil {
 		return err
 	}
-	m.seedCopy(i, body, ver)
+	m.seedCopy(i, string(body), ver)
 	return nil
 }
 
@@ -516,7 +516,7 @@ func (m *Mirror) seedMany(ctx context.Context, batch BatchSource, ids []int) err
 }
 
 // seedCopy installs copy i's first view.
-func (m *Mirror) seedCopy(i int, body []byte, version int) {
+func (m *Mirror) seedCopy(i int, body string, version int) {
 	m.views[i].Store(&copyView{body: body, version: version})
 	m.verified[i].Store(math.Float64bits(m.now))
 }
@@ -607,9 +607,9 @@ func (m *Mirror) Run(ctx context.Context, periodLength time.Duration) error {
 // allocations. It serves concurrently with refresh commits, replans,
 // and snapshot fsyncs; the body/version pair always comes from one
 // immutable view, so it is never torn.
-func (m *Mirror) Access(id int) (body []byte, version int, err error) {
+func (m *Mirror) Access(id int) (body string, version int, err error) {
 	if id < 0 || id >= len(m.views) {
-		return nil, 0, errAccessOutOfRange
+		return "", 0, errAccessOutOfRange
 	}
 	m.acc.record(id)
 	v := m.views[id].Load()
@@ -756,12 +756,18 @@ func (m *Mirror) Health() Health {
 	}
 }
 
-// Plan returns the current plan. Its Freqs is the vector the live
-// refresh iterator reads: callers must not modify it.
+// Plan returns the current plan. Its Freqs is a dense copy built for
+// this call from the refresh iterator's entries, so the caller owns it.
+// The vector is allocated before m.mu is taken; under the lock Plan
+// writes only the funded objects' entries.
 func (m *Mirror) Plan() core.Plan {
+	freqs := make([]float64, len(m.pl.sizes))
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.pl.plan
+	p := m.pl.plan
+	m.pl.iter.Each(func(id int, f float64, _ bool) { freqs[id] = f })
+	p.Freqs = freqs
+	return p
 }
 
 // ForceReplan re-plans immediately on what the mirror knows now and
@@ -839,7 +845,9 @@ func (m *Mirror) SetBudget(b float64) error {
 // cancellation, serves via serveObject, and counts the request on the
 // /object serve series. It returns the status code written (200 when
 // none was explicit). Like Access it takes no lock, and reads, HEADs
-// and 304s allocate nothing (see TestObjectHandlerAllocs).
+// and 304s of versions 0–255 allocate nothing; a version past 255
+// costs two allocations for its X-Version header (see
+// TestObjectHandlerAllocs).
 func (m *Mirror) ServeObject(w http.ResponseWriter, r *http.Request, id int) int {
 	sw := wrapStatus(w)
 	m.serveAdmitted(sw, r, id)
@@ -850,7 +858,7 @@ func (m *Mirror) ServeObject(w http.ResponseWriter, r *http.Request, id int) int
 
 // serveAdmitted is ServeObject's uncounted body. Only object reads
 // shed; health, readiness, status, and metrics stay un-gated.
-func (m *Mirror) serveAdmitted(w http.ResponseWriter, r *http.Request, id int) {
+func (m *Mirror) serveAdmitted(w *statusWriter, r *http.Request, id int) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
@@ -896,9 +904,12 @@ func (m *Mirror) serveAdmitted(w http.ResponseWriter, r *http.Request, id int) {
 // the served version answers 304 with no body (the downstream
 // conditional fetch) — both still carry the mode and staleness headers
 // so a chained mirror sees its upstream's health on every poll. The
-// full path, 304s and HEADs included, stays allocation-free (see
-// TestObjectHandlerAllocs).
-func (m *Mirror) serveObject(w http.ResponseWriter, r *http.Request, id int) {
+// full path, 304s and HEADs included, allocates nothing while the
+// version is below 256 (see versionHeaders and
+// TestObjectHandlerAllocs). The body goes out through the
+// statusWriter's WriteString, so the view's string is never copied
+// into a byte slice.
+func (m *Mirror) serveObject(w *statusWriter, r *http.Request, id int) {
 	body, ver, err := m.Access(id)
 	switch {
 	case errors.Is(err, ErrNotFound):
@@ -928,7 +939,7 @@ func (m *Mirror) serveObject(w http.ResponseWriter, r *http.Request, id int) {
 			return
 		}
 	}
-	w.Write(body)
+	w.WriteString(body)
 }
 
 // wantsPlainText reports whether a probe asked for the plain-text

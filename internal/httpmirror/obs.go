@@ -1,6 +1,7 @@
 package httpmirror
 
 import (
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -334,6 +335,16 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 		w.code = http.StatusOK
 	}
 	return w.ResponseWriter.Write(b)
+}
+
+// WriteString writes a view's body through the wrapped writer's own
+// WriteString, which net/http's response and httptest's recorder both
+// have, so serving a string body copies it into no byte slice.
+func (w *statusWriter) WriteString(s string) (int, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
+	}
+	return io.WriteString(w.ResponseWriter, s)
 }
 
 // swPool recycles statusWriter wrappers so the serve counters cost the

@@ -418,18 +418,28 @@ func TestRecoveryBootPlanExplores(t *testing.T) {
 	if err := m1.FlushSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	want := m1.Status().ExploreBandwidth
-	if want <= 0 || !slices.Contains(m1.pl.exploreOnly, true) {
-		t.Fatalf("setup: explore bandwidth %v, probes %v", want, m1.pl.exploreOnly)
+	want, probes := m1.Status().ExploreBandwidth, exploreMarks(m1)
+	if want <= 0 || !slices.Contains(probes, true) {
+		t.Fatalf("setup: explore bandwidth %v, probes %v", want, probes)
 	}
 
 	m2, _ := newPersistMirror(t, f.srv.URL, f.srv.Client(), dir, 1, 1000, explore)
 	if got := m2.Status().ExploreBandwidth; got != want {
 		t.Errorf("recovered explore bandwidth %v, a solve on the same knowledge %v", got, want)
 	}
-	if !slices.Equal(m2.pl.exploreOnly, m1.pl.exploreOnly) {
-		t.Errorf("recovered probes %v, a solve on the same knowledge %v", m2.pl.exploreOnly, m1.pl.exploreOnly)
+	if got := exploreMarks(m2); !slices.Equal(got, probes) {
+		t.Errorf("recovered probes %v, a solve on the same knowledge %v", got, probes)
 	}
+}
+
+// exploreMarks reads, for every object, whether the live plan funds it
+// only through the explore slice, from its refresh iterator.
+func exploreMarks(m *Mirror) []bool {
+	marks := make([]bool, len(m.views))
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.pl.iter.Each(func(id int, _ float64, explore bool) { marks[id] = explore })
+	return marks
 }
 
 // TestReadyzLifecycle pins the readiness contract: a cold persistent

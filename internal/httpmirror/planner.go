@@ -15,18 +15,16 @@ import (
 // m.mu held, so install runs under m.mu, while solve, which only
 // reads, runs under stepMu alone and never blocks a reader of m.mu.
 type planner struct {
-	sizes       []float64 // catalog sizes, fixed at New
+	sizes []float64 // catalog sizes, fixed at New
+	// plan is the live plan's figures. Its Freqs is nil: the iterator's
+	// entries hold the funded elements' frequencies and explore marks,
+	// the live plan's only per-object state (see Mirror.Plan).
 	plan        core.Plan
 	iter        *schedule.Iterator
 	iterBase    float64 // mirror clock at the last iterator rebuild
 	lastReplan  float64 // mirror clock at the last plan install
 	lastCadence float64 // mirror clock at the last cadence solve, which the cadence runs from; stepMu holders only
 	replans     int
-
-	// Explore/exploit state: exploreOnly marks elements funded only by
-	// the explore slice, whose refreshes count as uncertainty probes
-	// (nil when the plan has no explore slice).
-	exploreOnly []bool
 	exploreBW   float64 // bandwidth the last plan's explore slice used
 
 	// Fixed at New.
@@ -85,13 +83,13 @@ func (m *Mirror) uncertainty() []float64 {
 }
 
 // solved is one solve's output: built under stepMu alone, made live by
-// install under m.mu.
+// install under m.mu. Its plan carries the dense frequency vector the
+// iterator was built on, which install drops.
 type solved struct {
-	plan        core.Plan
-	iter        *schedule.Iterator
-	exploreOnly []bool
-	exploreBW   float64
-	lambdaMean  float64
+	plan       core.Plan
+	iter       *schedule.Iterator
+	exploreBW  float64
+	lambdaMean float64
 }
 
 // solve computes a plan and its refresh iterator from the element
@@ -103,11 +101,13 @@ type solved struct {
 // splits: f·ū·B is water-filled on estimator uncertainty (explore, see
 // schedule.AllocateExplore), where ū is the catalog's mean uncertainty,
 // and the rest is water-filled on the learned rates as usual (exploit);
-// both frequency vectors merge into one iterator. solve only reads
-// shared state, so the caller needs just one of the two locks; the
-// mirror holds stepMu alone.
+// both frequency vectors merge into one iterator, which marks the
+// elements only the explore slice funds. solve only reads shared
+// state, so the caller needs just one of the two locks; the mirror
+// holds stepMu alone.
 func (p *planner) solve(cfg core.Config, elems []freshness.Element, u []float64, quarantined []int) (solved, error) {
 	var s solved
+	var exploreOnly []bool
 	for i := range elems {
 		s.lambdaMean += elems[i].Lambda
 	}
@@ -147,7 +147,8 @@ func (p *planner) solve(cfg core.Config, elems []freshness.Element, u []float64,
 		}
 		s.plan = plan
 		if exploreBudget > 0 {
-			if err := p.mergeExplore(&s, cfg.Policy, elems, active, u, quarantined, exploreBudget); err != nil {
+			var err error
+			if exploreOnly, err = p.mergeExplore(&s, cfg.Policy, elems, active, u, quarantined, exploreBudget); err != nil {
 				return solved{}, err
 			}
 		}
@@ -155,6 +156,9 @@ func (p *planner) solve(cfg core.Config, elems []freshness.Element, u []float64,
 	iter, err := schedule.NewIterator(s.plan.Freqs, true, p.seed+int64(p.replans))
 	if err != nil {
 		return solved{}, err
+	}
+	if exploreOnly != nil {
+		iter.MarkExplore(exploreOnly)
 	}
 	s.iter = iter
 	return s, nil
@@ -164,21 +168,21 @@ func (p *planner) solve(cfg core.Config, elems []freshness.Element, u []float64,
 // uncertainty and folds the probe frequencies into the solve's plan:
 // frequencies add, bandwidth adds, and the plan's quality metrics are
 // recomputed at the combined allocation over the full catalog elems.
-// Elements funded only by the explore slice are marked so their
+// It returns which elements only the explore slice funds: their
 // refreshes count as uncertainty probes.
-func (p *planner) mergeExplore(s *solved, pol freshness.Policy, elems, active []freshness.Element, u []float64, quarantined []int, budget float64) error {
+func (p *planner) mergeExplore(s *solved, pol freshness.Policy, elems, active []freshness.Element, u []float64, quarantined []int, budget float64) ([]bool, error) {
 	activeU := make([]float64, 0, len(active))
 	forActive(len(elems), quarantined, func(i, _ int) {
 		activeU = append(activeU, u[i])
 	})
 	exFreqs, exUsed, err := schedule.AllocateExplore(active, activeU, p.prior, budget)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.exploreOnly = make([]bool, len(elems))
+	exploreOnly := make([]bool, len(elems))
 	forActive(len(elems), quarantined, func(i, j int) {
 		if exFreqs[j] > 0 && s.plan.Freqs[i] == 0 {
-			s.exploreOnly[i] = true
+			exploreOnly[i] = true
 		}
 		s.plan.Freqs[i] += exFreqs[j]
 	})
@@ -195,7 +199,7 @@ func (p *planner) mergeExplore(s *solved, pol freshness.Policy, elems, active []
 	if af, err := freshness.Average(pol, elems, s.plan.Freqs); err == nil {
 		s.plan.AvgFreshness = af
 	}
-	return nil
+	return exploreOnly, nil
 }
 
 // activeElems is elems without the elements whose ids the ascending
@@ -227,19 +231,14 @@ func forActive(n int, skip []int, f func(i, j int)) {
 }
 
 // install makes a solve's output the live plan; its iterator's clock
-// starts at now. The caller holds both locks.
+// starts at now. The dense frequency vector is dropped: the iterator
+// holds each funded element's frequency. The caller holds both locks.
 func (p *planner) install(s solved, now float64) {
 	p.plan = s.plan
+	p.plan.Freqs = nil
 	p.iter = s.iter
-	p.exploreOnly = s.exploreOnly
 	p.exploreBW = s.exploreBW
 	p.iterBase = now
 	p.lastReplan = now
 	p.replans++
-}
-
-// exploreProbe reports whether a refresh of element id is an
-// uncertainty probe: the element is funded only by the explore slice.
-func (p *planner) exploreProbe(id int) bool {
-	return p.exploreOnly != nil && p.exploreOnly[id]
 }

@@ -362,3 +362,46 @@ func TestSolveInputMatchesLearnFormula(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanFreqsIsACopy: Plan hands its caller a copy of the live
+// plan's frequencies, not state the refresh iterator reads. A 0
+// written into every entry of the copy changes nothing: over four
+// periods the mirror polls exactly what an untouched twin polls, in
+// the same order. (A negative entry would have stalled Step's drain
+// while the iterator read the caller's vector.)
+func TestPlanFreqsIsACopy(t *testing.T) {
+	const n = 16
+	var srcs [2]*failingSource
+	var ms [2]*Mirror
+	for k := range ms {
+		srcs[k] = &failingSource{simSource: newSimSource(t, n)}
+		m, err := New(context.Background(), Config{
+			Upstream: srcs[k],
+			Plan:     core.Config{Bandwidth: n},
+			Seed:     1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms[k] = m
+	}
+	written := ms[0].Plan().Freqs
+	for i := range written {
+		written[i] = 0
+	}
+	for now := 0.25; now <= 4; now += 0.25 {
+		for k, m := range ms {
+			srcs[k].s.Advance(now)
+			if _, err := m.Step(now); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got, want := srcs[0].polled, srcs[1].polled
+	if len(want) < 4*n || !slices.Equal(got, want) {
+		t.Errorf("after writing Plan().Freqs the mirror polled %d objects, its twin %d: %v against %v", len(got), len(want), got, want)
+	}
+	if f := ms[0].Plan().Freqs; !slices.Equal(f, ms[1].Plan().Freqs) || slices.Contains(f, 0) {
+		t.Errorf("Plan().Freqs after the write: %v, the twin's %v", f, ms[1].Plan().Freqs)
+	}
+}

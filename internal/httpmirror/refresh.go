@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"freshen/internal/persist"
+	"freshen/internal/schedule"
 )
 
 // This file is the refresh pipeline. Step drains the due events and
@@ -37,26 +38,28 @@ func (m *Mirror) Step(now float64) (int, error) {
 		m.mu.Unlock()
 		return 0, fmt.Errorf("httpmirror: clock moved backwards (%v < %v)", now, m.now)
 	}
-	// Drain every due event up front; network I/O happens unlocked.
-	type dueEvent struct {
-		element int
-		at      float64
-	}
-	var due []dueEvent
+	// Drain every due event up front, on the mirror clock; network I/O
+	// happens unlocked.
+	var due []schedule.Event
 	for {
 		ev, ok := m.pl.iter.Peek()
 		if !ok || m.pl.iterBase+ev.Time > now {
 			break
 		}
 		m.pl.iter.Next()
-		due = append(due, dueEvent{element: ev.Element, at: m.pl.iterBase + ev.Time})
+		ev.Time += m.pl.iterBase
+		due = append(due, ev)
 	}
 	m.mu.Unlock()
 
 	refreshes := 0
 	healthChanged := false
 	for _, ev := range due {
-		res, changed := m.attempt(ev.element, ev.at, false)
+		why := planned
+		if ev.Explore {
+			why = explored
+		}
+		res, changed := m.attempt(ev.Element, ev.Time, why)
 		if res == refreshed {
 			refreshes++
 		}
@@ -112,8 +115,21 @@ const (
 	refreshed
 )
 
-// attempt refreshes object id at period-clock time at: a due refresh,
-// or, with probe set, a quarantined object's recovery probe. It takes
+// trigger is why an attempt runs.
+type trigger uint8
+
+const (
+	// planned: a due refresh of the live plan.
+	planned trigger = iota
+	// explored: a due refresh of an object only the explore slice
+	// funds, which counts as an uncertainty probe.
+	explored
+	// recovery: a quarantined object's recovery probe.
+	recovery
+)
+
+// attempt refreshes object id at period-clock time at, for the reason
+// why: a due refresh or a quarantined object's recovery probe. It takes
 // m.mu once to admit the refresh, polls without it, and takes it once
 // to commit the outcome through applyLocked, and, with a store, once
 // more to record how the journal append went. It reports what the
@@ -124,9 +140,9 @@ const (
 // A failed refresh commits no view and no observation: the estimator
 // only ever sees successful polls, with elapsed time measured from the
 // last successful one.
-func (m *Mirror) attempt(id int, at float64, probe bool) (result, bool) {
+func (m *Mirror) attempt(id int, at float64, why trigger) (result, bool) {
 	m.mu.Lock()
-	if !probe && m.quarantined > 0 && m.health[id].quarantined {
+	if why != recovery && m.quarantined > 0 && m.health[id].quarantined {
 		// Replanning already zeroed its frequency; a leftover event
 		// from the pre-quarantine iterator is dropped.
 		m.mu.Unlock()
@@ -136,7 +152,7 @@ func (m *Mirror) attempt(id int, at float64, probe bool) (result, bool) {
 		// Breaker open: skip the refresh, keep serving the stale copy.
 		// A skipped due refresh is counted, not fed to the estimator,
 		// so an outage is never mistaken for "no change observed".
-		if !probe {
+		if why != recovery {
 			m.skippedRefreshes++
 			m.metrics.countSkipped()
 		}
@@ -150,21 +166,27 @@ func (m *Mirror) attempt(id int, at float64, probe bool) (result, bool) {
 	start := time.Now()
 	body, ver, notModified, err := m.poll(id, stored, cond)
 	m.metrics.observeRefresh(time.Since(start), err)
+	// A transfer's view, its body copied into a string, is built before
+	// m.mu is taken, so the lock covers only the pointer store.
+	var view *copyView
+	if err == nil && !notModified && ver != stored {
+		view = &copyView{body: string(body), version: ver}
+	}
 
 	res, rec := failed, persist.Record{Kind: persist.KindFailure, Element: id, At: at}
 	m.mu.Lock()
 	if err == nil {
 		res = refreshed
-		rec.Kind, rec.Changed, rec.Version = persist.KindRefresh, !notModified && ver != stored, ver
+		rec.Kind, rec.Changed, rec.Version = persist.KindRefresh, view != nil, ver
 		if elapsed := at - math.Float64frombits(m.verified[id].Load()); elapsed > 0 {
 			rec.Elapsed = elapsed // else the copy's first poll: no observation
 		}
 		m.verified[id].Store(math.Float64bits(at))
-		if rec.Changed {
+		if view != nil {
 			// Commit the new body/version pair to readers: one pointer
 			// store for this object alone. A reader holding the previous
 			// view finishes on it, internally consistent.
-			m.views[id].Store(&copyView{body: body, version: ver})
+			m.views[id].Store(view)
 			m.metrics.countTransfer()
 		}
 		if notModified {
@@ -179,7 +201,7 @@ func (m *Mirror) attempt(id int, at float64, probe bool) (result, bool) {
 			m.log.Warn("upstream ignores conditional fetches; reverting to HEAD-then-GET",
 				"element", id, "version", ver)
 		}
-		if !probe && m.pl.exploreProbe(id) {
+		if why == explored {
 			// This element is funded only by the explore slice: the
 			// refresh is an uncertainty probe, not an exploit poll.
 			m.exploreProbes++
@@ -337,7 +359,7 @@ func (m *Mirror) probeQuarantined(now float64) bool {
 		if now-m.health[id].lastProbe < m.cfg.Fault.ProbeEvery {
 			continue
 		}
-		res, c := m.attempt(id, now, true)
+		res, c := m.attempt(id, now, recovery)
 		if res == skipped {
 			break
 		}

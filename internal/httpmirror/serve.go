@@ -26,9 +26,10 @@ var errAccessOutOfRange = fmt.Errorf("%w: id outside the catalog", ErrNotFound)
 // observe a torn body/version pair. A view is never mutated after it
 // is stored: a transferring refresh replaces the object's pointer, and
 // the garbage collector reclaims the old view once its last reader
-// drops it.
+// drops it. The body is a string, which no reader can write through
+// and which carries no capacity word: 24 B on amd64.
 type copyView struct {
-	body    []byte
+	body    string
 	version int
 }
 
@@ -91,10 +92,11 @@ func (a *accessCounters) total() uint64 {
 }
 
 // versionHeaders caches the pre-built one-element header slice for
-// small version numbers, letting the /object handler attach
-// X-Version without the per-request []string{...} allocation.
-// Versions beyond the cache (long-lived, fast-changing objects) fall
-// back to one small allocation.
+// versions 0–255, letting the /object handler attach X-Version without
+// the per-request []string{...} allocation. A read of a version past
+// the cache (a long-lived, fast-changing object) costs two
+// allocations, the formatted version and its header slice
+// (TestObjectHandlerAllocs).
 var versionHeaders = func() [][]string {
 	vs := make([][]string, 256)
 	for i := range vs {

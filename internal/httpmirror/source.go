@@ -49,10 +49,12 @@ type ConditionalSource interface {
 // batches and fetches each batch with one call, so a 50,000-object
 // boot makes ~200 round trips instead of 50,000. FetchBatch returns
 // one body and version per id, in the order of ids, and must not
-// retain ids. An upstream that does not serve batches answers
-// ErrBatchUnsupported, and the caller fetches one object at a time.
+// retain ids. Each body is a string, the form a view keeps, so a
+// decoder can build it once from the response. An upstream that does
+// not serve batches answers ErrBatchUnsupported, and the caller fetches
+// one object at a time.
 type BatchSource interface {
-	FetchBatch(ctx context.Context, ids []int) (bodies [][]byte, versions []int, err error)
+	FetchBatch(ctx context.Context, ids []int) (bodies []string, versions []int, err error)
 }
 
 // ErrBatchUnsupported is a BatchSource's answer when its upstream does

@@ -17,15 +17,15 @@ import (
 // TestMirrorBytesPerObject pins the mirror's per-object state (DESIGN.md
 // §11 lists it field by field): the heap New retains over an origin
 // that hands every object an 11-byte body of its own, with no
-// persistence and no metrics, is at most 140 B per object at N=1,000
-// and at N=64,000, on top of a fixed 16 KiB. That is 120 B of state
-// and a 16 B body allocation per object; it measured 136.4 B at
-// N=64,000. The fixed part covers what does not grow with N, the
-// 4 KiB of striped access counters among it, and the rounding of each
-// per-object array up to its allocation size class; at N=1,000 it
-// comes to about 11 B per object.
+// persistence and no metrics, is at most 132 B per object at N=1,000
+// and at N=64,000, on top of a fixed 16 KiB. A cold mirror funds every
+// object, so that is 88 B of state, a 24 B iterator entry and a 16 B
+// body allocation per object, 128 B. The fixed part covers what does
+// not grow with N, the 4 KiB of striped access counters among it, and
+// the rounding of each per-object array up to its allocation size
+// class; at N=1,000 it comes to about 11 B per object.
 func TestMirrorBytesPerObject(t *testing.T) {
-	const perObject, fixed = 140, 16 << 10
+	const perObject, fixed = 132, 16 << 10
 	for _, n := range []int{1000, 64000} {
 		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
 			retained := testkit.LeastRetained(func() any {
@@ -45,6 +45,52 @@ func TestMirrorBytesPerObject(t *testing.T) {
 					retained, n, float64(retained)/float64(n), perObject, fixed)
 			}
 		})
+	}
+}
+
+// TestLearnedPlanBytesPerObject: a learned plan keeps state only for
+// the objects it funds. At N=64,000, with 11-byte bodies of their own,
+// 100 reads of every 20th object and a forced replan, at most 10% of
+// the objects are funded, and the mirror retains at most 112 B per
+// object on top of a fixed 16 KiB: 88 B of state and a 16 B body per
+// object, and a 24 B iterator entry per funded object, come to about
+// 105 B. A dense frequency vector kept beside the iterator (8 B per
+// object) and a view's 8 B capacity word take it past 112 B.
+func TestLearnedPlanBytesPerObject(t *testing.T) {
+	const n, perObject, fixed = 64_000, 112, 16 << 10
+	funded := 0
+	retained := testkit.LeastRetained(func() any {
+		m, err := New(context.Background(), Config{
+			Upstream: &ownBodies{churnSource{n: n, body: []byte("object body")}},
+			Plan:     core.Config{Bandwidth: n / 100},
+			Seed:     1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i += 20 {
+			for range 100 {
+				m.Access(i)
+			}
+		}
+		if err := m.ForceReplan(); err != nil {
+			t.Fatal(err)
+		}
+		funded = 0
+		for _, f := range m.Plan().Freqs {
+			if f > 0 {
+				funded++
+			}
+		}
+		return m
+	})
+	t.Logf("N=%d: %d funded, %d B retained, %.1f B per object", n, funded, retained, float64(retained)/n)
+	if funded == 0 || funded > n/10 {
+		t.Fatalf("the learned plan funds %d of %d objects, want between 1 and %d", funded, n, n/10)
+	}
+	if retained > int64(perObject*n+fixed) {
+		t.Errorf("a mirror with a learned plan retains %d B at N=%d, %.1f B per object: want at most %d B per object and %d B fixed",
+			retained, n, float64(retained)/n, perObject, fixed)
 	}
 }
 

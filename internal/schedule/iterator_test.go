@@ -4,7 +4,9 @@ import (
 	"container/heap"
 	"math"
 	"runtime/debug"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"freshen/internal/stats"
 )
@@ -39,6 +41,27 @@ func newPushPopIterator(freqs []float64, randomPhase bool, seed int64) *pushPopI
 func (it *pushPopIterator) next() SyncEvent {
 	ev := heap.Pop(&it.h).(SyncEvent)
 	heap.Push(&it.h, SyncEvent{Time: ev.Time + 1/it.freqs[ev.Element], Element: ev.Element})
+	return ev
+}
+
+// eventHeap is the reference's min-heap of SyncEvents by time, with
+// the element index as the tiebreak.
+type eventHeap []SyncEvent
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].Time != h[j].Time {
+		return h[i].Time < h[j].Time
+	}
+	return h[i].Element < h[j].Element
+}
+func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(SyncEvent)) }
+func (h *eventHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	ev := old[n-1]
+	*h = old[:n-1]
 	return ev
 }
 
@@ -124,5 +147,87 @@ func TestIteratorAllocations(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(1000, func() { it.Next() }); a != 0 {
 		t.Errorf("Next allocates %v times per call", a)
+	}
+}
+
+// TestIteratorEntrySize pins the iterator's one per-element cost: a
+// funded element's heap entry (due time, frequency, int32 id, explore
+// mark) is 24 B. An unfunded element has none.
+func TestIteratorEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 24 {
+		t.Errorf("an iterator entry is %d B, want 24", got)
+	}
+}
+
+// TestIteratorOwnsItsFrequencies: an iterator keeps no reference to
+// the vector it was built on. Zeroing, negating or raising entries of
+// that vector after NewIterator changes none of the next 10,000
+// events, which match an iterator built on an untouched copy.
+func TestIteratorOwnsItsFrequencies(t *testing.T) {
+	freqs := seededFreqs(2000, 3)
+	it, err := NewIterator(freqs, true, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := NewIterator(slices.Clone(freqs), true, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range freqs {
+		switch i % 3 {
+		case 0:
+			freqs[i] = 0
+		case 1:
+			freqs[i] = -freqs[i]
+		default:
+			freqs[i] *= 1000
+		}
+	}
+	for k := 0; k < 10_000; k++ {
+		got, _ := it.Next()
+		want, _ := twin.Next()
+		if got != want {
+			t.Fatalf("event %d: %+v after the caller wrote its vector, %+v untouched", k, got, want)
+		}
+	}
+}
+
+// TestIteratorExploreMarks: MarkExplore marks exactly the funded
+// elements its vector flags; Next, Peek and Each report the mark, and
+// Each reports every funded element's frequency once, so a dense copy
+// of the plan can be rebuilt from the iterator alone.
+func TestIteratorExploreMarks(t *testing.T) {
+	freqs := seededFreqs(500, 4)
+	explore := make([]bool, len(freqs))
+	for i := range explore {
+		explore[i] = i%7 == 0
+	}
+	it, err := NewIterator(freqs, true, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it.MarkExplore(explore)
+	dense := make([]float64, len(freqs))
+	marked := make([]bool, len(freqs))
+	it.Each(func(id int, f float64, e bool) {
+		if dense[id] != 0 {
+			t.Fatalf("Each visited element %d twice", id)
+		}
+		dense[id], marked[id] = f, e
+	})
+	if !slices.Equal(dense, freqs) {
+		t.Error("Each's frequencies differ from the vector the iterator was built on")
+	}
+	for i, f := range freqs {
+		if want := f > 0 && explore[i]; marked[i] != want {
+			t.Errorf("element %d (f=%v): Each reports mark %v, want %v", i, f, marked[i], want)
+		}
+	}
+	for k := 0; k < 2000; k++ {
+		p, _ := it.Peek()
+		ev, _ := it.Next()
+		if p != ev || ev.Explore != explore[ev.Element] {
+			t.Fatalf("event %d: Peek %+v, Next %+v, element marked %v", k, p, ev, explore[ev.Element])
+		}
 	}
 }
